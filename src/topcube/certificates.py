@@ -8,6 +8,11 @@ topology plus the one-step topologies; a pairwise-disjoint batch of
 topologies plus the trivial one), verifies them by full sweep, checks the
 two evaluation routes for order intervals against each other, and provides
 sampled limit-point and convergence probes for symbolic families.
+
+The convergence and ladder checks read the stages of an omega chain through
+the one walker in ``lattice`` (``_entry_stages``): each check builds its stage
+list once, takes every coordinate's entry stage from it, and raises
+ValueError on a dropped coordinate or an empty stage list (depth below 1).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import combinations
 
 from .cube import Family, GroundSet
 from .famexpr import FamExpr, fam_distinct
-from .lattice import FiniteSublattice, OmegaChain, lat_generate
+from .lattice import FiniteSublattice, _entry_stages, lat_generate
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .topology import Topology
 
@@ -37,33 +42,6 @@ class SubbasicCond:
     def __repr__(self) -> str:
         sign = "+" if self.present else "-"
         return f"[{self.mask}]{sign}"
-
-
-class BasicOpen:
-    """A finite conjunction of subbasic conditions, no mask used both ways."""
-
-    def __init__(self, conds):
-        self.conds = frozenset(conds)
-        masks = {}
-        for c in self.conds:
-            if masks.setdefault(c.mask, c.present) != c.present:
-                raise ValueError(f"mask {c.mask} constrained both present and absent")
-
-    def holds(self, word: int) -> bool:
-        return all(c.holds(word) for c in self.conds)
-
-    def __len__(self) -> int:
-        return len(self.conds)
-
-    def __repr__(self) -> str:
-        return f"BasicOpen({sorted(self.conds, key=lambda c: (c.mask, c.present))})"
-
-
-def basic_contains(b: BasicOpen, f: Family) -> bool:
-    """Membership of a family in a basic open piece of the cube."""
-    if any(c.mask >= f.universe.num_subsets for c in b.conds):
-        raise ValueError("condition coordinate outside the family's universe")
-    return b.holds(f.word)
 
 
 class Certificate:
@@ -243,42 +221,6 @@ def disjoint_closure_certificate(universe: GroundSet, tops) -> Report:
     )
 
 
-def _upset_by_order(universe: GroundSet, gen_words) -> set[int]:
-    return {
-        f
-        for f in range(1 << universe.num_subsets)
-        if all((f & g) == g for g in gen_words)
-    }
-
-
-def _downset_by_order(universe: GroundSet, gen_words) -> set[int]:
-    return {
-        f
-        for f in range(1 << universe.num_subsets)
-        if all((f & g) == f for g in gen_words)
-    }
-
-
-def _upset_by_conditions(universe: GroundSet, gen_words) -> set[int]:
-    out = set(range(1 << universe.num_subsets))
-    for g in gen_words:
-        for mask in universe.subset_masks():
-            if (g >> mask) & 1:
-                cond = SubbasicCond(mask, True)
-                out = {f for f in out if cond.holds(f)}
-    return out
-
-
-def _downset_by_conditions(universe: GroundSet, gen_words) -> set[int]:
-    out = set(range(1 << universe.num_subsets))
-    for g in gen_words:
-        for mask in universe.subset_masks():
-            if not (g >> mask) & 1:
-                cond = SubbasicCond(mask, False)
-                out = {f for f in out if cond.holds(f)}
-    return out
-
-
 def _interval_mismatch(universe: GroundSet, members: list[int], x: int):
     """The first disagreement between the order and condition routes at x.
 
@@ -364,16 +306,15 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3, stride: int 
     size = 1 << universe.num_subsets
     params = {"n": universe.n, "max_gens": max_gens}
 
-    for x in range(size):
-        if (
-            _upset_by_order(universe, [x]) != _upset_by_conditions(universe, [x])
-            or _downset_by_order(universe, [x]) != _downset_by_conditions(universe, [x])
-        ):
+    cube = list(range(size))
+    for x in cube:
+        problem = _interval_mismatch(universe, cube, x)
+        if problem:
             return timer.report(
                 check="interval-identity",
                 params=params,
                 verdict=FAIL,
-                witness={"element": x, "scope": "whole cube"},
+                witness={**problem, "scope": "whole cube"},
             )
 
     materialized = 0
@@ -459,34 +400,31 @@ def sequence_convergence_check(
 ) -> Report:
     """Coordinatewise convergence of a family sequence to a declared limit.
 
-    For each coordinate the membership bits of the stages are sampled up to
-    the depth.  A final run agreeing with the limit on every coordinate is a
-    pass (evidence, not proof).  When the sequence is declared increasing,
-    membership bits can never fall back, so a coordinate locked at a value
-    different from the limit's is a genuine refutation; bits observed to
-    decrease then raise instead.
+    A coordinate counts as settled when stage ``depth - 1`` agrees with the
+    limit on it; a run agreeing on every coordinate is a pass (evidence,
+    not proof).  When the sequence is declared increasing, membership bits
+    can never fall back, so all stages are walked: a coordinate locked at a
+    value different from the limit's is a genuine refutation, and bits
+    observed to decrease raise instead.  Otherwise only the last stage is
+    read.  A depth below 1 raises.
     """
     timer = Stopwatch()
     coords = list(coords)
     params = {"coords": len(coords), "depth": depth, "increasing": assume_increasing}
+    steps = range(depth) if assume_increasing else range(depth)[-1:]
+    entries = _entry_stages([stage(i) for i in steps], coords)
     unsettled = []
-    for w in coords:
-        bits = [stage(i).contains(w) for i in range(depth)]
+    for w, entry in zip(coords, entries):
+        inside = entry is not None
         want = limit.contains(w)
-        if assume_increasing:
-            if any(b and not b2 for b, b2 in zip(bits, bits[1:])):
-                raise ValueError(f"membership of {w.describe()} dropped; not increasing")
-            if bits[-1] and not want:
-                return timer.report(
-                    check="convergence",
-                    params=params,
-                    verdict=FAIL,
-                    witness={"coordinate": w.describe(), "locked": True, "limit_has": want},
-                )
-            if not bits[-1] and want:
-                unsettled.append(w.describe())
-            continue
-        if bits[-1] != want:
+        if assume_increasing and inside and not want:
+            return timer.report(
+                check="convergence",
+                params=params,
+                verdict=FAIL,
+                witness={"coordinate": w.describe(), "locked": True, "limit_has": want},
+            )
+        if inside != want:
             unsettled.append(w.describe())
     if unsettled:
         return timer.report(
@@ -554,7 +492,9 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
     When the exact stage union is supplied as ``union``, coordinates where
     the declared top disagrees with it are definite refutations -- the top
     is then not the union of its predecessors -- instead of staying
-    undecided at the depth bound.
+    undecided at the depth bound.  The stages are walked before any
+    verdict, so a coordinate dropped anywhere within the depth raises, as
+    does a depth below 1.
     """
     timer = Stopwatch()
     if isinstance(chain, (list, tuple)):
@@ -569,10 +509,9 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
         )
     if not chain.increasing:
         raise ValueError("the ladder check needs an increasing chain")
-    stage, top = chain.rule, chain.union
-    coords = list(
-        dict.fromkeys(list(coords) + top.probe_sets(max(depth, 1)))
-    )
+    top = chain.union
+    coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
+    entries = _entry_stages([chain.rule(i) for i in range(depth)], coords)
     params = {"coords": len(coords), "depth": depth}
 
     if union is not None:
@@ -589,26 +528,19 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
                 },
             )
 
-    entry = []
     for i in range(depth - 1):
-        cur, nxt = stage(i), stage(i + 1)
-        gained = [w for w in coords if nxt.contains(w) and not cur.contains(w)]
-        lost = [w for w in coords if cur.contains(w) and not nxt.contains(w)]
-        if lost:
-            raise ValueError(f"stage {i + 1} lost {lost[0].describe()}; not increasing")
-        if not gained:
+        if i + 1 not in entries:
             return timer.report(
                 check="ordinal-ladder",
                 params=params,
                 verdict=INCONCLUSIVE,
                 witness={"step": i, "reason": "no gained coordinate found in pool"},
             )
-        entry.append(gained[0])
 
     locked_wrong = [
         w.describe()
-        for w in coords
-        if stage(depth - 1).contains(w) and not top.contains(w)
+        for w, entry in zip(coords, entries)
+        if entry is not None and not top.contains(w)
     ]
     if locked_wrong:
         return timer.report(
@@ -619,8 +551,8 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
         )
     unsettled = [
         w.describe()
-        for w in coords
-        if top.contains(w) and not stage(depth - 1).contains(w)
+        for w, entry in zip(coords, entries)
+        if entry is None and top.contains(w)
     ]
     if unsettled:
         return timer.report(
@@ -634,7 +566,7 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
         params=params,
         verdict=PASS,
         notes=[
-            f"{len(entry)} strict steps with entry witnesses",
+            f"{depth - 1} strict steps with entry witnesses",
             "every pooled coordinate settles to the top's value",
         ],
     )

@@ -63,9 +63,25 @@ DEMOS = {
 def load_fixture(name: str) -> dict:
     if name.endswith(".json") or "/" in name:
         with open(name, encoding="utf-8") as fh:
-            return json.load(fh)
-    path = resources.files("topcube").joinpath("fixtures", f"{name}.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+            fix = json.load(fh)
+    else:
+        path = resources.files("topcube").joinpath("fixtures", f"{name}.json")
+        fix = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(fix, dict):
+        raise ValueError("a fixture must be a JSON object")
+    return fix
+
+
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ValueError(f"fixture {what} must be a list of integers")
+    return value
+
+
+def _fixture_universe(fix: dict) -> GroundSet:
+    if type(fix["n"]) is not int:
+        raise ValueError("fixture 'n' must be an integer")
+    return GroundSet(fix["n"])
 
 
 def _load_coords(path: str) -> list[dict]:
@@ -125,18 +141,24 @@ def run_check(args: argparse.Namespace) -> Report:
         )
     if name == "atom-closure":
         fix = load_fixture(args.fixture or "all-atoms-n3")
-        return atom_closure_certificate(GroundSet(fix["n"]), fix["opens"])
+        universe = _fixture_universe(fix)
+        return atom_closure_certificate(universe, _int_list(fix["opens"], "'opens'"))
     if name == "disjoint-closure":
         if args.fixture:
             fix = load_fixture(args.fixture)
+            universe = _fixture_universe(fix)
+            if not isinstance(fix["topologies"], list):
+                raise ValueError("fixture 'topologies' must be a list of mask lists")
             tops = [
-                Topology(Family.from_masks(GroundSet(fix["n"]), masks))
+                Topology(Family.from_masks(universe, _int_list(masks, "topology")))
                 for masks in fix["topologies"]
             ]
         else:
             rng = random.Random(args.seed)
             tops = random_disjoint_topologies(universe, rng, want=args.bound or 3)
-        return disjoint_closure_certificate(tops[0].universe, tops)
+        if not tops:
+            raise ValueError("disjoint-closure needs at least one topology")
+        return disjoint_closure_certificate(universe, tops)
     if name == "trace-reconstruction":
         return trace_reconstruction_check(universe)
     if name == "trace-bijection":

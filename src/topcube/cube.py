@@ -219,18 +219,6 @@ class Family:
         return cls(universe, word)
 
 
-def family_meet(a: Family, b: Family) -> Family:
-    return a.meet(b)
-
-
-def family_join(a: Family, b: Family) -> Family:
-    return a.join(b)
-
-
-def family_leq(a: Family, b: Family) -> bool:
-    return a.leq(b)
-
-
 def enumerate_families(universe: GroundSet) -> Iterator[Family]:
     """All 2^(2^n) families in increasing word order (n <= 4 only)."""
     universe.require_sweepable()

@@ -36,6 +36,8 @@ _NATS = UPSet.naturals()
 
 
 def _upsets(items) -> list[UPSet]:
+    if not isinstance(items, list):
+        raise ValueError(f"expected a list of sets, got {items!r}")
     return [UPSet.from_json(x) for x in items]
 
 

@@ -322,10 +322,6 @@ def expr_from_json(data: dict) -> FamExpr:
     return _KINDS[kind](data)
 
 
-def fam_member(e: FamExpr, a: UPSet) -> bool:
-    return e.contains(a)
-
-
 def fam_distinct(e1: FamExpr, e2: FamExpr, extra=(), cap: int = 8) -> UPSet | None:
     """A coordinate separating the two families, if the probe pool finds one.
 
@@ -353,8 +349,8 @@ def fam_is_topology_sym(e: FamExpr, probes, check: str = "topology-probe") -> Re
     found, not a proof.
     """
     timer = Stopwatch()
-    params = {"expr": e.to_json(), "probe_pairs": len(list(probes))}
     probes = list(probes)
+    params = {"expr": e.to_json(), "probe_pairs": len(probes)}
 
     def fail(kind: str, sets: list[UPSet]) -> Report:
         witness = {"kind": kind, "sets": [s.to_json() for s in sets],

@@ -8,6 +8,15 @@ tests completeness properties, and completes chains by the closed-form
 recipe: adjoin the meet and join of the whole chain and, for every
 comparable family b, the join of the part of the chain below b and the
 meet of the part strictly above it.
+
+``close_words`` is the one routine closing a set of words under AND and
+OR; topology generation runs through it too.  For an increasing omega
+chain the completion point is coordinatewise eventual membership, so
+every sampled omega-chain check (here and in ``certificates``) reads its
+coordinates through one walker, ``_entry_stages``: given the stage list a
+check builds once, it returns each coordinate's first stage, raises when a
+later stage drops a coordinate, and rejects an empty stage list, so a
+depth or bound below 1 is a ValueError rather than a vacuous verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import random
 from itertools import combinations
 
 from .cube import Family, GroundSet, enumerate_families
-from .famexpr import FamExpr, LatGenSing, fam_member
+from .famexpr import FamExpr, LatGenSing
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import UPSet
 
@@ -122,18 +131,8 @@ def is_complete_sublattice(universe: GroundSet, members) -> bool:
 
 def is_join_complete_family_set(universe: GroundSet, members) -> bool:
     """True when the union of every nonempty subcollection is a member."""
-    words = sorted(m.word if isinstance(m, Family) else int(m) for m in members)
-    pool = set(words)
-    if not pool:
-        return False
-    for r in range(1, len(words) + 1):
-        for combo in combinations(words, r):
-            join = 0
-            for w in combo:
-                join |= w
-            if join not in pool:
-                return False
-    return True
+    members = list(members)
+    return bool(members) and join_escape_witness(universe, members) is None
 
 
 def join_escape_witness(universe: GroundSet, members) -> frozenset[Family] | None:
@@ -168,14 +167,14 @@ def join_completeness_witness(gens, candidate: UPSet, sample: int = 8) -> Report
     points = candidate.first_members(sample)
     params = {"generators": len(family.gens), "sampled_singletons": points}
     for k in points:
-        if not fam_member(family, UPSet.singleton(k)):
+        if not family.contains(UPSet.singleton(k)):
             return timer.report(
                 check="join-gap-witness",
                 params=params,
                 verdict=FAIL,
                 witness={"missing_singleton": k},
             )
-    if fam_member(family, candidate):
+    if family.contains(candidate):
         return timer.report(
             check="join-gap-witness",
             params=params,
@@ -334,8 +333,29 @@ class OmegaChain:
         self.union = union
         self.increasing = increasing
 
-    def stages(self, bound: int) -> list[FamExpr]:
-        return [self.rule(i) for i in range(bound)]
+
+def _entry_stages(stages: list[FamExpr], coords) -> list[int | None]:
+    """Each coordinate's first stage index, or None where no stage holds it.
+
+    The one walker over omega-chain stages.  The list must be nonempty (a
+    check that looked at no stage has nothing to say), and membership must
+    never drop once gained: either raises ValueError.
+    """
+    if not stages:
+        raise ValueError("an omega-chain check needs at least one stage")
+    entries = []
+    for w in coords:
+        entry = None
+        for i, s in enumerate(stages):
+            if s.contains(w):
+                if entry is None:
+                    entry = i
+            elif entry is not None:
+                raise ValueError(
+                    f"stage {i} dropped {w.describe()}: sequence is not increasing"
+                )
+        entries.append(entry)
+    return entries
 
 
 def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report:
@@ -347,29 +367,20 @@ def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report
     chain) and its settled value must agree with the declared union.  A
     coordinate the union claims but no stage reaches before the bound is
     undecidable here: the stages may pick it up later or never, so the
-    check comes back inconclusive rather than failed.
+    check comes back inconclusive rather than failed.  A bound below 1
+    raises.
     """
     timer = Stopwatch()
     if not chain.increasing:
         raise ValueError("completion by stage-union needs an increasing chain")
     coords = list(coords)
+    entries = _entry_stages([chain.rule(i) for i in range(bound)], coords)
     params = {"bound": bound, "coordinates": len(coords)}
     notes = [f"declared union: {chain.union!r}"]
     pending: list[str] = []
-    for w in coords:
-        seen = False
-        entered_at = 0
-        for i in range(bound):
-            inside = chain.rule(i).contains(w)
-            if seen and not inside:
-                raise ValueError(
-                    f"stage {i} dropped {w.describe()}: sequence is not increasing"
-                )
-            if inside and not seen:
-                seen = True
-                entered_at = i
+    for w, entered_at in zip(coords, entries):
         in_union = chain.union.contains(w)
-        if seen and not in_union:
+        if entered_at is not None and not in_union:
             return timer.report(
                 check="omega-completion",
                 params=params,
@@ -381,7 +392,7 @@ def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report
                 },
                 notes=notes,
             )
-        if seen:
+        if entered_at is not None:
             notes.append(f"{w.describe()} stabilizes true at stage {entered_at}")
         elif in_union:
             pending.append(w.describe())

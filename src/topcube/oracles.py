@@ -56,33 +56,6 @@ def count_preorders(n: int) -> int:
     return count
 
 
-def close_family_set(families) -> frozenset:
-    """Close a set of families under pairwise intersection and union."""
-    pool = set(families)
-    changed = True
-    while changed:
-        changed = False
-        for f in list(pool):
-            for g in list(pool):
-                for h in (f & g, f | g):
-                    if h not in pool:
-                        pool.add(h)
-                        changed = True
-    return frozenset(pool)
-
-
-def comparable(f, g) -> bool:
-    return f <= g or g <= f
-
-
-def comparable_with_all(n: int, collection):
-    """All families over {0..n-1} comparable with each member, by brute force."""
-    coll = list(collection)
-    return frozenset(
-        fam for fam in all_families(n) if all(comparable(fam, c) for c in coll)
-    )
-
-
 def generated_topology(n: int, subbase) -> frozenset:
     """Arbitrary unions of finite intersections, bounds adjoined; naive."""
     space = frozenset(range(n))

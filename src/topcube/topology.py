@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cube import Family, GroundSet, enumerate_families
+from .lattice import close_words
 from .report import FAIL, PASS, Report, Stopwatch
 
 
@@ -88,19 +89,9 @@ class Topology:
 
 def top_generate(universe: GroundSet, subbase) -> Topology:
     """The coarsest topology containing the given subsets."""
-    masks = set()
-    for s in subbase:
-        masks.add(s if isinstance(s, int) else s.mask)
+    masks = {s if isinstance(s, int) else s.mask for s in subbase}
     masks |= {0, universe.full_mask}
-    frontier = list(masks)
-    while frontier:
-        a = frontier.pop()
-        for b in list(masks):
-            for c in (a & b, a | b):
-                if c not in masks:
-                    masks.add(c)
-                    frontier.append(c)
-    return Topology(Family.from_masks(universe, masks))
+    return Topology(Family.from_masks(universe, close_words(universe, masks)))
 
 
 def count_topologies(universe: GroundSet) -> int:
@@ -198,21 +189,3 @@ def embedding_check(universe: GroundSet) -> Report:
         verdict=PASS,
         notes=[f"{len(tops)} topologies embedded injectively, strict inclusions intact"],
     )
-
-
-def is_bounded_sublattice(fam: Family) -> bool:
-    """Closed under binary meet and join and containing both bounds.
-
-    On a finite ground set this adopted reading coincides extensionally
-    with the topology axioms; it exists as an independently-worded check.
-    """
-    n = fam.universe.n
-    full = (1 << n) - 1
-    if not fam.contains_mask(0) or not fam.contains_mask(full):
-        return False
-    masks = fam.member_masks()
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if not fam.contains_mask(a & b) or not fam.contains_mask(a | b):
-                return False
-    return True

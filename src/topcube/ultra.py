@@ -73,14 +73,8 @@ def ultrafilters_avoiding(universe: GroundSet, x: int) -> frozenset[PrincipalUF]
     return frozenset(PrincipalUF(universe, y) for y in range(universe.n) if y != x)
 
 
-def removal_reindex(universe: GroundSet, x: int) -> dict[int, int]:
-    """Order-preserving relabelling of the remaining points after removing x."""
-    if not 0 <= x < universe.n:
-        raise ValueError(f"point {x} outside ground set of size {universe.n}")
-    return {y: (y if y < x else y - 1) for y in range(universe.n) if y != x}
-
-
 def _removal_map(universe: GroundSet, removed) -> dict[int, int]:
+    """Order-preserving relabelling of the points left after the removal."""
     if isinstance(removed, PointSet):
         pts = set(removed.points())
     elif isinstance(removed, int):
@@ -140,7 +134,7 @@ def reconstruct_from_trace(tr_fam: Family, x: int) -> Family:
     taken both without and with the removed point."""
     small = tr_fam.universe
     big = GroundSet(small.n + 1)
-    remap = removal_reindex(big, x)
+    remap = _removal_map(big, x)
     back = {ny: y for y, ny in remap.items()}
     masks = set()
     for mm in tr_fam.member_masks():
@@ -274,7 +268,7 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
     """
     timer = Stopwatch()
     params = {"n": universe.n, "x": x}
-    remap = removal_reindex(universe, x)
+    remap = _removal_map(universe, x)
     tops = {y: ultratopology(universe, x, PrincipalUF(universe, y)) for y in remap}
 
     table = []

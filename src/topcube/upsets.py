@@ -203,11 +203,10 @@ class UPSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "UPSet":
-        if not isinstance(data, dict) or set(data) != {"pre", "period"}:
-            raise ValueError(f"expected {{'pre':…,'period':…}}, got {data!r}")
+        if (
+            not isinstance(data, dict)
+            or set(data) != {"pre", "period"}
+            or not all(isinstance(v, str) for v in data.values())
+        ):
+            raise ValueError(f"expected {{'pre':…,'period':…}} bit strings, got {data!r}")
         return cls(data["pre"], data["period"])
-
-
-def agree_below(s: UPSet, t: UPSet, bound: int) -> bool:
-    """Pointwise agreement on 0..bound-1 (test helper, not a decision)."""
-    return all((i in s) == (i in t) for i in range(bound))

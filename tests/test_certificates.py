@@ -3,7 +3,6 @@
 import pytest
 
 from topcube import (
-    BasicOpen,
     Certificate,
     Explicit,
     Family,
@@ -15,7 +14,6 @@ from topcube import (
     UPSet,
     atom_closure_certificate,
     atom_closure_expression,
-    basic_contains,
     disjoint_closure_certificate,
     disjoint_closure_expression,
     fam_is_topology_sym,
@@ -53,25 +51,15 @@ def test_condition_evaluation():
     assert repr(SubbasicCond(3, False)) == "[3]-"
 
 
-def test_basic_open_rejects_contradiction():
-    with pytest.raises(ValueError):
-        BasicOpen([SubbasicCond(1, True), SubbasicCond(1, False)])
+def test_unit_clause_certificate_examples():
+    # a certificate of one-condition clauses is a basic open of the cube
+    def basic(*conds):
+        return Certificate(U2, [(c,) for c in conds])
 
-
-def test_basic_contains_examples():
     trivial = fam(U2, 0, 3)
-    assert basic_contains(
-        BasicOpen([SubbasicCond(0, True), SubbasicCond(3, True)]), trivial
-    )
-    assert not basic_contains(BasicOpen([SubbasicCond(1, False)]), Family(U2, 15))
-    assert basic_contains(
-        BasicOpen([SubbasicCond(1, True), SubbasicCond(2, False)]), fam(U2, 0, 1, 3)
-    )
-
-
-def test_basic_contains_checks_universe():
-    with pytest.raises(ValueError):
-        basic_contains(BasicOpen([SubbasicCond(7, True)]), Family(U2, 15))
+    assert basic(SubbasicCond(0, True), SubbasicCond(3, True)).holds(trivial.word)
+    assert not basic(SubbasicCond(1, False)).holds(15)
+    assert basic(SubbasicCond(1, True), SubbasicCond(2, False)).holds(fam(U2, 0, 1, 3).word)
 
 
 def test_certificate_rejects_empty_clause():
@@ -272,6 +260,22 @@ def test_unsettled_coordinate_is_inconclusive():
     assert report.verdict == "inconclusive"
 
 
+def test_convergence_rejects_depth_zero():
+    x = Explicit([EMPTY, NATS])
+    for increasing in (True, False):
+        with pytest.raises(ValueError, match="at least one stage"):
+            sequence_convergence_check(
+                lambda m: x, x, [EMPTY], depth=0, assume_increasing=increasing
+            )
+
+
+def test_convergence_without_monotonicity_reads_the_last_stage_only():
+    # membership drops after stage 0; undeclared, only stage depth-1 counts
+    stage = lambda m: Explicit([EMPTY, NATS]) if m == 0 else Explicit([NATS])
+    report = sequence_convergence_check(stage, Explicit([NATS]), [EMPTY, NATS], depth=4)
+    assert report.passed
+
+
 def test_dropped_membership_raises_when_declared_increasing():
     stage = lambda m: Explicit([EMPTY, NATS]) if m == 0 else Explicit([NATS])
     with pytest.raises(ValueError):
@@ -351,3 +355,17 @@ def test_ladder_needs_increasing_chain():
     chain = OmegaChain(lambda m: Explicit([NATS]), Explicit([NATS]), increasing=False)
     with pytest.raises(ValueError):
         ordinal_homeo_check(chain, [NATS], depth=4)
+
+
+def test_ladder_rejects_depth_zero():
+    stage, union, _ = initials_chain({"enum": EVENS.to_json()})
+    with pytest.raises(ValueError, match="at least one stage"):
+        ordinal_homeo_check(OmegaChain(stage, union), [ODDS], depth=0)
+
+
+def test_ladder_raises_on_a_drop_after_a_step_that_gained_nothing():
+    # step 0 gains nothing, stage 2 drops the whole space: the drop within
+    # the depth is an input error and wins over the inconclusive step
+    rule = lambda m: Explicit([NATS]) if m < 2 else Explicit([])
+    with pytest.raises(ValueError, match="dropped"):
+        ordinal_homeo_check(OmegaChain(rule, Explicit([NATS])), [NATS], depth=4)

@@ -1,12 +1,15 @@
 """Exit codes, JSON output, and the pinned report shape."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topcube import GroundSet, subbase_correspondence_check
-from topcube.cli import main
+from topcube.cli import load_fixture, main
 from topcube.report import INCONCLUSIVE, Stopwatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +70,85 @@ def test_bad_coords_file_exits_two(tmp_path, capsys):
     code = main(["demo", "initials-chain", "--coords", str(path), "--quiet"])
     assert code == 2
     assert "JSON list" in capsys.readouterr().err
+
+
+def _write(tmp_path, name, data) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (["verify", "atom-closure"], {"n": "3", "opens": [1, 2]}),
+        (["verify", "atom-closure"], {"n": 3, "opens": ["a", 2]}),
+        (["verify", "disjoint-closure"], {"n": 3, "topologies": "0,7"}),
+        (["verify", "disjoint-closure"], {"n": 3, "topologies": [["a"]]}),
+        (["verify", "disjoint-closure"], {"n": 3, "topologies": []}),
+        (["verify", "atom-closure"], [3, [1, 2]]),
+        (["demo", "join-gap"], {"gens": [{"pre": 5, "period": "0"}],
+                                "candidate": {"pre": "", "period": "10"},
+                                "sample_points": [0]}),
+    ],
+)
+def test_bad_fixture_exits_two(tmp_path, capsys, argv, fixture):
+    path = _write(tmp_path, "fixture.json", fixture)
+    assert main(argv + ["--fixture", path, "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_coordinate_type_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, "coords.json", [{"pre": 5, "period": "0"}])
+    assert main(["demo", "limit-vs-union", "--coords", path, "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_zero_depth_fixture_exits_two(tmp_path, capsys):
+    fix = load_fixture("initials-chain")
+    fix["depth"] = 0
+    path = _write(tmp_path, "fixture.json", fix)
+    assert main(["demo", "initials-chain", "--fixture", path, "--quiet"]) == 2
+    assert "at least one stage" in capsys.readouterr().err
+
+
+_bits = st.text("01", max_size=8)
+_scalars = st.none() | st.booleans() | st.integers(-2, 8) | st.text("01a", max_size=8)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["opens", "topologies", "pre", "period"]), inner,
+                      max_size=2),
+    max_leaves=8,
+)
+_set_json = st.fixed_dictionaries({"pre": _bits | _scalars, "period": _bits | _scalars}) | _json
+_sets_json = st.lists(_set_json, max_size=3) | _json
+_small_n = st.integers(1, 3) | _scalars.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
+_cases = st.one_of(
+    st.tuples(
+        st.just(["verify", "atom-closure"]), st.just("--fixture"),
+        _json | st.fixed_dictionaries({"n": _small_n, "opens": _json}),
+    ),
+    st.tuples(
+        st.just(["verify", "disjoint-closure"]), st.just("--fixture"),
+        _json | st.fixed_dictionaries({"n": _small_n, "topologies": _json}),
+    ),
+    st.tuples(
+        st.just(["demo", "join-gap"]), st.just("--fixture"),
+        st.fixed_dictionaries({"gens": _sets_json, "candidate": _set_json,
+                               "sample_points": st.lists(st.integers(0, 8), max_size=3)}),
+    ),
+    st.tuples(st.just(["demo", "limit-vs-union"]), st.just("--coords"), _sets_json),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cases)
+def test_random_fixture_and_coords_json_never_traceback(case):
+    argv, flag, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), "input.json", payload)
+        assert main(argv + [flag, path, "--quiet"]) in {0, 1, 2, 3}
 
 
 def test_inconclusive_exits_three(monkeypatch, capsys):

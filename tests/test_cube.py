@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topcube import Family, GroundSet, PointSet, enumerate_families
-from topcube import family_join, family_leq, family_meet
 
 U2 = GroundSet(2)
 U3 = GroundSet(3)
@@ -59,10 +58,10 @@ def test_family_from_pointsets():
 @given(words3, words3)
 def test_meet_join_are_intersection_union(a, b):
     fa, fb = fam(U3, a), fam(U3, b)
-    assert set(family_meet(fa, fb).member_masks()) == set(fa.member_masks()) & set(
+    assert set(fa.meet(fb).member_masks()) == set(fa.member_masks()) & set(
         fb.member_masks()
     )
-    assert set(family_join(fa, fb).member_masks()) == set(fa.member_masks()) | set(
+    assert set(fa.join(fb).member_masks()) == set(fa.member_masks()) | set(
         fb.member_masks()
     )
 
@@ -70,9 +69,9 @@ def test_meet_join_are_intersection_union(a, b):
 @given(words3, words3)
 def test_leq_meet_join_agree(a, b):
     fa, fb = fam(U3, a), fam(U3, b)
-    assert family_leq(fa, fb) == (family_meet(fa, fb) == fa)
-    assert family_leq(fa, fb) == (family_join(fa, fb) == fb)
-    assert (fa <= fb) == family_leq(fa, fb)
+    assert fa.leq(fb) == (fa.meet(fb) == fa)
+    assert fa.leq(fb) == (fa.join(fb) == fb)
+    assert (fa <= fb) == fa.leq(fb)
 
 
 @given(words3, words3, words3)
@@ -88,7 +87,7 @@ def test_lattice_laws(a, b, c):
 
 def test_mixed_universe_rejected():
     with pytest.raises(ValueError):
-        family_meet(fam(U2, 1), fam(U3, 1))
+        fam(U2, 1).meet(fam(U3, 1))
 
 
 def test_enumerate_families_small():

@@ -1,5 +1,7 @@
 """Symbolic family expressions: membership, probes, topology refutations."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +21,12 @@ from topcube import (
     expr_from_json,
     fam_distinct,
     fam_is_topology_sym,
-    fam_member,
     lat_generate,
     top_generate,
 )
+
+from topcube.cli import load_fixture
+from topcube.demos import growing_core_chain
 
 EMPTY = UPSet.empty()
 NATS = UPSet.naturals()
@@ -39,8 +43,8 @@ def up(*ints):
 
 def test_explicit():
     e = Explicit([EVENS, NATS])
-    assert fam_member(e, EVENS) and fam_member(e, NATS)
-    assert not fam_member(e, ODDS)
+    assert e.contains(EVENS) and e.contains(NATS)
+    assert not e.contains(ODDS)
 
 
 def test_down_pow():
@@ -198,6 +202,18 @@ def test_probe_union_of_members_refutation():
     assert not r.passed
     assert r.witness["kind"] == "union-of-members-escapes"
     assert r.witness["sets"] == [EVENS.to_json()]
+
+
+def test_probe_reads_a_generator_of_pairs_once():
+    # the powerset-chain union: a one-shot iterator of pairs must be
+    # probed in full, not used up before the probing starts
+    fix = load_fixture("powerset-chain")
+    _, union = growing_core_chain(fix)
+    coords = [UPSet.from_json(c) for c in fix["coords"]]
+    r = fam_is_topology_sym(union, combinations(coords, 2))
+    assert r.verdict == "fail"
+    assert r.witness["kind"] == "union-of-members-escapes"
+    assert r.params["probe_pairs"] == 3
 
 
 # ------------------------------------------- agreement with the finite engine

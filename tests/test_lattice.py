@@ -247,6 +247,12 @@ def test_omega_membership_drop_raises():
         chain_completion_omega(OmegaChain(rule, Explicit([NATS])), [EMPTY], 4)
 
 
+def test_omega_rejects_bound_zero():
+    stage, union, _ = initials_chain({"enum": EVENS.to_json()})
+    with pytest.raises(ValueError, match="at least one stage"):
+        chain_completion_omega(OmegaChain(stage, union), [ODDS], 0)
+
+
 def test_omega_requires_increasing_flag():
     rule = lambda m: Explicit([NATS])
     chain = OmegaChain(rule, Explicit([NATS]), increasing=False)

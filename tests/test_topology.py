@@ -16,7 +16,6 @@ from topcube import (
     embedding_check,
     enumerate_families,
     inject_topology,
-    is_bounded_sublattice,
     is_topology,
     top_generate,
 )
@@ -219,24 +218,30 @@ def test_embedding_check_small():
 
 
 # ------------------------------------------------------- bounded sublattices
+# The reference predicate reads "topology" as "contains both bounds and is
+# closed under pairwise meet and join", in naive frozenset code.
 
 
 def test_topologies_are_bounded_sublattices():
     for t in all_topologies(U3):
-        assert is_bounded_sublattice(t.family)
+        assert family_is_topology(3, as_frozensets(U3, t.family))
 
 
 def test_join_escape_is_not_bounded():
-    assert not is_bounded_sublattice(fam(U3, 0, 1, 2, 7))
+    f = fam(U3, 0, 1, 2, 7)
+    assert not is_topology(f)
+    assert not family_is_topology(3, as_frozensets(U3, f))
 
 
 def test_bounds_and_pairwise_closure_suffice():
-    assert is_bounded_sublattice(fam(U3, 0, 1, 3, 7))
+    assert is_topology(fam(U3, 0, 1, 3, 7))
 
 
 def test_bounded_sublattice_is_topology_extensionally():
     # finiteness collapses arbitrary unions to pairwise ones, so the two
     # predicates coincide on every family of the sweep
-    for universe in (U2, U3):
+    for universe in (U1, U2, U3):
         for f in enumerate_families(universe):
-            assert is_bounded_sublattice(f) == is_topology(f)
+            assert is_topology(f) == family_is_topology(
+                universe.n, as_frozensets(universe, f)
+            )
