@@ -9,6 +9,11 @@ topologies plus the trivial one), verifies them by full sweep, checks the
 two evaluation routes for order intervals against each other, and provides
 sampled limit-point and convergence probes for symbolic families.
 
+The chosen atoms {empty, m, everything} are themselves a pairwise-disjoint
+batch in which each topology has one proper open, so the atom certificate
+is the disjoint certificate of its atoms: one clause builder and one
+sweep-and-compare routine serve both.
+
 The convergence and ladder checks read the stages of an omega chain through
 the one walker in ``lattice`` (``_entry_stages``): each check builds its stage
 list once, takes every coordinate's entry stage from it, and raises
@@ -27,6 +32,7 @@ from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .topology import Topology
 
 MAX_PATTERN_COORDS = 10
+INTERVAL_SWEEP_MAX_N = 3  # interval-identity tier one scans the cube once per element
 
 
 @dataclass(frozen=True)
@@ -66,77 +72,34 @@ class Certificate:
         self.universe.require_sweepable()
         return [w for w in range(1 << self.universe.num_subsets) if self.holds(w)]
 
-    def report_payload(self, solutions: list[int]) -> dict:
-        payload = {
-            "conjuncts": self.conjunct_count,
-            "sweep_size": 1 << self.universe.num_subsets,
-            "solutions": len(solutions),
-        }
-        if len(solutions) <= 32:
-            payload["members"] = [
-                sorted(Family(self.universe, w).member_masks()) for w in sorted(solutions)
-            ]
-        return payload
 
-
-def _proper_nonempty(universe: GroundSet) -> list[int]:
-    return [m for m in range(1, universe.full_mask)]
-
-
-def atom_closure_expression(universe: GroundSet, opens) -> Certificate:
-    """The certificate cutting out the trivial topology plus one-step ones.
-
-    Clauses: both bounds must be members; every unchosen proper subset must
-    be absent; no two chosen subsets may be members together.
-    """
+def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[Family]]:
+    """The sorted chosen masks and their atoms {empty, m, everything}."""
     chosen = sorted({m if isinstance(m, int) else m.mask for m in opens})
     full = universe.full_mask
     if any(not 0 < m < full for m in chosen):
         raise ValueError("chosen opens must be proper and nonempty")
     if len(chosen) < 2:
         raise ValueError("need at least two chosen opens")
-    clauses = [
-        (SubbasicCond(0, True),),
-        (SubbasicCond(full, True),),
-    ]
-    clauses += [
-        (SubbasicCond(d, False),)
-        for d in _proper_nonempty(universe)
-        if d not in chosen
-    ]
-    clauses += [
-        (SubbasicCond(b, False), SubbasicCond(c, False))
-        for b, c in combinations(chosen, 2)
-    ]
-    return Certificate(universe, clauses)
+    return chosen, [Family.from_masks(universe, [0, m, full]) for m in chosen]
+
+
+def atom_closure_expression(universe: GroundSet, opens) -> Certificate:
+    """The certificate cutting out the trivial topology plus one-step ones.
+
+    The chosen atoms form a pairwise-disjoint batch with one proper open
+    each, so this is their disjoint-batch certificate: both bounds must be
+    members, every unchosen proper subset must be absent, and no two chosen
+    subsets may be members together.
+    """
+    return disjoint_closure_expression(universe, _chosen_atoms(universe, opens)[1])
 
 
 def atom_closure_certificate(universe: GroundSet, opens) -> Report:
     """Sweep the atom-closure certificate and compare with the predicted set."""
-    timer = Stopwatch()
-    cert = atom_closure_expression(universe, opens)
-    chosen = sorted({m if isinstance(m, int) else m.mask for m in opens})
-    solutions = cert.solve()
-
-    full = universe.full_mask
-    trivial = (1 << 0) | (1 << full)
-    expected = {trivial} | {trivial | (1 << m) for m in chosen}
-    params = {"n": universe.n, "chosen": chosen}
-    payload = cert.report_payload(solutions)
-    if set(solutions) == expected:
-        return timer.report(
-            check="atom-closure",
-            params=params,
-            verdict=PASS,
-            notes=[str(payload)],
-        )
-    diff = sorted(set(solutions) ^ expected)
-    return timer.report(
-        check="atom-closure",
-        params=params,
-        verdict=FAIL,
-        witness={"symmetric_difference_words": diff, **payload},
-    )
+    chosen, atoms = _chosen_atoms(universe, opens)
+    timer = Stopwatch("atom-closure", {"n": universe.n, "chosen": chosen})
+    return _sweep_batch(timer, universe, atoms)
 
 
 def _proper_opens_of(universe: GroundSet, tops) -> list[list[int]]:
@@ -168,11 +131,7 @@ def disjoint_closure_expression(universe: GroundSet, tops) -> Certificate:
         (SubbasicCond(0, True),),
         (SubbasicCond(full, True),),
     ]
-    clauses += [
-        (SubbasicCond(d, False),)
-        for d in _proper_nonempty(universe)
-        if d not in covered
-    ]
+    clauses += [(SubbasicCond(d, False),) for d in range(1, full) if d not in covered]
     for pi, pj in combinations(proper, 2):
         clauses += [
             (SubbasicCond(a, False), SubbasicCond(b, False)) for a in pi for b in pj
@@ -189,36 +148,31 @@ def disjoint_closure_expression(universe: GroundSet, tops) -> Certificate:
 
 def disjoint_closure_certificate(universe: GroundSet, tops) -> Report:
     """Sweep the disjoint-batch certificate and compare with the predicted set."""
-    timer = Stopwatch()
     tops = list(tops)
-    cert = disjoint_closure_expression(universe, tops)
-    proper = _proper_opens_of(universe, tops)
-    solutions = cert.solve()
+    timer = Stopwatch("disjoint-closure", {"n": universe.n, "topologies": len(tops)})
+    return _sweep_batch(timer, universe, tops)
 
-    full = universe.full_mask
-    trivial = (1 << 0) | (1 << full)
-    expected = {trivial}
-    for pi in proper:
-        w = trivial
-        for m in pi:
-            w |= 1 << m
-        expected.add(w)
-    params = {"n": universe.n, "topologies": len(tops)}
-    payload = cert.report_payload(solutions)
+
+def _sweep_batch(timer: Stopwatch, universe: GroundSet, tops: list) -> Report:
+    """Solve a batch's certificate; it must cut out trivial plus each member."""
+    cert = disjoint_closure_expression(universe, tops)
+    solutions = cert.solve()
+    trivial = (1 << 0) | (1 << universe.full_mask)
+    words = [(t.family if isinstance(t, Topology) else t).word for t in tops]
+    expected = {trivial} | {trivial | w for w in words}
+    payload = {
+        "conjuncts": cert.conjunct_count,
+        "sweep_size": 1 << universe.num_subsets,
+        "solutions": len(solutions),
+    }
+    if len(solutions) <= 32:
+        payload["members"] = [
+            sorted(Family(universe, w).member_masks()) for w in sorted(solutions)
+        ]
     if set(solutions) == expected:
-        return timer.report(
-            check="disjoint-closure",
-            params=params,
-            verdict=PASS,
-            notes=[str(payload)],
-        )
+        return timer.report(PASS, notes=[str(payload)])
     diff = sorted(set(solutions) ^ expected)
-    return timer.report(
-        check="disjoint-closure",
-        params=params,
-        verdict=FAIL,
-        witness={"symmetric_difference_words": diff, **payload},
-    )
+    return timer.report(FAIL, {"symmetric_difference_words": diff, **payload})
 
 
 def _interval_mismatch(universe: GroundSet, members: list[int], x: int):
@@ -250,44 +204,30 @@ def _interval_mismatch(universe: GroundSet, members: list[int], x: int):
 
 def interval_identity_check(p: FiniteSublattice, x) -> Report:
     """One sublattice element: order route versus condition route."""
-    timer = Stopwatch()
     word = x.word if isinstance(x, Family) else int(x)
+    timer = Stopwatch(
+        "interval-identity", {"n": p.universe.n, "sublattice": len(p), "element": word}
+    )
     if word not in p.words:
         raise ValueError("the probed element must belong to the sublattice")
-    members = sorted(p.words)
-    params = {"n": p.universe.n, "sublattice": len(members), "element": word}
-    problem = _interval_mismatch(p.universe, members, word)
+    problem = _interval_mismatch(p.universe, sorted(p.words), word)
     if problem:
-        return timer.report(
-            check="interval-identity", params=params, verdict=FAIL, witness=problem
-        )
-    return timer.report(
-        check="interval-identity",
-        params=params,
-        verdict=PASS,
-        notes=["order and condition routes agree on both sides"],
-    )
+        return timer.report(FAIL, problem)
+    return timer.report(PASS, notes=["order and condition routes agree on both sides"])
 
 
 def interval_identity_all(universe: GroundSet, gens) -> Report:
     """One generated sublattice: both routes compared at every element."""
-    timer = Stopwatch()
     words = sorted({g.word if isinstance(g, Family) else int(g) for g in gens})
+    timer = Stopwatch("interval-identity", {"n": universe.n, "gens": words})
     fams = [Family(universe, w) for w in words]
     members = sorted(lat_generate(universe, fams).words)
-    params = {"n": universe.n, "gens": words, "sublattice": len(members)}
+    timer.params["sublattice"] = len(members)
     for x in members:
         problem = _interval_mismatch(universe, members, x)
         if problem:
-            return timer.report(
-                check="interval-identity", params=params, verdict=FAIL, witness=problem
-            )
-    return timer.report(
-        check="interval-identity",
-        params=params,
-        verdict=PASS,
-        notes=[f"{len(members)} elements, both sides agree"],
-    )
+            return timer.report(FAIL, problem)
+    return timer.report(PASS, notes=[f"{len(members)} elements, both sides agree"])
 
 
 def interval_identity_sweep(universe: GroundSet, max_gens: int = 3, stride: int = 50) -> Report:
@@ -299,23 +239,21 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3, stride: int 
     at once.  Second, sublattices are materialized and put through the
     literal per-element check: exhaustively for the smaller generator
     counts, and at the given stride through the top layer when the cube is
-    large enough to need it.
+    large enough to need it.  Tier one alone is quadratic in the cube, so
+    the ground set is capped at INTERVAL_SWEEP_MAX_N points.
     """
-    timer = Stopwatch()
-    universe.require_sweepable()
+    if universe.n > INTERVAL_SWEEP_MAX_N:
+        raise ValueError(
+            f"the interval-identity sweep needs n <= {INTERVAL_SWEEP_MAX_N}, got {universe.n}"
+        )
+    timer = Stopwatch("interval-identity", {"n": universe.n, "max_gens": max_gens})
     size = 1 << universe.num_subsets
-    params = {"n": universe.n, "max_gens": max_gens}
 
     cube = list(range(size))
     for x in cube:
         problem = _interval_mismatch(universe, cube, x)
         if problem:
-            return timer.report(
-                check="interval-identity",
-                params=params,
-                verdict=FAIL,
-                witness={**problem, "scope": "whole cube"},
-            )
+            return timer.report(FAIL, {**problem, "scope": "whole cube"})
 
     materialized = 0
     for r in range(1, max_gens + 1):
@@ -328,9 +266,7 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3, stride: int 
                 return report
             materialized += 1
     return timer.report(
-        check="interval-identity",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             f"routes agree on all {size} cube elements, hence on every sublattice",
             f"{materialized} generated sublattices re-checked literally",
@@ -351,12 +287,11 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     refutation relative to the pool; a neighbourhood missed by the whole
     pool leaves the question open.
     """
-    timer = Stopwatch()
     coords = list(coords)
     if len(coords) > MAX_PATTERN_COORDS:
         raise ValueError(f"at most {MAX_PATTERN_COORDS} pattern coordinates")
     candidates = list(candidates)
-    params = {"coords": len(coords), "candidates": len(candidates)}
+    timer = Stopwatch("limit-point", {"coords": len(coords), "candidates": len(candidates)})
 
     reference = {w: x.contains(w) for w in coords}
     distinct = [fam_distinct(x, c, extra=coords, cap=depth + 1) is not None for c in candidates]
@@ -371,28 +306,17 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
                 open_question = True
                 continue
             if not any(distinct[i] for i in inside):
-                return timer.report(
-                    check="limit-point",
-                    params=params,
-                    verdict=FAIL,
-                    witness={
-                        "pattern": [w.describe() for w in subset],
-                        "pool_members_inside": len(inside),
-                    },
-                )
+                return timer.report(FAIL, {
+                    "pattern": [w.describe() for w in subset],
+                    "pool_members_inside": len(inside),
+                })
     if open_question:
         return timer.report(
-            check="limit-point",
-            params=params,
-            verdict=INCONCLUSIVE,
-            witness={"reason": "some neighbourhood misses the whole candidate pool"},
+            INCONCLUSIVE, {"reason": "some neighbourhood misses the whole candidate pool"}
         )
-    return timer.report(
-        check="limit-point",
-        params=params,
-        verdict=PASS,
-        notes=[f"all {2 ** len(coords)} sign patterns met the pool away from the base point"],
-    )
+    return timer.report(PASS, notes=[
+        f"all {2 ** len(coords)} sign patterns met the pool away from the base point"
+    ])
 
 
 def sequence_convergence_check(
@@ -408,9 +332,11 @@ def sequence_convergence_check(
     observed to decrease raise instead.  Otherwise only the last stage is
     read.  A depth below 1 raises.
     """
-    timer = Stopwatch()
     coords = list(coords)
-    params = {"coords": len(coords), "depth": depth, "increasing": assume_increasing}
+    timer = Stopwatch(
+        "convergence",
+        {"coords": len(coords), "depth": depth, "increasing": assume_increasing},
+    )
     steps = range(depth) if assume_increasing else range(depth)[-1:]
     entries = _entry_stages([stage(i) for i in steps], coords)
     unsettled = []
@@ -419,26 +345,15 @@ def sequence_convergence_check(
         want = limit.contains(w)
         if assume_increasing and inside and not want:
             return timer.report(
-                check="convergence",
-                params=params,
-                verdict=FAIL,
-                witness={"coordinate": w.describe(), "locked": True, "limit_has": want},
+                FAIL, {"coordinate": w.describe(), "locked": True, "limit_has": want}
             )
         if inside != want:
             unsettled.append(w.describe())
     if unsettled:
-        return timer.report(
-            check="convergence",
-            params=params,
-            verdict=INCONCLUSIVE,
-            witness={"coordinates_not_settled": unsettled},
-        )
-    return timer.report(
-        check="convergence",
-        params=params,
-        verdict=PASS,
-        notes=[f"{len(coords)} coordinates settled to the limit values within depth {depth}"],
-    )
+        return timer.report(INCONCLUSIVE, {"coordinates_not_settled": unsettled})
+    return timer.report(PASS, notes=[
+        f"{len(coords)} coordinates settled to the limit values within depth {depth}"
+    ])
 
 
 def limit_vs_union_check(limit: FamExpr, union: FamExpr, coords) -> Report:
@@ -449,32 +364,23 @@ def limit_vs_union_check(limit: FamExpr, union: FamExpr, coords) -> Report:
     coordinate by coordinate, which is how a limit picking up a set that no
     finite stage reaches gets surfaced.
     """
-    timer = Stopwatch()
+    timer = Stopwatch("limit-vs-union", {})
     pool = list(dict.fromkeys(list(coords) + limit.probe_sets() + union.probe_sets()))
-    params = {"coords": len(pool)}
+    timer.params["coords"] = len(pool)
     differing = [w for w in pool if limit.contains(w) != union.contains(w)]
     if differing:
         return timer.report(
-            check="limit-vs-union",
-            params=params,
-            verdict=FAIL,
-            witness={
+            FAIL,
+            {
                 "differing": [w.describe() for w in differing],
-                "in_limit_only": [
-                    w.describe() for w in differing if limit.contains(w)
-                ],
+                "in_limit_only": [w.describe() for w in differing if limit.contains(w)],
             },
             notes=[
                 "informational: the declared limit and the stage union are "
                 "different points of the cube"
             ],
         )
-    return timer.report(
-        check="limit-vs-union",
-        params=params,
-        verdict=PASS,
-        notes=["limit and union agree on the whole probe pool"],
-    )
+    return timer.report(PASS, notes=["limit and union agree on the whole probe pool"])
 
 
 def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None) -> Report:
@@ -496,45 +402,32 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
     verdict, so a coordinate dropped anywhere within the depth raises, as
     does a depth below 1.
     """
-    timer = Stopwatch()
     if isinstance(chain, (list, tuple)):
         words = [f.word for f in chain]
+        timer = Stopwatch("ordinal-ladder", {"length": len(words)})
         if any((w & v) not in (w, v) for w, v in combinations(words, 2)):
             raise ValueError("finite input is not totally ordered")
         return timer.report(
-            check="ordinal-ladder",
-            params={"length": len(words)},
-            verdict=PASS,
-            notes=["finite chain has no limit position; nothing to compare"],
+            PASS, notes=["finite chain has no limit position; nothing to compare"]
         )
     if not chain.increasing:
         raise ValueError("the ladder check needs an increasing chain")
     top = chain.union
     coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
+    timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth})
     entries = _entry_stages([chain.rule(i) for i in range(depth)], coords)
-    params = {"coords": len(coords), "depth": depth}
 
     if union is not None:
         differing = [w for w in coords if top.contains(w) != union.contains(w)]
         if differing:
-            return timer.report(
-                check="ordinal-ladder",
-                params=params,
-                verdict=FAIL,
-                witness={
-                    "limit_not_union_of_predecessors": [
-                        w.describe() for w in differing
-                    ]
-                },
-            )
+            return timer.report(FAIL, {
+                "limit_not_union_of_predecessors": [w.describe() for w in differing]
+            })
 
     for i in range(depth - 1):
         if i + 1 not in entries:
             return timer.report(
-                check="ordinal-ladder",
-                params=params,
-                verdict=INCONCLUSIVE,
-                witness={"step": i, "reason": "no gained coordinate found in pool"},
+                INCONCLUSIVE, {"step": i, "reason": "no gained coordinate found in pool"}
             )
 
     locked_wrong = [
@@ -543,12 +436,7 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
         if entry is not None and not top.contains(w)
     ]
     if locked_wrong:
-        return timer.report(
-            check="ordinal-ladder",
-            params=params,
-            verdict=FAIL,
-            witness={"coordinates_locked_off_top": locked_wrong},
-        )
+        return timer.report(FAIL, {"coordinates_locked_off_top": locked_wrong})
     unsettled = [
         w.describe()
         for w, entry in zip(coords, entries)
@@ -556,15 +444,10 @@ def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None
     ]
     if unsettled:
         return timer.report(
-            check="ordinal-ladder",
-            params=params,
-            verdict=INCONCLUSIVE,
-            witness={"coordinates_not_reached_within_depth": unsettled},
+            INCONCLUSIVE, {"coordinates_not_reached_within_depth": unsettled}
         )
     return timer.report(
-        check="ordinal-ladder",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             f"{depth - 1} strict steps with entry witnesses",
             "every pooled coordinate settles to the top's value",

@@ -110,23 +110,14 @@ def random_disjoint_topologies(
 
 
 def run_count(n: int) -> Report:
-    timer = Stopwatch()
+    timer = Stopwatch("count", {"n": n})
     universe = GroundSet(n)
     got = count_topologies(universe)
     independent = oracles.count_preorders(n)
-    params = {"n": n}
     if got != independent:
-        return timer.report(
-            check="count",
-            params=params,
-            verdict=FAIL,
-            witness={"families_route": got, "relations_route": independent},
-        )
+        return timer.report(FAIL, {"families_route": got, "relations_route": independent})
     return timer.report(
-        check="count",
-        params=params,
-        verdict=PASS,
-        notes=[f"{got} topologies on {n} points, both counting routes agree"],
+        PASS, notes=[f"{got} topologies on {n} points, both counting routes agree"]
     )
 
 
@@ -224,13 +215,13 @@ def main(argv=None) -> int:
             report = run_check(args)
         else:
             report = run_demo(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+        if args.json_out:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                json.dump(report.to_json(), fh, indent=2)
+                fh.write("\n")
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
     if not args.quiet:
         print(report.render())
     return report.exit_code()

@@ -41,6 +41,15 @@ def _upsets(items) -> list[UPSet]:
     return [UPSet.from_json(x) for x in items]
 
 
+def _stages(fix: dict, key: str, default: int) -> int:
+    """A stage count from the fixture: an int of at least one stage."""
+    value = fix.get(key, default)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"fixture {key!r} must be an integer of at least one stage, "
+                         f"got {value!r}")
+    return value
+
+
 def initials_chain(fix: dict):
     """Stages listing the first initial segments of an enumerated set.
 
@@ -64,7 +73,7 @@ def initials_chain(fix: dict):
 def growing_core_chain(fix: dict):
     """Stages are full powersets of a core set plus finitely many extras."""
     core = UPSet.from_json(fix["core"])
-    extras = [i for i in range(2 * fix.get("depth", 6) + 64) if i not in core]
+    extras = [i for i in range(2 * _stages(fix, "depth", 6) + 64) if i not in core]
 
     def stage(m: int) -> UnionFam:
         bound = core | UPSet.from_ints(extras[:m])
@@ -97,42 +106,26 @@ def demo_chain_union(fix: dict) -> Report:
     union fails to contain; the demo passes exactly when the probe turns up
     that witness on every stage being clean.
     """
-    timer = Stopwatch()
     stage, union = _CHAIN_BUILDERS[fix["builder"]](fix)
     coords = _upsets(fix["coords"])
     pairs = list(combinations(coords, 2))
-    depth = fix.get("depth", 6)
+    depth = _stages(fix, "depth", 6)
     expected = UPSet.from_json(fix["expected_witness"])
-    params = {"builder": fix["builder"], "depth": depth, "coords": len(coords)}
+    timer = Stopwatch(
+        "chain-union-demo", {"builder": fix["builder"], "depth": depth, "coords": len(coords)}
+    )
 
     dirty = [m for m in range(depth) if not fam_is_topology_sym(stage(m), pairs).passed]
     if dirty:
-        return timer.report(
-            check="chain-union-demo",
-            params=params,
-            verdict=FAIL,
-            witness={"stage_failed_probe": dirty},
-        )
+        return timer.report(FAIL, {"stage_failed_probe": dirty})
     probe = fam_is_topology_sym(union, pairs)
     if probe.passed:
-        return timer.report(
-            check="chain-union-demo",
-            params=params,
-            verdict=FAIL,
-            witness={"union_passed_probe": True},
-        )
+        return timer.report(FAIL, {"union_passed_probe": True})
     got = probe.witness
     if got["kind"] != "union-of-members-escapes" or got["sets"] != [expected.to_json()]:
-        return timer.report(
-            check="chain-union-demo",
-            params=params,
-            verdict=FAIL,
-            witness={"unexpected_refutation": got},
-        )
+        return timer.report(FAIL, {"unexpected_refutation": got})
     return timer.report(
-        check="chain-union-demo",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             f"{depth} stages pass the topology probe",
             f"stage union misses the union of its members below {expected.describe()}",
@@ -150,15 +143,14 @@ def demo_initials_chain(fix: dict) -> Report:
     leave exactly the predicted coordinate unresolved -- the set the
     completion top contains but no finite stage ever reaches.
     """
-    timer = Stopwatch()
     stage, union, top = initials_chain(fix)
-    depth = fix.get("depth", 16)
-    bound = fix.get("bound", 64)
+    depth = _stages(fix, "depth", 16)
+    bound = _stages(fix, "bound", 64)
     conv_coords = _upsets(fix["convergence_coords"])
     lp_coords = _upsets(fix["limit_point_coords"])
     comp_coords = _upsets(fix["completion_coords"])
     expected_open = _upsets(fix["expected_unresolved"])
-    params = {"depth": depth, "bound": bound}
+    timer = Stopwatch("initials-chain-demo", {"depth": depth, "bound": bound})
 
     conv = sequence_convergence_check(
         stage, top, conv_coords, depth=depth, assume_increasing=True
@@ -180,23 +172,16 @@ def demo_initials_chain(fix: dict) -> Report:
         and gap.witness["in_union_but_settled_by_no_stage"] == wanted
     )
     if not (stages_ok and completion_ok and gap_ok):
-        return timer.report(
-            check="initials-chain-demo",
-            params=params,
-            verdict=FAIL,
-            witness={
-                "convergence": conv.verdict,
-                "limit_point": lp.verdict,
-                "ladder": ladder.verdict,
-                "union_completion": completion.verdict,
-                "top_completion": {"verdict": gap.verdict, "witness": gap.witness},
-            },
-        )
+        return timer.report(FAIL, {
+            "convergence": conv.verdict,
+            "limit_point": lp.verdict,
+            "ladder": ladder.verdict,
+            "union_completion": completion.verdict,
+            "top_completion": {"verdict": gap.verdict, "witness": gap.witness},
+        })
     pending = ", ".join(wanted)
     return timer.report(
-        check="initials-chain-demo",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             "stages converge to the declared top on all settling coordinates",
             "the top is a limit point of the stage set on the sampled patterns",
@@ -211,25 +196,19 @@ def demo_initials_chain(fix: dict) -> Report:
 
 def demo_limit_vs_union(fix: dict) -> Report:
     """The declared completion top versus the plain stage union, coordinatewise."""
-    timer = Stopwatch()
     _, union, top = initials_chain(fix)
     coords = _upsets(fix["completion_coords"])
     expected = _upsets(fix["expected_unresolved"])
-    params = {"coords": len(coords)}
+    timer = Stopwatch("limit-vs-union-demo", {"coords": len(coords)})
 
     probe = limit_vs_union_check(top, union, coords)
     wanted = [w.describe() for w in expected]
     if probe.passed or probe.witness.get("differing") != wanted:
         return timer.report(
-            check="limit-vs-union-demo",
-            params=params,
-            verdict=FAIL,
-            witness={"probe": probe.witness if not probe.passed else "agreed everywhere"},
+            FAIL, {"probe": probe.witness if not probe.passed else "agreed everywhere"}
         )
     return timer.report(
-        check="limit-vs-union-demo",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             f"top and union disagree exactly at {', '.join(wanted)}",
             *probe.notes,
@@ -247,39 +226,27 @@ def demo_join_gap(fix: dict) -> Report:
     pairwise unions the generators provide but not under the union of the
     singleton members below the candidate.
     """
-    timer = Stopwatch()
     gens = _upsets(fix["gens"])
+    points = fix["sample_points"]
+    if not isinstance(points, list) or not all(type(k) is int and k >= 0 for k in points):
+        raise ValueError(f"fixture 'sample_points' must be a list of integers >= 0, "
+                         f"got {points!r}")
+    timer = Stopwatch("join-gap-demo", {"gens": len(gens), "samples": len(points)})
     family = LatGenSing(gens)
     candidate = UPSet.from_json(fix["candidate"])
-    singles = [UPSet.singleton(k) for k in fix["sample_points"]]
-    params = {"gens": len(gens), "samples": len(singles)}
+    singles = [UPSet.singleton(k) for k in points]
 
     missing = [s.describe() for s in singles if not family.contains(s)]
     if missing:
-        return timer.report(
-            check="join-gap-demo",
-            params=params,
-            verdict=FAIL,
-            witness={"singletons_not_members": missing},
-        )
+        return timer.report(FAIL, {"singletons_not_members": missing})
     if family.contains(candidate):
-        return timer.report(
-            check="join-gap-demo",
-            params=params,
-            verdict=FAIL,
-            witness={"candidate_is_member": candidate.describe()},
-        )
+        return timer.report(FAIL, {"candidate_is_member": candidate.describe()})
     if family.union_below(candidate) != candidate:
         return timer.report(
-            check="join-gap-demo",
-            params=params,
-            verdict=FAIL,
-            witness={"candidate_not_covered_by_members": candidate.describe()},
+            FAIL, {"candidate_not_covered_by_members": candidate.describe()}
         )
     return timer.report(
-        check="join-gap-demo",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             f"every sampled singleton below {candidate.describe()} is a member",
             "the candidate equals the union of its member singletons yet is not "

@@ -348,14 +348,13 @@ def fam_is_topology_sym(e: FamExpr, probes, check: str = "topology-probe") -> Re
     missing set reconstructs it exactly.  A pass means no refutation was
     found, not a proof.
     """
-    timer = Stopwatch()
     probes = list(probes)
-    params = {"expr": e.to_json(), "probe_pairs": len(probes)}
+    timer = Stopwatch(check, {"expr": e.to_json(), "probe_pairs": len(probes)})
 
     def fail(kind: str, sets: list[UPSet]) -> Report:
         witness = {"kind": kind, "sets": [s.to_json() for s in sets],
                    "readable": [s.describe() for s in sets]}
-        return timer.report(check, params, FAIL, witness)
+        return timer.report(FAIL, witness)
 
     if not e.contains(_EMPTY):
         return fail("missing-empty-set", [_EMPTY])
@@ -380,4 +379,4 @@ def fam_is_topology_sym(e: FamExpr, probes, check: str = "topology-probe") -> Re
             if not e.contains(u):
                 return fail("union-of-members-escapes", [u])
 
-    return timer.report(check, params, PASS)
+    return timer.report(PASS)

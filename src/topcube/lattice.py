@@ -160,31 +160,19 @@ def join_completeness_witness(gens, candidate: UPSet, sample: int = 8) -> Report
     under arbitrary joins.  Needs an infinite candidate -- a finite one is
     a finite union and can never escape.
     """
-    timer = Stopwatch()
     if candidate.is_finite:
         raise ValueError("a finite candidate cannot witness a missing join")
+    timer = Stopwatch("join-gap-witness", {})
     family = LatGenSing(list(gens))
     points = candidate.first_members(sample)
-    params = {"generators": len(family.gens), "sampled_singletons": points}
+    timer.params.update(generators=len(family.gens), sampled_singletons=points)
     for k in points:
         if not family.contains(UPSet.singleton(k)):
-            return timer.report(
-                check="join-gap-witness",
-                params=params,
-                verdict=FAIL,
-                witness={"missing_singleton": k},
-            )
+            return timer.report(FAIL, {"missing_singleton": k})
     if family.contains(candidate):
-        return timer.report(
-            check="join-gap-witness",
-            params=params,
-            verdict=FAIL,
-            witness={"candidate_is_member": candidate.describe()},
-        )
+        return timer.report(FAIL, {"candidate_is_member": candidate.describe()})
     return timer.report(
-        check="join-gap-witness",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             f"all {len(points)} sampled singletons of {candidate.describe()} are members",
             "the candidate itself is not",
@@ -280,8 +268,7 @@ def chain_completion_check(
     Each completion must contain its input, stay totally ordered, and hold
     the chain's meet and join.
     """
-    timer = Stopwatch()
-    params = {"n": universe.n, "max_len": max_len}
+    timer = Stopwatch("chain-completion", {"n": universe.n, "max_len": max_len})
     if universe.n <= 2:
         size = 1 << universe.num_subsets
         tried = 0
@@ -292,32 +279,19 @@ def chain_completion_check(
                 tried += 1
                 problem = _completion_violation(universe, list(combo))
                 if problem:
-                    return timer.report(
-                        check="chain-completion",
-                        params=params,
-                        verdict=FAIL,
-                        witness={"chain": list(combo), "problem": problem},
-                    )
+                    return timer.report(FAIL, {"chain": list(combo), "problem": problem})
         note = f"exhaustive: {tried} chains of length at most {max_len}"
     else:
-        params["seed"] = seed
-        params["samples"] = samples
+        timer.params.update(seed=seed, samples=samples)
         rng = random.Random(seed)
         for _ in range(samples):
             chain = random_chain(universe, rng, max_len)
             words = [f.word for f in chain]
             problem = _completion_violation(universe, words)
             if problem:
-                return timer.report(
-                    check="chain-completion",
-                    params=params,
-                    verdict=FAIL,
-                    witness={"chain": words, "problem": problem},
-                )
+                return timer.report(FAIL, {"chain": words, "problem": problem})
         note = f"{samples} seeded chains of length at most {max_len}"
-    return timer.report(
-        check="chain-completion", params=params, verdict=PASS, notes=[note]
-    )
+    return timer.report(PASS, notes=[note])
 
 
 class OmegaChain:
@@ -370,26 +344,19 @@ def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report
     check comes back inconclusive rather than failed.  A bound below 1
     raises.
     """
-    timer = Stopwatch()
     if not chain.increasing:
         raise ValueError("completion by stage-union needs an increasing chain")
     coords = list(coords)
+    timer = Stopwatch("omega-completion", {"bound": bound, "coordinates": len(coords)})
     entries = _entry_stages([chain.rule(i) for i in range(bound)], coords)
-    params = {"bound": bound, "coordinates": len(coords)}
     notes = [f"declared union: {chain.union!r}"]
     pending: list[str] = []
     for w, entered_at in zip(coords, entries):
         in_union = chain.union.contains(w)
         if entered_at is not None and not in_union:
             return timer.report(
-                check="omega-completion",
-                params=params,
-                verdict=FAIL,
-                witness={
-                    "coordinate": w.to_json(),
-                    "entered_at_stage": entered_at,
-                    "in_union": False,
-                },
+                FAIL,
+                {"coordinate": w.to_json(), "entered_at_stage": entered_at, "in_union": False},
                 notes=notes,
             )
         if entered_at is not None:
@@ -400,12 +367,6 @@ def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report
             notes.append(f"{w.describe()} stays false through stage {bound - 1}")
     if pending:
         return timer.report(
-            check="omega-completion",
-            params=params,
-            verdict=INCONCLUSIVE,
-            witness={"in_union_but_settled_by_no_stage": pending},
-            notes=notes,
+            INCONCLUSIVE, {"in_union_but_settled_by_no_stage": pending}, notes=notes
         )
-    return timer.report(
-        check="omega-completion", params=params, verdict=PASS, notes=notes
-    )
+    return timer.report(PASS, notes=notes)

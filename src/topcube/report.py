@@ -71,15 +71,18 @@ def _short(value, limit: int = 200) -> str:
 
 
 class Stopwatch:
-    """Measures elapsed milliseconds for report construction."""
+    """One check's clock, id and parameters: the one place a check names itself.
 
-    def __init__(self):
+    The clock starts at construction.  Parameters known only after the heavy
+    step are added to ``params`` in place; every exit then builds its report
+    from the verdict alone.
+    """
+
+    def __init__(self, check: str, params: dict):
+        self.check = check
+        self.params = params
         self._start = time.perf_counter()
 
-    def ms(self) -> float:
-        return round((time.perf_counter() - self._start) * 1000, 3)
-
-    def report(self, check: str, params: dict, verdict: str, witness=None,
-               notes: list[str] | None = None) -> Report:
-        return Report(check, params, verdict, witness,
-                      list(notes or []), self.ms())
+    def report(self, verdict: str, witness=None, notes: list[str] | None = None) -> Report:
+        elapsed = round((time.perf_counter() - self._start) * 1000, 3)
+        return Report(self.check, self.params, verdict, witness, list(notes or []), elapsed)

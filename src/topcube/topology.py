@@ -159,33 +159,18 @@ def embedding_check(universe: GroundSet) -> Report:
     inclusion; both follow from restriction undoing the construction, and
     the sweep confirms it topology by topology.
     """
-    timer = Stopwatch()
+    timer = Stopwatch("embedding", {"n": universe.n, "target": universe.n + 1})
     big = GroundSet(universe.n + 1)
-    params = {"n": universe.n, "target": big.n}
     tops = all_topologies(universe)
     images = [inject_topology(t, big) for t in tops]
     if len(set(images)) != len(tops):
-        return timer.report(
-            check="embedding",
-            params=params,
-            verdict=FAIL,
-            witness={"collision": True},
-        )
+        return timer.report(FAIL, {"collision": True})
     for (i, s), (j, t) in combinations(enumerate(tops), 2):
         for a, b, ia, ib in ((s, t, images[i], images[j]), (t, s, images[j], images[i])):
             if (a.family < b.family) != (ia.family < ib.family):
                 return timer.report(
-                    check="embedding",
-                    params=params,
-                    verdict=FAIL,
-                    witness={
-                        "source": sorted(a.open_masks()),
-                        "other": sorted(b.open_masks()),
-                    },
+                    FAIL, {"source": sorted(a.open_masks()), "other": sorted(b.open_masks())}
                 )
-    return timer.report(
-        check="embedding",
-        params=params,
-        verdict=PASS,
-        notes=[f"{len(tops)} topologies embedded injectively, strict inclusions intact"],
-    )
+    return timer.report(PASS, notes=[
+        f"{len(tops)} topologies embedded injectively, strict inclusions intact"
+    ])

@@ -176,8 +176,7 @@ def all_ultratopologies(universe: GroundSet) -> frozenset[Topology]:
 
 def trace_reconstruction_check(universe: GroundSet) -> Report:
     """Round-trip every ultrafilter through trace and reconstruction."""
-    timer = Stopwatch()
-    params = {"n": universe.n}
+    timer = Stopwatch("trace-reconstruction", {"n": universe.n})
     tried = 0
     for x in range(universe.n):
         for uf in all_ultrafilters(universe):
@@ -187,39 +186,20 @@ def trace_reconstruction_check(universe: GroundSet) -> Report:
             tr_uf, remap2 = trace(uf, x)
             if remap != remap2 or tr_fam != tr_uf.as_family():
                 return timer.report(
-                    check="trace-reconstruction",
-                    params=params,
-                    verdict=FAIL,
-                    witness={"x": x, "point": uf.point, "stage": "trace-disagreement"},
+                    FAIL, {"x": x, "point": uf.point, "stage": "trace-disagreement"}
                 )
             rebuilt = reconstruct_from_trace(tr_fam, x)
             if rebuilt != uf.as_family():
-                return timer.report(
-                    check="trace-reconstruction",
-                    params=params,
-                    verdict=FAIL,
-                    witness={"x": x, "point": uf.point, "stage": "reconstruction"},
-                )
+                return timer.report(FAIL, {"x": x, "point": uf.point, "stage": "reconstruction"})
             if extend_trace(tr_uf, x) != uf:
-                return timer.report(
-                    check="trace-reconstruction",
-                    params=params,
-                    verdict=FAIL,
-                    witness={"x": x, "point": uf.point, "stage": "extend"},
-                )
+                return timer.report(FAIL, {"x": x, "point": uf.point, "stage": "extend"})
             tried += 1
-    return timer.report(
-        check="trace-reconstruction",
-        params=params,
-        verdict=PASS,
-        notes=[f"round-tripped {tried} ultrafilter/point pairs"],
-    )
+    return timer.report(PASS, notes=[f"round-tripped {tried} ultrafilter/point pairs"])
 
 
 def trace_bijection_check(universe: GroundSet) -> Report:
     """For each removed point, trace is a bijection onto the small ultrafilters."""
-    timer = Stopwatch()
-    params = {"n": universe.n}
+    timer = Stopwatch("trace-bijection", {"n": universe.n})
     small = GroundSet(universe.n - 1)
     expected = set(all_ultrafilters(small))
     for x in range(universe.n):
@@ -229,25 +209,13 @@ def trace_bijection_check(universe: GroundSet) -> Report:
                 continue
             img, _ = trace(uf, x)
             if img in images:
-                return timer.report(
-                    check="trace-bijection",
-                    params=params,
-                    verdict=FAIL,
-                    witness={"x": x, "collision": [images[img].point, uf.point]},
-                )
+                return timer.report(FAIL, {"x": x, "collision": [images[img].point, uf.point]})
             images[img] = uf
         if set(images) != expected:
             missing = sorted(u.point for u in expected - set(images))
-            return timer.report(
-                check="trace-bijection",
-                params=params,
-                verdict=FAIL,
-                witness={"x": x, "not-hit": missing},
-            )
+            return timer.report(FAIL, {"x": x, "not-hit": missing})
     return timer.report(
-        check="trace-bijection",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[f"each of {universe.n} removals is a bijection onto {len(expected)} ultrafilters"],
     )
 
@@ -266,8 +234,7 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
     openness of B with x adjoined, which is the subbasic-condition
     dictionary.  The report carries the full table for the small set.
     """
-    timer = Stopwatch()
-    params = {"n": universe.n, "x": x}
+    timer = Stopwatch("subbase-correspondence", {"n": universe.n, "x": x})
     remap = _removal_map(universe, x)
     tops = {y: ultratopology(universe, x, PrincipalUF(universe, y)) for y in remap}
 
@@ -289,10 +256,8 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
         )
         if selected != b_points:
             return timer.report(
-                check="subbase-correspondence",
-                params=params,
-                verdict=FAIL,
-                witness={"subset": b_points, "open_at": selected},
+                FAIL,
+                {"subset": b_points, "open_at": selected},
                 notes=[f"table row {bm}"],
             )
     for m in universe.subset_masks():
@@ -300,16 +265,9 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
             continue
         bad = [y for y, t in tops.items() if not t.family.contains_mask(m)]
         if bad:
-            return timer.report(
-                check="subbase-correspondence",
-                params=params,
-                verdict=FAIL,
-                witness={"avoiding-set-mask": m, "not-open-at": bad},
-            )
+            return timer.report(FAIL, {"avoiding-set-mask": m, "not-open-at": bad})
     return timer.report(
-        check="subbase-correspondence",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[f"table rows: {len(table)}"] + [str(row) for row in table],
     )
 
@@ -320,19 +278,13 @@ def ultra_cover_check(universe: GroundSet) -> Report:
     Needs at least two points; a singleton ground set carries no maximal
     non-discrete topology at all, so there is nothing to cover.
     """
-    timer = Stopwatch()
     n = universe.n
-    params = {"n": n}
+    timer = Stopwatch("ultra-cover", {"n": n})
     if n < 2:
         raise ValueError("cover structure needs a ground set of at least 2 points")
     everything = all_ultratopologies(universe)
     if len(everything) != n * (n - 1):
-        return timer.report(
-            check="ultra-cover",
-            params=params,
-            verdict=FAIL,
-            witness={"count": len(everything), "expected": n * (n - 1)},
-        )
+        return timer.report(FAIL, {"count": len(everything), "expected": n * (n - 1)})
     blocks = {}
     for x in range(n):
         block = ultratopologies_at(universe, x)
@@ -341,42 +293,22 @@ def ultra_cover_check(universe: GroundSet) -> Report:
         )
         if block != not_open:
             return timer.report(
-                check="ultra-cover",
-                params=params,
-                verdict=FAIL,
-                witness={"x": x, "mismatch": "block vs non-open-singleton selection"},
+                FAIL, {"x": x, "mismatch": "block vs non-open-singleton selection"}
             )
         blocks[x] = block
     seen = set()
     for x, block in blocks.items():
         if seen & block:
-            return timer.report(
-                check="ultra-cover",
-                params=params,
-                verdict=FAIL,
-                witness={"x": x, "overlap": True},
-            )
+            return timer.report(FAIL, {"x": x, "overlap": True})
         seen |= block
     if seen != everything:
-        return timer.report(
-            check="ultra-cover",
-            params=params,
-            verdict=FAIL,
-            witness={"uncovered": len(everything - seen)},
-        )
+        return timer.report(FAIL, {"uncovered": len(everything - seen)})
     # every block is nonempty, so dropping any one un-covers its members
     proper = all(bool(block) for block in blocks.values())
     if not proper:
-        return timer.report(
-            check="ultra-cover",
-            params=params,
-            verdict=FAIL,
-            witness={"empty-block": True},
-        )
+        return timer.report(FAIL, {"empty-block": True})
     return timer.report(
-        check="ultra-cover",
-        params=params,
-        verdict=PASS,
+        PASS,
         notes=[
             f"{n * (n - 1)} topologies split into {n} blocks of {n - 1}",
             "no proper subfamily of blocks covers",

@@ -22,14 +22,26 @@ def _load_tracing():
 
 
 def test_every_traced_target_resolves():
+    """Resolve each target the way the tracer does.
+
+    A dotted target is read from its owner's own ``__dict__``, so a method
+    inherited from a base class would break the traced run; a plain one is
+    any module attribute.
+    """
     tracing = _load_tracing()
     assert tracing.TARGETS
     for module, qual in tracing.TARGETS:
         owner = importlib.import_module(f"topcube.{module}")
-        for part in qual.split("."):
+        *path, attr = qual.split(".")
+        for part in path:
             assert hasattr(owner, part), f"topcube.{module}.{qual}"
             owner = getattr(owner, part)
-        assert callable(owner), f"topcube.{module}.{qual}"
+        if path:
+            assert attr in owner.__dict__, f"topcube.{module}.{qual} is not defined on its owner"
+            target = owner.__dict__[attr]
+        else:
+            target = getattr(owner, attr, None)
+        assert callable(target), f"topcube.{module}.{qual}"
 
 
 def test_workload_entry_points_resolve():

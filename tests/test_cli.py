@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topcube import GroundSet, subbase_correspondence_check
-from topcube.cli import load_fixture, main
+from topcube.cli import CHECKS, DEMOS, load_fixture, main
 from topcube.report import INCONCLUSIVE, Stopwatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +112,48 @@ def test_zero_depth_fixture_exits_two(tmp_path, capsys):
     assert "at least one stage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "demo, key, value",
+    [
+        ("initials-chain", "depth", "3"),
+        ("join-gap", "sample_points", ["a"]),
+        ("powerset-chain", "depth", 0),
+    ],
+)
+def test_bad_demo_scalar_exits_two(tmp_path, capsys, demo, key, value):
+    fix = load_fixture(DEMOS[demo][0])
+    fix[key] = value
+    path = _write(tmp_path, "fixture.json", fix)
+    assert main(["demo", demo, "--fixture", path, "--quiet"]) == 2
+    assert f"fixture {key!r} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "atom-closure", "--fixture"],
+        ["demo", "limit-vs-union", "--coords"],
+        ["count", "--n", "1", "--json"],
+    ],
+)
+def test_directory_as_input_file_exits_two(tmp_path, capsys, argv):
+    assert main(argv + [f"{tmp_path}/", "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_interval_identity_refuses_four_points(capsys):
+    assert main(["verify", "interval-identity", "--n", "4", "--quiet"]) == 2
+    assert "n <= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_check_reports_its_own_id(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert main(["verify", name, "--n", "2", "--quiet", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert (payload["check"], payload["verdict"]) == (name, "pass")
+
+
 _bits = st.text("01", max_size=8)
 _scalars = st.none() | st.booleans() | st.integers(-2, 8) | st.text("01a", max_size=8)
 _json = st.recursive(
@@ -155,9 +197,7 @@ def test_inconclusive_exits_three(monkeypatch, capsys):
     import topcube.cli as cli
 
     def stub(fix):
-        return Stopwatch().report(
-            check="stub", params={}, verdict=INCONCLUSIVE, witness={"open": True}
-        )
+        return Stopwatch("stub", {}).report(INCONCLUSIVE, {"open": True})
 
     monkeypatch.setitem(cli.DEMOS, "join-gap", ("join-gap", stub))
     assert main(["demo", "join-gap"]) == 3
