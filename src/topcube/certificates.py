@@ -5,9 +5,10 @@ subbasic data of the cube of families; finite conjunctions of disjunctions
 of such conditions cut out clopen pieces.  This module builds certificates
 whose solution sets are, provably, small named collections (the trivial
 topology plus the one-step topologies; a pairwise-disjoint batch of
-topologies plus the trivial one), verifies them by full sweep, checks the
-two evaluation routes for order intervals against each other, and provides
-sampled limit-point and convergence probes for symbolic families.
+topologies plus the trivial one), solves them over the whole cube as
+clopen words (``cube.projection_words``), checks the two evaluation routes
+for order intervals against each other, and provides sampled limit-point
+and convergence probes for symbolic families.
 
 The chosen atoms {empty, m, everything} are themselves a pairwise-disjoint
 batch in which each topology has one proper open, so the atom certificate
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cube import Family, GroundSet
+from .cube import Family, GroundSet, cube_word, projection_words, set_bits
 from .famexpr import FamExpr, fam_distinct
 from .lattice import FiniteSublattice, _entry_stages, lat_generate
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
@@ -42,9 +43,6 @@ class SubbasicCond:
     mask: int
     present: bool
 
-    def holds(self, word: int) -> bool:
-        return bool((word >> self.mask) & 1) == self.present
-
     def __repr__(self) -> str:
         sign = "+" if self.present else "-"
         return f"[{self.mask}]{sign}"
@@ -59,18 +57,29 @@ class Certificate:
         for cl in self.clauses:
             if not cl:
                 raise ValueError("empty clause is unsatisfiable by fiat; reject it")
+            if any(not 0 <= c.mask <= universe.full_mask for c in cl):
+                raise ValueError(f"condition mask out of range for n={universe.n}")
 
     @property
     def conjunct_count(self) -> int:
         return len(self.clauses)
 
-    def holds(self, word: int) -> bool:
-        return all(any(c.holds(word) for c in cl) for cl in self.clauses)
-
     def solve(self) -> list[int]:
-        """Every family word in the full cube satisfying the certificate."""
-        self.universe.require_sweepable()
-        return [w for w in range(1 << self.universe.num_subsets) if self.holds(w)]
+        """Every family word in the full cube satisfying the certificate.
+
+        A condition is its projection word or that word's complement, a
+        clause the OR of its conditions, and the certificate the AND of its
+        clauses; the solutions are the set bits of the result.
+        """
+        full = cube_word(self.universe)
+        has = projection_words(self.universe)
+        word = full
+        for cl in self.clauses:
+            clause = 0
+            for c in cl:
+                clause |= has[c.mask] if c.present else full ^ has[c.mask]
+            word &= clause
+        return set_bits(word)
 
 
 def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[Family]]:

@@ -52,6 +52,8 @@ CHECKS = (
     "embedding",
 )
 
+DEFAULT_N = 3
+
 DEMOS = {
     "initials-chain": ("initials-chain", demos.demo_initials_chain),
     "powerset-chain": ("powerset-chain", demos.demo_chain_union),
@@ -78,9 +80,12 @@ def _int_list(value, what: str) -> list[int]:
     return value
 
 
-def _fixture_universe(fix: dict) -> GroundSet:
+def _fixture_universe(fix: dict, n: int | None) -> GroundSet:
+    """The fixture's ground set; an explicit --n must name the same size."""
     if type(fix["n"]) is not int:
         raise ValueError("fixture 'n' must be an integer")
+    if n is not None and n != fix["n"]:
+        raise ValueError(f"--n {n} disagrees with the fixture's n = {fix['n']}")
     return GroundSet(fix["n"])
 
 
@@ -123,7 +128,7 @@ def run_count(n: int) -> Report:
 
 def run_check(args: argparse.Namespace) -> Report:
     name = args.name
-    universe = GroundSet(args.n)
+    universe = GroundSet(DEFAULT_N if args.n is None else args.n)
     if name == "interval-identity":
         return interval_identity_sweep(universe, max_gens=3)
     if name == "chain-completion":
@@ -131,13 +136,15 @@ def run_check(args: argparse.Namespace) -> Report:
             universe, seed=args.seed, max_len=args.bound or 4
         )
     if name == "atom-closure":
-        fix = load_fixture(args.fixture or "all-atoms-n3")
-        universe = _fixture_universe(fix)
+        if args.fixture is None:
+            return atom_closure_certificate(universe, range(1, universe.full_mask))
+        fix = load_fixture(args.fixture)
+        universe = _fixture_universe(fix, args.n)
         return atom_closure_certificate(universe, _int_list(fix["opens"], "'opens'"))
     if name == "disjoint-closure":
         if args.fixture:
             fix = load_fixture(args.fixture)
-            universe = _fixture_universe(fix)
+            universe = _fixture_universe(fix, args.n)
             if not isinstance(fix["topologies"], list):
                 raise ValueError("fixture 'topologies' must be a list of mask lists")
             tops = [
@@ -170,7 +177,11 @@ def run_demo(args: argparse.Namespace) -> Report:
         coords = _load_coords(args.coords)
         key = "coords" if "coords" in fix else "completion_coords"
         fix[key] = coords
-    if args.bound:
+    if args.bound is not None:
+        if args.name != "initials-chain":
+            raise ValueError(
+                f"--bound applies only to the initials-chain demo, not to {args.name}"
+            )
         fix["bound"] = args.bound
     return fn(fix)
 
@@ -184,11 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_count = sub.add_parser("count", help="count topologies two ways")
-    p_count.add_argument("--n", type=int, default=3, help="ground set size")
+    p_count.add_argument("--n", type=int, default=DEFAULT_N, help="ground set size")
 
     p_verify = sub.add_parser("verify", help="run a structural check")
     p_verify.add_argument("name", choices=CHECKS)
-    p_verify.add_argument("--n", type=int, default=3, help="ground set size")
+    p_verify.add_argument(
+        "--n", type=int, help=f"ground set size (default {DEFAULT_N}, or the fixture's)"
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--bound", type=int, default=0, help="check-specific size knob")
     p_verify.add_argument("--fixture", help="packaged fixture name or JSON path")
@@ -197,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", choices=sorted(DEMOS))
     p_demo.add_argument("--fixture", help="packaged fixture name or JSON path")
     p_demo.add_argument("--coords", help="JSON file of probe coordinates")
-    p_demo.add_argument("--bound", type=int, default=0, help="stage bound override")
+    p_demo.add_argument(
+        "--bound", type=int, help="stage bound override (initials-chain only)"
+    )
 
     for p in (p_count, p_verify, p_demo):
         p.add_argument("--json", dest="json_out", help="write the report as JSON")

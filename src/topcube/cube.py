@@ -6,15 +6,23 @@ subset with mask m belongs to the family.  Meet, join and order of the cube
 are then single word operations (AND, OR, submask test), and exhaustive
 enumeration of all families is a counter loop.  Encodings are canonical, so
 word equality is extensional equality.
+
+One level up, a set of families is a clopen word of the cube: a
+2^(2^n)-bit integer whose bit w says whether family w belongs to the set
+(n <= 4; at n = 5 a word would be 2^32 bits, so sweeps refuse it).  The
+projection words HAS[a] ("subset a is a member") generate these words
+under AND, OR and complement, so a whole-cube sweep is a handful of
+big-integer operations, and its solutions are the word's set bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 MAX_POINTS = 5          # individual values stay small
-MAX_SWEEP_POINTS = 4    # 2^(2^n) families must be enumerable
+MAX_SWEEP_POINTS = 4    # a clopen word has 2^(2^n) bits: 65,536 at n=4
 
 
 @dataclass(frozen=True)
@@ -224,6 +232,52 @@ def enumerate_families(universe: GroundSet) -> Iterator[Family]:
     universe.require_sweepable()
     for word in range(1 << universe.num_subsets):
         yield Family(universe, word)
+
+
+# -- clopen words: sets of families as 2^(2^n)-bit truth tables -----------------
+
+
+def cube_word(universe: GroundSet) -> int:
+    """The whole cube as a clopen word: one set bit per family (n <= 4 only)."""
+    universe.require_sweepable()
+    return (1 << (1 << universe.num_subsets)) - 1
+
+
+def projection_words(universe: GroundSet) -> tuple[int, ...]:
+    """HAS[a] for every subset mask a (n <= 4 only).
+
+    HAS[a] is the clopen word whose bit w is set exactly when family w
+    contains subset a: the subbasic clopen "a is a member".  Its absence
+    counterpart is cube_word ^ HAS[a], and any finite Boolean combination of
+    subbasic conditions is the same combination of these words.
+    """
+    universe.require_sweepable()
+    return _projection_words(universe.n)
+
+
+@cache
+def _projection_words(n: int) -> tuple[int, ...]:
+    # Knuth's magic mask (TAOCP 4A, 7.1.3): as w counts up, bit a of w runs
+    # 2^a zeros then 2^a ones, over and over, so HAS[a] is that one block
+    # times the repunit with a 1 every 2^(a+1) bits.
+    size = 1 << (1 << n)
+    out = []
+    for a in range(1 << n):
+        half = 1 << a
+        block = ((1 << half) - 1) << half
+        out.append(block * (((1 << size) - 1) // ((1 << 2 * half) - 1)))
+    return tuple(out)
+
+
+def set_bits(word: int) -> list[int]:
+    """The positions of the set bits of a nonnegative word, increasing."""
+    bits = bin(word)[:1:-1]  # bit i at index i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 def _same_universe(a, b) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .cube import Family, GroundSet, enumerate_families
+from .cube import Family, GroundSet, cube_word, projection_words, set_bits
 from .famexpr import FamExpr, LatGenSing
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import UPSet
@@ -93,19 +93,28 @@ def lat_generate(universe: GroundSet, gens) -> FiniteSublattice:
 def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
     """All families comparable with every member of the collection.
 
-    Sweeps the full cube, so the ground set is capped at sweep size.
+    Solved over the whole cube as a clopen word, so the ground set is
+    capped at sweep size.  The families above w are those containing every
+    set in w, the families below w those omitting every set outside it, and
+    the result is the AND over w of those two words ORed.
     """
     fams = list(collection)
     if not fams:
         raise ValueError("comparability needs a nonempty collection")
-    universe.require_sweepable()
-    words = [f.word for f in fams]
-    out = set()
-    for g in enumerate_families(universe):
-        gw = g.word
-        if all((gw & w) in (gw, w) for w in words):
-            out.add(g)
-    return frozenset(out)
+    if any(f.universe != universe for f in fams):
+        raise ValueError(f"every family must live on the n={universe.n} ground set")
+    full = cube_word(universe)
+    has = projection_words(universe)
+    word = full
+    for w in {f.word for f in fams}:
+        up = down = full
+        for a, h in enumerate(has):
+            if (w >> a) & 1:
+                up &= h
+            else:
+                down &= full ^ h
+        word &= up | down
+    return frozenset(Family(universe, g) for g in set_bits(word))
 
 
 def is_complete_sublattice(universe: GroundSet, members) -> bool:

@@ -1,5 +1,7 @@
 """Subbasic certificates, interval identities, and sampled convergence probes."""
 
+import random
+
 import pytest
 
 from topcube import (
@@ -46,25 +48,61 @@ def fam(universe, *masks):
 
 
 def test_condition_evaluation():
-    cond = SubbasicCond(1, True)
-    assert cond.holds(0b0010) and not cond.holds(0b0001)
+    # one condition cuts out the families that have (or lack) its subset
+    present = Certificate(U2, [(SubbasicCond(1, True),)]).solve()
+    assert 0b0010 in present and 0b0001 not in present
+    absent = Certificate(U2, [(SubbasicCond(1, False),)]).solve()
+    assert 0b0001 in absent and 0b0010 not in absent
     assert repr(SubbasicCond(3, False)) == "[3]-"
 
 
 def test_unit_clause_certificate_examples():
     # a certificate of one-condition clauses is a basic open of the cube
     def basic(*conds):
-        return Certificate(U2, [(c,) for c in conds])
+        return Certificate(U2, [(c,) for c in conds]).solve()
 
     trivial = fam(U2, 0, 3)
-    assert basic(SubbasicCond(0, True), SubbasicCond(3, True)).holds(trivial.word)
-    assert not basic(SubbasicCond(1, False)).holds(15)
-    assert basic(SubbasicCond(1, True), SubbasicCond(2, False)).holds(fam(U2, 0, 1, 3).word)
+    assert trivial.word in basic(SubbasicCond(0, True), SubbasicCond(3, True))
+    assert 15 not in basic(SubbasicCond(1, False))
+    assert fam(U2, 0, 1, 3).word in basic(SubbasicCond(1, True), SubbasicCond(2, False))
 
 
 def test_certificate_rejects_empty_clause():
     with pytest.raises(ValueError):
         Certificate(U2, [()])
+
+
+@pytest.mark.parametrize("mask", [-1, 4])
+def test_certificate_rejects_mask_out_of_range(mask):
+    with pytest.raises(ValueError, match="out of range"):
+        Certificate(U2, [(SubbasicCond(0, True), SubbasicCond(mask, True))])
+
+
+def _random_certificate(rng, universe):
+    return Certificate(universe, [
+        tuple(
+            SubbasicCond(rng.randrange(universe.num_subsets), rng.random() < 0.5)
+            for _ in range(rng.randint(1, 3))
+        )
+        for _ in range(rng.randint(1, 6))
+    ])
+
+
+def _per_word_solutions(cert):
+    """The solutions by evaluating every clause at every word of the cube."""
+    return [
+        w
+        for w in range(1 << cert.universe.num_subsets)
+        if all(any(((w >> c.mask) & 1) == c.present for c in cl) for cl in cert.clauses)
+    ]
+
+
+@pytest.mark.parametrize("n, count", [(1, 20), (2, 40), (3, 40), (4, 3)])
+def test_solve_matches_per_word_evaluation(n, count):
+    rng = random.Random(n)
+    for _ in range(count):
+        cert = _random_certificate(rng, GroundSet(n))
+        assert cert.solve() == _per_word_solutions(cert), cert.clauses
 
 
 def test_certificate_solve():

@@ -141,6 +141,41 @@ def test_directory_as_input_file_exits_two(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_explicit_n_without_fixture_is_honoured(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "atom-closure", "--n", "2", "--quiet", "--json", str(out)]) == 0
+    params = json.loads(out.read_text(encoding="utf-8"))["params"]
+    assert (params["n"], params["chosen"]) == (2, [1, 2])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "atom-closure", "--fixture", "all-atoms-n3", "--n", "2"],
+        ["verify", "disjoint-closure", "--fixture", "disjoint-pair", "--n", "4"],
+    ],
+)
+def test_n_disagreeing_with_fixture_exits_two(capsys, argv):
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"--n {argv[-1]}" in err and "fixture's n = 3" in err
+    assert main(argv[:-1] + ["3", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("demo", ["powerset-chain", "join-gap"])
+def test_bound_on_a_demo_without_one_exits_two(capsys, demo):
+    assert main(["demo", demo, "--bound", "2", "--quiet"]) == 2
+    assert "only to the initials-chain demo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["chain-completion", "embedding"])
+def test_whole_cube_checks_run_at_four_points(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert main(["verify", name, "--n", "4", "--quiet", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert (payload["params"]["n"], payload["verdict"]) == (4, "pass")
+
+
 def test_interval_identity_refuses_four_points(capsys):
     assert main(["verify", "interval-identity", "--n", "4", "--quiet"]) == 2
     assert "n <= 3" in capsys.readouterr().err

@@ -1,10 +1,19 @@
 """Ground sets, point sets, and families as points of the big lattice."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from topcube import Family, GroundSet, PointSet, enumerate_families
+from topcube.cube import cube_word, projection_words, set_bits
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 U2 = GroundSet(2)
 U3 = GroundSet(3)
@@ -125,3 +134,70 @@ def test_family_json_rejections():
         Family.from_json({"sets": []})
     with pytest.raises(ValueError):
         Family.from_json({"n": 2, "sets": [[0]], "stray": 1})
+
+
+# ------------------------------------------------------------- clopen words
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projection_word_bits_are_memberships(n):
+    universe = GroundSet(n)
+    size = 1 << universe.num_subsets
+    has = projection_words(universe)
+    assert len(has) == universe.num_subsets
+    for a, h in enumerate(has):
+        assert set_bits(h) == [w for w in range(size) if (w >> a) & 1]
+    assert cube_word(universe) == (1 << size) - 1
+
+
+@given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+def test_set_bits_lists_the_set_positions(word):
+    bits = set_bits(word)
+    assert bits == [i for i in range(word.bit_length()) if (word >> i) & 1]
+    assert sum(1 << i for i in bits) == word
+
+
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_import_builds_no_clopen_words():
+    out = _run_python("""
+        import topcube, topcube.cli
+        from topcube.cube import _projection_words
+        print(_projection_words.cache_info().currsize)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+def test_sweeps_refuse_five_points_before_allocating():
+    # A 2^32-bit word is 512 MB.  The child's address space is capped well
+    # below that, so a sweep that started building one fails with
+    # MemoryError instead of the n <= 4 refusal.
+    out = _run_python("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+        from topcube import Certificate, Family, GroundSet, SubbasicCond
+        from topcube import all_topologies, count_topologies, relations_set
+        U5 = GroundSet(5)
+        calls = [
+            lambda: Certificate(U5, [(SubbasicCond(0, True),)]).solve(),
+            lambda: relations_set(U5, [Family(U5, 1)]),
+            lambda: count_topologies(U5),
+            lambda: all_topologies(U5),
+        ]
+        for call in calls:
+            try:
+                call()
+                print("no refusal")
+            except ValueError as exc:
+                print(exc)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["exhaustive sweep needs n <= 4, got 5"] * 4

@@ -118,6 +118,26 @@ def test_relations_rejects_empty_collection():
         relations_set(U2, [])
 
 
+def test_relations_rejects_a_family_of_another_ground_set():
+    with pytest.raises(ValueError, match="n=2"):
+        relations_set(U2, [Family(U2, 1), Family(U3, 1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relations_match_comparability_filter(n):
+    universe = GroundSet(n)
+    size = 1 << universe.num_subsets
+    rng = random.Random(n)
+    for _ in range(25):
+        words = rng.sample(range(size), rng.randint(1, min(4, size)))
+        expected = {
+            g for g in range(size) if all((g & w) in (g, w) for w in words)
+        }
+        got = relations_set(universe, fams(universe, *words))
+        assert {f.word for f in got} == expected, words
+        assert all(f.universe == universe for f in got)
+
+
 # ----------------------------------------------------------- completeness
 
 

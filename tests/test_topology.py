@@ -19,6 +19,7 @@ from topcube import (
     is_topology,
     top_generate,
 )
+from topcube.cube import set_bits
 from topcube.oracles import (
     count_preorders,
     count_topologies_by_filter,
@@ -26,6 +27,7 @@ from topcube.oracles import (
     generated_topology,
     powerset,
 )
+from topcube.topology import is_topology_word, topology_word
 
 U1 = GroundSet(1)
 U2 = GroundSet(2)
@@ -170,6 +172,15 @@ def test_counts_match_preorder_oracle():
 def test_counting_capped():
     with pytest.raises(ValueError):
         count_topologies(GroundSet(5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_topology_word_matches_per_word_validator(n):
+    universe = GroundSet(n)
+    expected = [w for w in range(2 ** 2 ** n) if is_topology_word(n, w)]
+    assert set_bits(topology_word(universe)) == expected
+    assert [t.family.word for t in all_topologies(universe)] == expected
+    assert count_topologies(universe) == len(expected)
 
 
 def test_all_topologies_lists_them():
