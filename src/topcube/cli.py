@@ -128,12 +128,22 @@ def run_count(n: int) -> Report:
 
 def run_check(args: argparse.Namespace) -> Report:
     name = args.name
+    reads_bound = name == "chain-completion" or (
+        name == "disjoint-closure" and args.fixture is None
+    )
+    if args.bound is not None and not reads_bound:
+        raise ValueError(
+            "--bound applies only to chain-completion and to disjoint-closure "
+            f"without a fixture, not to {name}" + (" with a fixture" if args.fixture else "")
+        )
+    if args.bound is not None and args.bound < 1:
+        raise ValueError(f"--bound must be at least 1, got {args.bound}")
     universe = GroundSet(DEFAULT_N if args.n is None else args.n)
     if name == "interval-identity":
         return interval_identity_sweep(universe, max_gens=3)
     if name == "chain-completion":
         return chain_completion_check(
-            universe, seed=args.seed, max_len=args.bound or 4
+            universe, seed=args.seed, max_len=4 if args.bound is None else args.bound
         )
     if name == "atom-closure":
         if args.fixture is None:
@@ -153,7 +163,8 @@ def run_check(args: argparse.Namespace) -> Report:
             ]
         else:
             rng = random.Random(args.seed)
-            tops = random_disjoint_topologies(universe, rng, want=args.bound or 3)
+            want = 3 if args.bound is None else args.bound
+            tops = random_disjoint_topologies(universe, rng, want=want)
         if not tops:
             raise ValueError("disjoint-closure needs at least one topology")
         return disjoint_closure_certificate(universe, tops)
@@ -202,8 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--n", type=int, help=f"ground set size (default {DEFAULT_N}, or the fixture's)"
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--bound", type=int, default=0, help="check-specific size knob")
+    p_verify.add_argument(
+        "--seed", type=int, default=0,
+        help="random seed; read by chain-completion at n >= 3 and by disjoint-closure "
+        "without a fixture, ignored by the other checks",
+    )
+    p_verify.add_argument(
+        "--bound", type=int,
+        help="size knob >= 1: longest chain for chain-completion (default 4), batch size "
+        "for disjoint-closure without a fixture (default 3); other checks refuse it",
+    )
     p_verify.add_argument("--fixture", help="packaged fixture name or JSON path")
 
     p_demo = sub.add_parser("demo", help="walk a packaged construction")

@@ -1,41 +1,114 @@
 """Eventually periodic subsets of the naturals.
 
-A set is stored as a preperiod bit word plus a nonempty period bit word:
-``i`` is a member when ``i < len(pre)`` and ``pre[i] == '1'``, otherwise when
-``period[(i - len(pre)) % len(period)] == '1'``.  This class of sets is closed
-under complement, union, intersection and difference, so it forms a Boolean
-algebra with a decision procedure: align the preperiods to the longer one and
-the periods to the lcm of their lengths, then compare bitwise.  Two sets with
-aligned representations are equal iff they agree on the preperiod plus one
-full period window.
+A set is a preperiod plus a nonempty period, each stored as a
+``(length, bits)`` pair of integers in which bit ``j`` is member ``j`` of
+that segment: ``i`` is a member when ``i`` is below the preperiod length and
+bit ``i`` of the preperiod is set, otherwise when bit
+``(i - preperiod length) % period length`` of the period is set.  The
+strings ``pre`` and ``period`` (character ``j`` is bit ``j``) are the spelling
+for constructors, ``repr`` and JSON.
 
-Every constructor canonicalizes, so structural equality of UPSet values is
-extensional equality.  Canonical form means the period is primitive (not a
-power of a shorter word) and the preperiod is as short as possible (its last
-bit differs from the bit the rotated period would produce in its place).
+This class of sets is closed under complement, union, intersection and
+difference, so it forms a Boolean algebra with a decision procedure.  Two
+sets are aligned on one window: it starts after the longer preperiod and
+holds one period of the lcm of their period lengths, and on it each set is
+a single integer, its period block times the repunit
+``((1 << k*r) - 1) // ((1 << k) - 1)`` (r copies of a k-bit block) cut to
+the window, above its preperiod.  An intersection, union or difference is
+then one integer operation on the two words, and ``a <= b`` is
+``a & ~b == 0``.  The window is capped at ``MAX_WINDOW_BITS``: aligning two
+sets whose window would be wider, or building a finite set reaching a point
+at or beyond the cap, raises ``ValueError`` before any such word is built.
+
+Every value is kept in canonical form, so structural equality of UPSet
+values is extensional equality.  Canonical form means the period is
+primitive (not a power of a shorter word) and the preperiod is as short as
+possible (its last bit differs from the bit the rotated period would produce
+in its place).
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator
+
+from .cube import set_bits
+
+# The widest word an operation may build: 2^20 bits (128 KiB), far above
+# the windows of the packaged fixtures and tests, and small enough that no
+# input can make one operation run for minutes.
+MAX_WINDOW_BITS = 1 << 20
 
 _BITS = frozenset("01")
 
 
-def _primitive_root(word: str) -> str:
-    """Shortest word whose repetition yields `word`."""
-    k = len(word)
-    for d in range(1, k + 1):
-        if k % d == 0 and word == word[:d] * (k // d):
-            return word[:d]
-    return word
+def _repeat(block: int, length: int, width: int) -> int:
+    """The `length`-bit `block` repeated to fill `width` bits."""
+    if width <= length:
+        return block & ((1 << width) - 1)
+    copies = -(-width // length)
+    repunit = ((1 << length * copies) - 1) // ((1 << length) - 1)
+    return block * repunit & ((1 << width) - 1)
+
+
+def _rotate(bits: int, length: int, shift: int) -> int:
+    """The `length`-bit word with bit j moved to bit (j + shift) % length."""
+    shift %= length
+    if not shift:
+        return bits
+    return (bits << shift | bits >> (length - shift)) & ((1 << length) - 1)
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _canonical(pre_len: int, pre: int, per_len: int, per: int) -> tuple[int, int, int, int]:
+    """The canonical segments of the set the given segments spell."""
+    if per_len > 1:
+        # The rotations fixing the period form a subgroup of Z_per_len,
+        # generated by its shortest period d, which divides per_len; so
+        # dividing per_len by each prime factor while the quotient still
+        # fixes the word ends at d.
+        length = per_len
+        for p in _prime_factors(length):
+            while per_len % p == 0 and _rotate(per, length, per_len // p) == per:
+                per_len //= p
+        per &= (1 << per_len) - 1
+    if pre_len:
+        # The preperiod's top bits that agree with the period continued
+        # backwards are redundant: drop them and rotate the period to start
+        # where the shorter preperiod now ends.
+        behind = _repeat(_rotate(per, per_len, pre_len), per_len, pre_len)
+        keep = (pre ^ behind).bit_length()
+        if keep < pre_len:
+            per = _rotate(per, per_len, pre_len - keep)
+            pre_len, pre = keep, pre & ((1 << keep) - 1)
+    return pre_len, pre, per_len, per
+
+
+def _word_str(bits: int, length: int) -> str:
+    return format(bits, f"0{length}b")[::-1] if length else ""
+
+
+def _str_word(word: str) -> int:
+    return int(word[::-1], 2) if word else 0
 
 
 class UPSet:
     """An eventually periodic subset of the naturals, kept in canonical form."""
 
-    __slots__ = ("pre", "period")
+    __slots__ = ("_pre_len", "_pre", "_per_len", "_per")
 
     def __init__(self, pre: str = "", period: str = "0"):
         if not period:
@@ -43,17 +116,38 @@ class UPSet:
         for word in (pre, period):
             if not _BITS.issuperset(word):
                 raise ValueError(f"bit words may only contain 0 and 1: {word!r}")
-        period = _primitive_root(period)
-        # Shrink the preperiod: if its last bit is what the period (rotated
-        # one step right) would produce there, the bit is redundant.
-        while pre and pre[-1] == period[-1]:
-            period = period[-1] + period[:-1]
-            pre = pre[:-1]
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "period", period)
+        self._store(*_canonical(len(pre), _str_word(pre), len(period), _str_word(period)))
+
+    def _store(self, pre_len: int, pre: int, per_len: int, per: int) -> None:
+        object.__setattr__(self, "_pre_len", pre_len)
+        object.__setattr__(self, "_pre", pre)
+        object.__setattr__(self, "_per_len", per_len)
+        object.__setattr__(self, "_per", per)
+
+    @classmethod
+    def _raw(cls, pre_len: int, pre: int, per_len: int, per: int) -> "UPSet":
+        """The value with these segments, which must already be canonical."""
+        out = object.__new__(cls)
+        out._store(pre_len, pre, per_len, per)
+        return out
+
+    @classmethod
+    def _split(cls, start: int, period: int, word: int) -> "UPSet":
+        """The set whose window word is `word`: `start` preperiod bits, then one period."""
+        return cls._raw(*_canonical(start, word & ((1 << start) - 1), period, word >> start))
 
     def __setattr__(self, name, value):
         raise AttributeError("UPSet values are immutable")
+
+    @property
+    def pre(self) -> str:
+        """The preperiod as a 0/1 string, character i for point i."""
+        return _word_str(self._pre, self._pre_len)
+
+    @property
+    def period(self) -> str:
+        """The period as a 0/1 string, character j for point len(pre) + j."""
+        return _word_str(self._per, self._per_len)
 
     # -- constructors ------------------------------------------------------
 
@@ -75,52 +169,50 @@ class UPSet:
 
     @classmethod
     def singleton(cls, k: int) -> "UPSet":
-        if k < 0:
-            raise ValueError("naturals only")
-        return cls("0" * k + "1", "0")
+        return cls.from_ints([k])
 
     @classmethod
     def from_ints(cls, items: Iterable[int]) -> "UPSet":
         """The finite set containing exactly `items`."""
-        got = sorted(set(items))
-        if any(k < 0 for k in got):
+        got = set(items)
+        if min(got, default=0) < 0:
             raise ValueError("naturals only")
-        if not got:
-            return cls.empty()
-        bits = ["0"] * (got[-1] + 1)
+        top = max(got, default=-1)
+        if top >= MAX_WINDOW_BITS:
+            raise ValueError(f"point {top} is at or beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
+        word = bytearray(b"0" * (top + 1))  # character top - k is point k
         for k in got:
-            bits[k] = "1"
-        return cls("".join(bits), "0")
+            word[top - k] = 49  # ord("1")
+        # canonical as it stands: the top preperiod bit is set, the period is 0
+        return cls._raw(top + 1, int(word, 2) if got else 0, 1, 0)
 
     # -- membership and iteration ------------------------------------------
 
     def __contains__(self, i: int) -> bool:
         if i < 0:
             return False
-        if i < len(self.pre):
-            return self.pre[i] == "1"
-        return self.period[(i - len(self.pre)) % len(self.period)] == "1"
+        if i < self._pre_len:
+            return bool((self._pre >> i) & 1)
+        return bool((self._per >> ((i - self._pre_len) % self._per_len)) & 1)
 
     def members(self, below: int) -> list[int]:
         """All members strictly below `below`."""
-        return [i for i in range(below) if i in self]
+        if below <= self._pre_len:
+            return set_bits(self._pre & ((1 << max(below, 0)) - 1))
+        return set_bits(self._word(below))
 
     def iter_members(self) -> Iterator[int]:
-        i = 0
-        while True:
-            if i in self:
-                yield i
-            elif self.is_finite and i >= len(self.pre):
-                return
-            i += 1
+        yield from set_bits(self._pre)
+        offsets = set_bits(self._per)
+        start = self._pre_len
+        while offsets:
+            for j in offsets:
+                yield start + j
+            start += self._per_len
 
     def first_members(self, k: int) -> list[int]:
         """The k smallest members, in increasing order."""
-        out = []
-        for i in self.iter_members():
-            if len(out) == k:
-                break
-            out.append(i)
+        out = list(islice(self.iter_members(), k))
         if len(out) < k:
             raise ValueError(f"set has only {len(out)} members, wanted {k}")
         return out
@@ -129,60 +221,76 @@ class UPSet:
 
     @property
     def is_finite(self) -> bool:
-        # canonical all-zero period collapses to "0"
-        return self.period == "0"
+        # canonical all-zero period collapses to one 0 bit
+        return self._per == 0
 
     @property
     def is_empty(self) -> bool:
-        return self.period == "0" and "1" not in self.pre
+        return self._per == 0 and self._pre == 0
 
     def size(self) -> int:
         """Number of members; raises on infinite sets."""
         if not self.is_finite:
             raise ValueError("infinite set")
-        return self.pre.count("1")
+        return self._pre.bit_count()
 
     # -- Boolean algebra -----------------------------------------------------
 
-    def _combine(self, other: "UPSet", op) -> "UPSet":
-        pl = max(len(self.pre), len(other.pre))
-        window = lcm(len(self.period), len(other.period))
-        bits = "".join(
-            "1" if op(i in self, i in other) else "0" for i in range(pl + window)
-        )
-        return UPSet(bits[:pl], bits[pl:])
+    def _word(self, width: int) -> int:
+        """Membership of 0..width-1 as one integer, bit i for point i."""
+        n = self._pre_len
+        return self._pre | _repeat(self._per, self._per_len, width - n) << n
+
+    def _aligned(self, other: "UPSet") -> tuple[int, int, int, int]:
+        """(start, period, word of self, word of other) on their common window."""
+        start = max(self._pre_len, other._pre_len)
+        period = lcm(self._per_len, other._per_len)
+        width = start + period
+        if width > MAX_WINDOW_BITS:
+            raise ValueError(
+                f"aligning periods of {self._per_len} and {other._per_len} bits needs a "
+                f"{width}-bit window, beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}"
+            )
+        return start, period, self._word(width), other._word(width)
 
     def __and__(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a and b)
+        start, period, x, y = self._aligned(other)
+        return UPSet._split(start, period, x & y)
 
     def __or__(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a or b)
+        start, period, x, y = self._aligned(other)
+        return UPSet._split(start, period, x | y)
 
     def __sub__(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a and not b)
+        start, period, x, y = self._aligned(other)
+        return UPSet._split(start, period, x & ~y)
 
     def __invert__(self) -> "UPSet":
-        flip = str.maketrans("01", "10")
-        return UPSet(self.pre.translate(flip), self.period.translate(flip))
+        # flipping every bit keeps the period primitive and the last
+        # preperiod bit unlike the period's, so the result is canonical
+        return UPSet._raw(self._pre_len, self._pre ^ ((1 << self._pre_len) - 1),
+                          self._per_len, self._per ^ ((1 << self._per_len) - 1))
 
     def issubset(self, other: "UPSet") -> bool:
-        return (self & other) == self
+        return self <= other
 
     def __le__(self, other: "UPSet") -> bool:
-        return self.issubset(other)
+        _, _, x, y = self._aligned(other)
+        return (x & ~y) == 0
 
     def __lt__(self, other: "UPSet") -> bool:
-        return self != other and self.issubset(other)
+        return self != other and self <= other
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UPSet):
             return NotImplemented
-        return self.pre == other.pre and self.period == other.period
+        return (self._pre == other._pre and self._per == other._per
+                and self._pre_len == other._pre_len and self._per_len == other._per_len)
 
     def __hash__(self) -> int:
-        return hash((self.pre, self.period))
+        return hash((self._pre_len, self._pre, self._per_len, self._per))
 
     def __repr__(self) -> str:
         return f"UPSet({self.pre!r}, {self.period!r})"
@@ -191,7 +299,7 @@ class UPSet:
         """Human-readable listing, e.g. '{1, 3, 5, ...}'."""
         if self.is_empty:
             return "{}"
-        shown = self.members(len(self.pre) + len(self.period) * 4)
+        shown = self.members(self._pre_len + self._per_len * 4)
         if self.is_finite:
             return "{" + ", ".join(map(str, shown)) + "}"
         return "{" + ", ".join(map(str, shown[:limit])) + ", ...}"

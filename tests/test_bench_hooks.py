@@ -9,7 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from topcube import cli, lattice
+from topcube import UPSet, cli, lattice
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -49,3 +49,15 @@ def test_workload_entry_points_resolve():
     assert all(callable(fn) for _, fn in cli.DEMOS.values())
     assert callable(cli.random_disjoint_topologies)
     assert callable(lattice.random_chain)
+
+
+def test_window_counter_reads_the_operands():
+    """The tracer counts an op's window from the operands' pre/period strings."""
+    tracing = _load_tracing()
+    a, b = UPSet("1", "10010"), UPSet("011", "110")
+    assert (len(a.pre), len(a.period), len(b.pre), len(b.period)) == (1, 5, 3, 3)
+    for op in ("__and__", "__or__", "__sub__"):
+        result = getattr(UPSet, op)(a, b)
+        assert tracing.WORK[f"upsets.UPSet.{op}"]((a, b), result) == [
+            ("upsets.window_bits", 3 + 15)
+        ]

@@ -168,6 +168,71 @@ def test_bound_on_a_demo_without_one_exits_two(capsys, demo):
     assert "only to the initials-chain demo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "embedding", "--n", "2", "--bound", "7"],
+        ["verify", "atom-closure", "--bound", "1"],
+        ["verify", "disjoint-closure", "--fixture", "disjoint-pair", "--bound", "2"],
+    ],
+)
+def test_bound_on_a_check_without_one_exits_two(capsys, argv):
+    assert main(argv + ["--quiet"]) == 2
+    assert "--bound applies only to chain-completion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("name", ["chain-completion", "disjoint-closure"])
+def test_bound_below_one_exits_two(capsys, name, bound):
+    assert main(["verify", name, "--bound", bound, "--quiet"]) == 2
+    assert "--bound must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, key, default", [("chain-completion", "max_len", 4), ("disjoint-closure", "topologies", 3)]
+)
+def test_bound_is_read_where_it_applies(tmp_path, name, key, default):
+    out = tmp_path / "report.json"
+    for argv, want in (([], default), (["--bound", "2"], 2)):
+        assert main(["verify", name, "--seed", "7", "--quiet", "--json", str(out), *argv]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["params"][key] == want
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_seed_is_accepted_by_every_check(name):
+    # the benchmark's cli-default workload passes --seed to every check
+    assert main(["verify", name, "--n", "2", "--seed", "9", "--quiet"]) == 0
+
+
+def test_initials_demo_with_a_short_bound_is_inconclusive(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["demo", "initials-chain", "--bound", "2", "--quiet", "--json", str(out)]) == 3
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["verdict"] == "inconclusive"
+    assert report["witness"]["union_completion"] == "inconclusive"
+    unresolved = report["witness"]["top_completion"]["witness"]["in_union_but_settled_by_no_stage"]
+    assert "{0, 2, 4, 6, ...}" in unresolved and len(unresolved) > 1
+
+
+def _period(length: int) -> dict:
+    return {"pre": "", "period": "1" + "0" * (length - 1)}
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        # periods 1031 and 1033 are coprime: their window is over a million bits
+        {"gens": [_period(1031), _period(1033)], "candidate": _period(2),
+         "sample_points": [1, 2]},
+        {"gens": [_period(2)], "candidate": _period(3), "sample_points": [10**10]},
+    ],
+)
+def test_join_gap_beyond_the_window_cap_exits_two(tmp_path, capsys, fixture):
+    path = _write(tmp_path, "wide.json", fixture)
+    assert main(["demo", "join-gap", "--fixture", path, "--quiet"]) == 2
+    assert "MAX_WINDOW_BITS" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["chain-completion", "embedding"])
 def test_whole_cube_checks_run_at_four_points(tmp_path, name):
     out = tmp_path / "report.json"

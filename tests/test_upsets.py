@@ -1,10 +1,15 @@
 """Eventually periodic sets: canonical form, Boolean algebra, decisions."""
 
+import operator
+import random
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topcube import UPSet
+from topcube.upsets import MAX_WINDOW_BITS
 
 words = st.text(alphabet="01", min_size=0, max_size=6)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -147,3 +152,87 @@ def test_describe():
     assert UPSet.from_ints([1, 2]).describe() == "{1, 2}"
     text = UPSet.evens().describe(limit=3)
     assert text.startswith("{0, 2, 4") and text.endswith("...}")
+
+
+# -- a per-bit reference over 0/1 strings, independent of the integer code --
+
+def _ref_canonical(pre: str, period: str) -> tuple[str, str]:
+    k = len(period)
+    period = next(period[:d] for d in range(1, k + 1)
+                  if k % d == 0 and period == period[:d] * (k // d))
+    while pre and pre[-1] == period[-1]:
+        period = period[-1] + period[:-1]
+        pre = pre[:-1]
+    return pre, period
+
+
+def _ref_member(spelling, i: int) -> bool:
+    pre, period = spelling
+    if i < len(pre):
+        return pre[i] == "1"
+    return period[(i - len(pre)) % len(period)] == "1"
+
+
+def _ref_combine(s, t, op) -> tuple[str, str]:
+    start = max(len(s[0]), len(t[0]))
+    window = lcm(len(s[1]), len(t[1]))
+    bits = "".join(
+        "1" if op(_ref_member(s, i), _ref_member(t, i)) else "0"
+        for i in range(start + window)
+    )
+    return _ref_canonical(bits[:start], bits[start:])
+
+
+def _ref_flip(word: str) -> str:
+    return word.translate(str.maketrans("01", "10"))
+
+
+def _spellings(seed: int, count: int):
+    """Preperiods of 0-10 bits and periods of 1-40 bits, half of the pairs coprime."""
+    rng = random.Random(seed)
+    word = lambda n: "".join(rng.choice("01") for _ in range(n))  # noqa: E731
+    for _ in range(count):
+        p, q = rng.randint(1, 40), rng.randint(1, 40)
+        while rng.random() < 0.5 and gcd(p, q) != 1:
+            q = rng.randint(1, 40)
+        yield (word(rng.randint(0, 10)), word(p)), (word(rng.randint(0, 10)), word(q))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_long_periods_match_the_per_bit_reference(seed):
+    ops = (
+        (operator.and_, lambda a, b: a and b),
+        (operator.or_, lambda a, b: a or b),
+        (operator.sub, lambda a, b: a and not b),
+    )
+    for x, y in _spellings(seed, 40):
+        s, t = UPSet(*x), UPSet(*y)
+        for spelling, u in ((x, s), (y, t)):
+            assert (u.pre, u.period) == _ref_canonical(*spelling)
+            again = UPSet(u.pre, u.period)
+            assert again == u and hash(again) == hash(u)
+            assert ((~u).pre, (~u).period) == _ref_canonical(*map(_ref_flip, spelling))
+        for op, bit_op in ops:
+            got = op(s, t)
+            assert (got.pre, got.period) == _ref_combine(x, y, bit_op), (x, y, op)
+        meet = _ref_combine(x, y, lambda a, b: a and b)
+        assert (s <= t) == (meet == _ref_canonical(*x))
+
+
+def test_window_cap_refuses_wide_alignments():
+    # coprime periods of 1031 and 1033 bits align on 1,065,023 bits
+    a = UPSet("", "1" + "0" * 1030)
+    b = UPSet("", "1" + "0" * 1032)
+    assert len(a.period) * len(b.period) > MAX_WINDOW_BITS
+    for op in (operator.and_, operator.or_, operator.sub, operator.le):
+        with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+            op(a, b)
+    assert (a & a) == a  # one period aligns with itself on its own window
+
+
+def test_window_cap_refuses_far_points():
+    for make in (lambda: UPSet.singleton(MAX_WINDOW_BITS),
+                 lambda: UPSet.from_ints([3, MAX_WINDOW_BITS + 5])):
+        with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+            make()
+    assert UPSet.singleton(MAX_WINDOW_BITS - 1).members(MAX_WINDOW_BITS) == [MAX_WINDOW_BITS - 1]
