@@ -34,6 +34,7 @@ from .topology import Topology
 
 MAX_PATTERN_COORDS = 10
 INTERVAL_SWEEP_MAX_N = 3  # interval-identity tier one scans the cube once per element
+INTERVAL_SWEEP_STRIDE = 50  # tier two thins its top layer to every 50th generator set
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,15 @@ class Certificate:
         return set_bits(word)
 
 
-def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[Family]]:
+def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[Topology]]:
     """The sorted chosen masks and their atoms {empty, m, everything}."""
-    chosen = sorted({m if isinstance(m, int) else m.mask for m in opens})
+    chosen = sorted(set(opens))
     full = universe.full_mask
     if any(not 0 < m < full for m in chosen):
         raise ValueError("chosen opens must be proper and nonempty")
     if len(chosen) < 2:
         raise ValueError("need at least two chosen opens")
-    return chosen, [Family.from_masks(universe, [0, m, full]) for m in chosen]
+    return chosen, [Topology(Family.from_masks(universe, [0, m, full])) for m in chosen]
 
 
 def atom_closure_expression(universe: GroundSet, opens) -> Certificate:
@@ -115,8 +116,7 @@ def _proper_opens_of(universe: GroundSet, tops) -> list[list[int]]:
     full = universe.full_mask
     proper = []
     for t in tops:
-        fam = t.family if isinstance(t, Topology) else t
-        opens = [m for m in fam.member_masks() if 0 < m < full]
+        opens = [m for m in t.open_masks() if 0 < m < full]
         if not opens:
             raise ValueError("the trivial topology cannot appear in the batch")
         proper.append(opens)
@@ -162,13 +162,12 @@ def disjoint_closure_certificate(universe: GroundSet, tops) -> Report:
     return _sweep_batch(timer, universe, tops)
 
 
-def _sweep_batch(timer: Stopwatch, universe: GroundSet, tops: list) -> Report:
+def _sweep_batch(timer: Stopwatch, universe: GroundSet, tops: list[Topology]) -> Report:
     """Solve a batch's certificate; it must cut out trivial plus each member."""
     cert = disjoint_closure_expression(universe, tops)
     solutions = cert.solve()
     trivial = (1 << 0) | (1 << universe.full_mask)
-    words = [(t.family if isinstance(t, Topology) else t).word for t in tops]
-    expected = {trivial} | {trivial | w for w in words}
+    expected = {trivial} | {trivial | t.family.word for t in tops}
     payload = {
         "conjuncts": cert.conjunct_count,
         "sweep_size": 1 << universe.num_subsets,
@@ -239,7 +238,7 @@ def interval_identity_all(universe: GroundSet, gens) -> Report:
     return timer.report(PASS, notes=[f"{len(members)} elements, both sides agree"])
 
 
-def interval_identity_sweep(universe: GroundSet, max_gens: int = 3, stride: int = 50) -> Report:
+def interval_identity_sweep(universe: GroundSet, max_gens: int = 3) -> Report:
     """Every generated sublattice of bounded generator count, every element.
 
     Two tiers.  First, for every cube element both routes are compared over
@@ -247,8 +246,8 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3, stride: int 
     collection, which settles the identity for every sublattice and element
     at once.  Second, sublattices are materialized and put through the
     literal per-element check: exhaustively for the smaller generator
-    counts, and at the given stride through the top layer when the cube is
-    large enough to need it.  Tier one alone is quadratic in the cube, so
+    counts, and at INTERVAL_SWEEP_STRIDE through the top layer when the cube
+    is large enough to need it.  Tier one alone is quadratic in the cube, so
     the ground set is capped at INTERVAL_SWEEP_MAX_N points.
     """
     if universe.n > INTERVAL_SWEEP_MAX_N:
@@ -268,7 +267,7 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3, stride: int 
     for r in range(1, max_gens + 1):
         thin = r == max_gens and size > 64
         for i, combo in enumerate(combinations(range(size), r)):
-            if thin and i % stride:
+            if thin and i % INTERVAL_SWEEP_STRIDE:
                 continue
             report = interval_identity_all(universe, combo)
             if not report.passed:

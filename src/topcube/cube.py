@@ -52,65 +52,6 @@ class GroundSet:
                 f"exhaustive sweep needs n <= {MAX_SWEEP_POINTS}, got {self.n}"
             )
 
-    def pointset(self, points: Iterable[int]) -> "PointSet":
-        return PointSet.from_points(self, points)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """A subset of a ground set, encoded as an n-bit mask."""
-
-    universe: GroundSet
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.universe.full_mask:
-            raise ValueError(f"mask {self.mask} out of range for n={self.universe.n}")
-
-    @classmethod
-    def from_points(cls, universe: GroundSet, points: Iterable[int]) -> "PointSet":
-        mask = 0
-        for p in points:
-            if not 0 <= p < universe.n:
-                raise ValueError(f"point {p} out of range for n={universe.n}")
-            mask |= 1 << p
-        return cls(universe, mask)
-
-    def points(self) -> list[int]:
-        return [p for p in range(self.universe.n) if (self.mask >> p) & 1]
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __contains__(self, p: int) -> bool:
-        return 0 <= p < self.universe.n and bool((self.mask >> p) & 1)
-
-    def __and__(self, other: "PointSet") -> "PointSet":
-        _same_universe(self, other)
-        return PointSet(self.universe, self.mask & other.mask)
-
-    def __or__(self, other: "PointSet") -> "PointSet":
-        _same_universe(self, other)
-        return PointSet(self.universe, self.mask | other.mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.universe, self.universe.full_mask ^ self.mask)
-
-    def __le__(self, other: "PointSet") -> bool:
-        _same_universe(self, other)
-        return self.mask & other.mask == self.mask
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.mask == self.universe.full_mask
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(map(str, self.points())) + "}"
-
 
 class Family:
     """A set of subsets of the ground set: one point of the cube 2^P(X)."""
@@ -135,24 +76,13 @@ class Family:
             word |= 1 << m
         return cls(universe, word)
 
-    @classmethod
-    def from_pointsets(cls, universe: GroundSet, sets: Iterable[PointSet]) -> "Family":
-        return cls.from_masks(universe, (s.mask for s in sets))
-
     # -- membership ----------------------------------------------------------
 
     def contains_mask(self, mask: int) -> bool:
         return bool((self.word >> mask) & 1)
 
-    def __contains__(self, s: PointSet) -> bool:
-        _same_universe(self, s)
-        return self.contains_mask(s.mask)
-
     def member_masks(self) -> list[int]:
         return [m for m in self.universe.subset_masks() if (self.word >> m) & 1]
-
-    def members(self) -> list[PointSet]:
-        return [PointSet(self.universe, m) for m in self.member_masks()]
 
     def __len__(self) -> int:
         return bin(self.word).count("1")
@@ -175,15 +105,6 @@ class Family:
     __or__ = join
     __le__ = leq
 
-    def __lt__(self, other: "Family") -> bool:
-        return self.word != other.word and self.leq(other)
-
-    def with_mask(self, mask: int) -> "Family":
-        return Family(self.universe, self.word | (1 << mask))
-
-    def without_mask(self, mask: int) -> "Family":
-        return Family(self.universe, self.word & ~(1 << mask))
-
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -194,16 +115,19 @@ class Family:
     def __hash__(self) -> int:
         return hash((self.universe.n, self.word))
 
+    def _member_points(self) -> list[list[int]]:
+        """Each member mask as its increasing list of points."""
+        n = self.universe.n
+        return [[p for p in range(n) if (m >> p) & 1] for m in self.member_masks()]
+
     def __repr__(self) -> str:
-        return f"Family(n={self.universe.n}, {{{', '.join(map(repr, self.members()))}}})"
+        sets = ", ".join("{" + ", ".join(map(str, pts)) + "}" for pts in self._member_points())
+        return f"Family(n={self.universe.n}, {{{sets}}})"
 
     # -- JSON -------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "n": self.universe.n,
-            "sets": [list(s.points()) for s in self.members()],
-        }
+        return {"n": self.universe.n, "sets": self._member_points()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Family":

@@ -336,7 +336,7 @@ def fam_distinct(e1: FamExpr, e2: FamExpr, extra=(), cap: int = 8) -> UPSet | No
     return None
 
 
-def fam_is_topology_sym(e: FamExpr, probes, check: str = "topology-probe") -> Report:
+def fam_is_topology_sym(e: FamExpr, probes) -> Report:
     """Refutation search for the topology axioms on a symbolic family.
 
     Checks that the empty set and the space belong to e; that the listed
@@ -349,7 +349,7 @@ def fam_is_topology_sym(e: FamExpr, probes, check: str = "topology-probe") -> Re
     found, not a proof.
     """
     probes = list(probes)
-    timer = Stopwatch(check, {"expr": e.to_json(), "probe_pairs": len(probes)})
+    timer = Stopwatch("topology-probe", {"expr": e.to_json(), "probe_pairs": len(probes)})
 
     def fail(kind: str, sets: list[UPSet]) -> Report:
         witness = {"kind": kind, "sets": [s.to_json() for s in sets],

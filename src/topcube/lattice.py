@@ -29,6 +29,8 @@ from .famexpr import FamExpr, LatGenSing
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import UPSet
 
+JOIN_WITNESS_SAMPLE = 8  # singletons of the candidate checked for membership
+
 
 def close_words(universe: GroundSet, words) -> frozenset[int]:
     """Close a set of family words under bitwise AND and OR."""
@@ -54,6 +56,9 @@ class FiniteSublattice:
         )
         if not self.words:
             raise ValueError("a sublattice has at least one member")
+        size = 1 << universe.num_subsets
+        if any(not 0 <= w < size for w in self.words):
+            raise ValueError(f"member word out of range for n={universe.n}")
         for w, v in combinations(self.words, 2):
             if (w & v) not in self.words or (w | v) not in self.words:
                 raise ValueError("member collection is not closed under meet/join")
@@ -158,7 +163,7 @@ def join_escape_witness(universe: GroundSet, members) -> frozenset[Family] | Non
     return None
 
 
-def join_completeness_witness(gens, candidate: UPSet, sample: int = 8) -> Report:
+def join_completeness_witness(gens, candidate: UPSet) -> Report:
     """Certify that a singleton-closed generated family misses a join.
 
     The family generated from ``gens`` (nonempty sets whose uncovered part
@@ -173,7 +178,7 @@ def join_completeness_witness(gens, candidate: UPSet, sample: int = 8) -> Report
         raise ValueError("a finite candidate cannot witness a missing join")
     timer = Stopwatch("join-gap-witness", {})
     family = LatGenSing(list(gens))
-    points = candidate.first_members(sample)
+    points = candidate.first_members(JOIN_WITNESS_SAMPLE)
     timer.params.update(generators=len(family.gens), sampled_singletons=points)
     for k in points:
         if not family.contains(UPSet.singleton(k)):

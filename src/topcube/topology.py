@@ -58,9 +58,6 @@ class Topology:
     def open_masks(self) -> list[int]:
         return self.family.member_masks()
 
-    def opens(self):
-        return self.family.members()
-
     def __len__(self) -> int:
         return len(self.family)
 
@@ -91,8 +88,7 @@ class Topology:
 
 def top_generate(universe: GroundSet, subbase) -> Topology:
     """The coarsest topology containing the given subsets."""
-    masks = {s if isinstance(s, int) else s.mask for s in subbase}
-    masks |= {0, universe.full_mask}
+    masks = {0, universe.full_mask, *subbase}
     return Topology(Family.from_masks(universe, close_words(universe, masks)))
 
 

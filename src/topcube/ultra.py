@@ -16,7 +16,7 @@ partition of these topologies according to which singleton fails to be open.
 
 from __future__ import annotations
 
-from .cube import Family, GroundSet, PointSet
+from .cube import Family, GroundSet
 from .report import FAIL, PASS, Report, Stopwatch
 from .topology import Topology
 
@@ -75,9 +75,7 @@ def ultrafilters_avoiding(universe: GroundSet, x: int) -> frozenset[PrincipalUF]
 
 def _removal_map(universe: GroundSet, removed) -> dict[int, int]:
     """Order-preserving relabelling of the points left after the removal."""
-    if isinstance(removed, PointSet):
-        pts = set(removed.points())
-    elif isinstance(removed, int):
+    if isinstance(removed, int):
         pts = {removed}
     else:
         pts = {int(p) for p in removed}
@@ -90,8 +88,8 @@ def _removal_map(universe: GroundSet, removed) -> dict[int, int]:
 def trace(uf: PrincipalUF, removed) -> tuple[PrincipalUF, dict[int, int]]:
     """Restrict an ultrafilter to the ground set without the removed points.
 
-    ``removed`` is a point, an iterable of points, or a PointSet; removing
-    nothing returns the ultrafilter unchanged.  Defined only when the
+    ``removed`` is a point or an iterable of points; removing nothing
+    returns the ultrafilter unchanged.  Defined only when the
     concentration point survives; cutting it away would produce the whole
     powerset of the rest, not an ultrafilter.
     """

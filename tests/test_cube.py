@@ -1,16 +1,18 @@
-"""Ground sets, point sets, and families as points of the big lattice."""
+"""Ground sets, subsets as masks, and families as points of the big lattice."""
 
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topcube import Family, GroundSet, PointSet, enumerate_families
+import topcube
+from topcube import Family, GroundSet, enumerate_families
 from topcube.cube import cube_word, projection_words, set_bits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,33 +37,12 @@ def test_ground_set_validation():
         GroundSet(5).require_sweepable()
 
 
-def test_point_set_basics():
-    a = PointSet.from_points(U3, [0, 2])
-    b = PointSet.from_points(U3, [1, 2])
-    assert len(a) == 2 and 2 in a and 1 not in a
-    assert (a & b).points() == [2]
-    assert (a | b).points() == [0, 1, 2]
-    assert a.complement().points() == [1]
-    assert repr(a) == "{0, 2}"
-    assert not a <= b
-    assert PointSet.from_points(U3, []).is_empty
-    assert PointSet.from_points(U3, [0, 1, 2]).is_full
-    with pytest.raises(ValueError):
-        PointSet.from_points(U3, [3])
-
-
 def test_family_membership():
     f = Family.from_masks(U2, [0b00, 0b11])
     assert f.contains_mask(0) and f.contains_mask(3)
     assert not f.contains_mask(1)
-    assert PointSet.from_points(U2, [0, 1]) in f
     assert len(f) == 2
     assert f.member_masks() == [0, 3]
-
-
-def test_family_from_pointsets():
-    f = Family.from_pointsets(U2, [PointSet.from_points(U2, [0])])
-    assert f.member_masks() == [1]
 
 
 @given(words3, words3)
@@ -107,18 +88,12 @@ def test_enumerate_families_small():
         list(enumerate_families(GroundSet(5)))
 
 
-def test_with_without():
-    f = fam(U2, 0)
-    g = f.with_mask(2)
-    assert g.member_masks() == [2]
-    assert g.without_mask(2) == f
-
-
 def test_family_json_roundtrip():
     f = Family.from_masks(U3, [0, 0b101, 0b111])
     data = f.to_json()
     assert data == {"n": 3, "sets": [[], [0, 2], [0, 1, 2]]}
     assert Family.from_json(data) == f
+    assert repr(f) == "Family(n=3, {{}, {0, 2}, {0, 1, 2}})"
 
 
 def test_family_json_rejections():
@@ -155,6 +130,17 @@ def test_set_bits_lists_the_set_positions(word):
     bits = set_bits(word)
     assert bits == [i for i in range(word.bit_length()) if (word >> i) & 1]
     assert sum(1 << i for i in bits) == word
+
+
+def test_all_lists_the_public_names():
+    names = topcube.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(topcube, name) for name in names)
+    public = {
+        name for name, value in vars(topcube).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(names) == public
 
 
 def _run_python(script: str) -> subprocess.CompletedProcess:

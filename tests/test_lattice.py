@@ -153,6 +153,15 @@ def test_raw_set_missing_join_is_incomplete():
     assert not is_complete_sublattice(U2, fams(U2, 2, 4))
 
 
+def test_sublattice_rejects_words_outside_the_cube():
+    for words in ([99, 3], [16], [-1], [0, 15, 16]):
+        with pytest.raises(ValueError, match="out of range"):
+            FiniteSublattice(U2, words)
+    with pytest.raises(ValueError, match="out of range"):
+        lat_generate(U2, [99, 3])
+    assert FiniteSublattice(U2, [0, 15]).words == {0, 15}
+
+
 def test_singleton_is_complete():
     assert is_complete_sublattice(U2, fams(U2, TRIV2))
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from topcube import (
     Family,
     GroundSet,
-    PointSet,
     Topology,
     all_topologies,
     are_disjoint,
@@ -39,7 +38,10 @@ def fam(universe, *masks):
 
 
 def as_frozensets(universe, family):
-    return frozenset(frozenset(s.points()) for s in family.members())
+    n = universe.n
+    return frozenset(
+        frozenset(p for p in range(n) if (m >> p) & 1) for m in family.member_masks()
+    )
 
 
 # ----------------------------------------------------------------- axioms
@@ -66,7 +68,7 @@ def test_topology_wrapper_validates():
 
 
 def test_topology_json_round_trip():
-    t = top_generate(U3, [PointSet.from_points(U3, [0])])
+    t = top_generate(U3, [0b001])
     data = t.to_json()
     assert data["topology"] is True
     assert Topology.from_json(data) == t
@@ -88,12 +90,12 @@ def test_generate_from_nothing_is_trivial():
 
 
 def test_generate_single_point_open():
-    t = top_generate(U2, [PointSet.from_points(U2, [0])])
+    t = top_generate(U2, [0b01])
     assert sorted(t.open_masks()) == [0, 1, 3]
 
 
 def test_generate_all_singletons_is_discrete():
-    subbase = [PointSet.from_points(U3, [i]) for i in range(3)]
+    subbase = [1 << i for i in range(3)]
     assert top_generate(U3, subbase) == Topology.discrete(U3)
 
 

@@ -5,7 +5,6 @@ import pytest
 from topcube import (
     Family,
     GroundSet,
-    PointSet,
     PrincipalUF,
     all_ultrafilters,
     all_ultratopologies,
@@ -78,13 +77,13 @@ def test_trace_single_point():
 
 def test_trace_of_nothing_is_identity():
     uf = PrincipalUF(U3, 1)
-    tr, remap = trace(uf, PointSet.from_points(U3, []))
+    tr, remap = trace(uf, [])
     assert tr == uf
     assert remap == {0: 0, 1: 1, 2: 2}
 
 
 def test_trace_of_point_set():
-    tr, remap = trace(PrincipalUF(U4, 3), PointSet.from_points(U4, [0, 2]))
+    tr, remap = trace(PrincipalUF(U4, 3), [0, 2])
     assert tr == PrincipalUF(U2, 1)
     assert remap == {1: 0, 3: 1}
 
