@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .cube import Family, GroundSet, cube_word, projection_words, set_bits
 from .famexpr import FamExpr, fam_distinct
-from .lattice import FiniteSublattice, _entry_stages, lat_generate
+from .lattice import OmegaChain, _entry_stages, lat_generate
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .topology import Topology
 
@@ -210,20 +210,6 @@ def _interval_mismatch(universe: GroundSet, members: list[int], x: int):
     return None
 
 
-def interval_identity_check(p: FiniteSublattice, x) -> Report:
-    """One sublattice element: order route versus condition route."""
-    word = x.word if isinstance(x, Family) else int(x)
-    timer = Stopwatch(
-        "interval-identity", {"n": p.universe.n, "sublattice": len(p), "element": word}
-    )
-    if word not in p.words:
-        raise ValueError("the probed element must belong to the sublattice")
-    problem = _interval_mismatch(p.universe, sorted(p.words), word)
-    if problem:
-        return timer.report(FAIL, problem)
-    return timer.report(PASS, notes=["order and condition routes agree on both sides"])
-
-
 def interval_identity_all(universe: GroundSet, gens) -> Report:
     """One generated sublattice: both routes compared at every element."""
     words = sorted({g.word if isinstance(g, Family) else int(g) for g in gens})
@@ -391,46 +377,24 @@ def limit_vs_union_check(limit: FamExpr, union: FamExpr, coords) -> Report:
     return timer.report(PASS, notes=["limit and union agree on the whole probe pool"])
 
 
-def ordinal_homeo_check(chain, coords=(), depth: int = 16, union: FamExpr = None) -> Report:
+def ordinal_homeo_check(chain: OmegaChain, coords=(), depth: int = 16) -> Report:
     """Sampled evidence that stages plus their top form one convergent ladder.
 
-    A finite list of families has no limit position: it only needs to be
-    totally ordered, and the check passes vacuously.  For an increasing
-    symbolic chain the declared union is the element sitting above all the
+    The chain's declared union is the element sitting above all the
     stages, and the check wants, on the probe pool: strictly increasing
     stages (each step gains a coordinate), and every coordinate's
     membership locking to the top's value within the depth.  Entry
     witnesses double as isolation certificates: the coordinate gained at
     step i is absent from all earlier stages and present in all later ones.
-
-    When the exact stage union is supplied as ``union``, coordinates where
-    the declared top disagrees with it are definite refutations -- the top
-    is then not the union of its predecessors -- instead of staying
-    undecided at the depth bound.  The stages are walked before any
-    verdict, so a coordinate dropped anywhere within the depth raises, as
-    does a depth below 1.
+    The stages are walked before any verdict, so a coordinate dropped
+    anywhere within the depth raises, as does a depth below 1.  Whether the
+    top is the plain union of its stages is ``limit_vs_union_check``'s
+    question.
     """
-    if isinstance(chain, (list, tuple)):
-        words = [f.word for f in chain]
-        timer = Stopwatch("ordinal-ladder", {"length": len(words)})
-        if any((w & v) not in (w, v) for w, v in combinations(words, 2)):
-            raise ValueError("finite input is not totally ordered")
-        return timer.report(
-            PASS, notes=["finite chain has no limit position; nothing to compare"]
-        )
-    if not chain.increasing:
-        raise ValueError("the ladder check needs an increasing chain")
     top = chain.union
     coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
     timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth})
     entries = _entry_stages([chain.rule(i) for i in range(depth)], coords)
-
-    if union is not None:
-        differing = [w for w in coords if top.contains(w) != union.contains(w)]
-        if differing:
-            return timer.report(FAIL, {
-                "limit_not_union_of_predecessors": [w.describe() for w in differing]
-            })
 
     for i in range(depth - 1):
         if i + 1 not in entries:

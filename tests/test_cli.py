@@ -1,6 +1,9 @@
 """Exit codes, JSON output, and the pinned report shape."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,9 +13,11 @@ from hypothesis import strategies as st
 
 from topcube import GroundSet, subbase_correspondence_check
 from topcube.cli import CHECKS, DEMOS, load_fixture, main
+from topcube.demos import MAX_STAGES
 from topcube.report import INCONCLUSIVE, Stopwatch
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_passing_check_exits_zero(capsys):
@@ -118,6 +123,8 @@ def test_zero_depth_fixture_exits_two(tmp_path, capsys):
         ("initials-chain", "depth", "3"),
         ("join-gap", "sample_points", ["a"]),
         ("powerset-chain", "depth", 0),
+        ("initials-chain", "depth", MAX_STAGES + 1),
+        ("powerset-chain", "depth", MAX_STAGES + 1),
     ],
 )
 def test_bad_demo_scalar_exits_two(tmp_path, capsys, demo, key, value):
@@ -212,6 +219,40 @@ def test_initials_demo_with_a_short_bound_is_inconclusive(tmp_path):
     assert report["witness"]["union_completion"] == "inconclusive"
     unresolved = report["witness"]["top_completion"]["witness"]["in_union_but_settled_by_no_stage"]
     assert "{0, 2, 4, 6, ...}" in unresolved and len(unresolved) > 1
+
+
+def test_stage_bound_is_capped(capsys):
+    assert main(["demo", "initials-chain", "--bound", str(MAX_STAGES), "--quiet"]) == 0
+    assert main(["demo", "initials-chain", "--bound", str(MAX_STAGES + 1), "--quiet"]) == 2
+    assert f"MAX_STAGES = {MAX_STAGES}" in capsys.readouterr().err
+
+
+def test_chain_completion_bound_is_clamped_to_the_longest_chain(tmp_path):
+    # a chain of distinct families on one point has at most 2^1 + 1 members;
+    # an unclamped sweep over a million lengths runs for minutes
+    out = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = ["verify", "chain-completion", "--n", "1", "--quiet", "--json", str(out)]
+    done = subprocess.run([sys.executable, "-m", "topcube", *argv, "--bound", "1000000"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["params"]["max_len"] == 1000000
+    assert report["notes"] == ["exhaustive: 11 chains of length at most 1000000"]
+
+
+# the four ultrafilter checks have nothing to examine on one point
+_AT_ONE_POINT = {"interval-identity": 0, "chain-completion": 0, "atom-closure": 2,
+                 "disjoint-closure": 2, "trace-reconstruction": 2, "trace-bijection": 2,
+                 "subbase-correspondence": 2, "ultra-cover": 2, "embedding": 0}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_check_at_one_point(capsys, name):
+    assert main(["verify", name, "--n", "1", "--quiet"]) == _AT_ONE_POINT[name]
+    if name.startswith(("trace-", "subbase-", "ultra-")):
+        assert "at least 2 points" in capsys.readouterr().err
 
 
 def _period(length: int) -> dict:

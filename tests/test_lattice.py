@@ -18,7 +18,6 @@ from topcube import (
     chain_completion_finite,
     chain_completion_omega,
     is_complete_sublattice,
-    is_join_complete_family_set,
     join_completeness_witness,
     join_escape_witness,
     lat_generate,
@@ -144,7 +143,7 @@ def test_relations_match_comparability_filter(n):
 def test_generated_lattices_are_complete():
     for words in ([2, 4], [1, 9, 11], [7], [3, 5, 10]):
         lat = lat_generate(U2, fams(U2, *words))
-        assert is_complete_sublattice(U2, lat.families())
+        assert is_complete_sublattice(U2, lat.words)
 
 
 def test_raw_set_missing_join_is_incomplete():
@@ -167,9 +166,9 @@ def test_singleton_is_complete():
 
 
 def test_join_complete_examples():
-    assert not is_join_complete_family_set(U2, fams(U2, 0, 2, 4))
-    assert is_join_complete_family_set(U2, fams(U2, 1, 9))
-    assert is_join_complete_family_set(U2, fams(U2, *range(16)))
+    assert join_escape_witness(U2, fams(U2, 0, 2, 4)) is not None
+    assert join_escape_witness(U2, fams(U2, 1, 9)) is None
+    assert join_escape_witness(U2, fams(U2, *range(16))) is None
 
 
 def test_join_escape_witness():
@@ -218,7 +217,7 @@ def test_random_chains_are_chains():
 
 def test_completion_check_passes():
     assert chain_completion_check(U2, max_len=4).passed
-    assert chain_completion_check(U3, seed=3, samples=50).passed
+    assert chain_completion_check(U3, seed=3).passed
 
 
 # ------------------------------------------------------------ omega chains
@@ -280,13 +279,6 @@ def test_omega_rejects_bound_zero():
     stage, union, _ = initials_chain({"enum": EVENS.to_json()})
     with pytest.raises(ValueError, match="at least one stage"):
         chain_completion_omega(OmegaChain(stage, union), [ODDS], 0)
-
-
-def test_omega_requires_increasing_flag():
-    rule = lambda m: Explicit([NATS])
-    chain = OmegaChain(rule, Explicit([NATS]), increasing=False)
-    with pytest.raises(ValueError):
-        chain_completion_omega(chain, [NATS], 4)
 
 
 # --------------------------------------------------------- missing joins
