@@ -7,8 +7,9 @@ whose solution sets are, provably, small named collections (the trivial
 topology plus the one-step topologies; a pairwise-disjoint batch of
 topologies plus the trivial one), solves them over the whole cube as
 clopen words (``cube.projection_words``), checks the two evaluation routes
-for order intervals against each other, and provides sampled limit-point
-and convergence probes for symbolic families.
+for order intervals against each other (the families above and below x as
+carry-free products, and as ANDs of projection words), and provides sampled
+limit-point and convergence probes for symbolic families.
 
 The chosen atoms {empty, m, everything} are themselves a pairwise-disjoint
 batch in which each topology has one proper open, so the atom certificate
@@ -24,17 +25,27 @@ ValueError on a dropped coordinate or an empty stage list (depth below 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
-from .cube import Family, GroundSet, cube_word, projection_words, set_bits
+from .cube import (
+    Family,
+    GroundSet,
+    cube_word,
+    family_word,
+    interval_words,
+    projection_words,
+    set_bits,
+)
 from .famexpr import FamExpr, fam_distinct
 from .lattice import OmegaChain, _entry_stages, lat_generate
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .topology import Topology
 
 MAX_PATTERN_COORDS = 10
-INTERVAL_SWEEP_MAX_N = 3  # interval-identity tier one scans the cube once per element
+INTERVAL_SWEEP_MAX_N = 3  # interval-identity tier two walks generator tuples: 2^31 pairs at n=4
 INTERVAL_SWEEP_STRIDE = 50  # tier two thins its top layer to every 50th generator set
+ROUTE_CACHE_SIZE = 1024  # elements memoised per interval route: all 256 at n=3, ~32 MB at n=4
 
 
 @dataclass(frozen=True)
@@ -183,58 +194,89 @@ def _sweep_batch(timer: Stopwatch, universe: GroundSet, tops: list[Topology]) ->
     return timer.report(FAIL, {"symmetric_difference_words": diff, **payload})
 
 
-def _interval_mismatch(universe: GroundSet, members: list[int], x: int):
-    """The first disagreement between the order and condition routes at x.
+def _subcube(y: int) -> int:
+    """The word with bit g set for every g that is a subset of y's bits.
 
-    The members above x must be exactly the members containing every set
-    that x contains, and the members below x exactly those omitting every
-    set that x omits.  Both sides are computed by scans through
-    independent code paths.
+    It is the product over the bits b of y of (1 + 2^(2^b)).  The product is
+    carry-free: each factor ORs a copy of the word, shifted past its
+    highest set bit, onto itself.
     """
-    nm = universe.num_subsets
-    inside = [a for a in range(nm) if (x >> a) & 1]
-    outside = [a for a in range(nm) if not (x >> a) & 1]
-    sides = (
-        ("up", [f for f in members if (f & x) == x],
-         [f for f in members if all((f >> a) & 1 for a in inside)]),
-        ("down", [f for f in members if (f & x) == f],
-         [f for f in members if all(not (f >> a) & 1 for a in outside)]),
-    )
-    for side, by_order, by_cond in sides:
-        if by_order != by_cond:
-            return {
-                "element": x,
-                "side": side,
-                "difference_words": sorted(set(by_order) ^ set(by_cond))[:8],
-            }
+    word, b = 1, 0
+    while y:
+        if y & 1:
+            word |= word << (1 << b)
+        y >>= 1
+        b += 1
+    return word
+
+
+@lru_cache(maxsize=ROUTE_CACHE_SIZE)
+def _order_route(n: int, x: int) -> tuple[int, int]:
+    """(up, down): the cube words of the families above and below x, by arithmetic.
+
+    Below x are the subwords of x, P(x); above x are x joined with each
+    subword of its complement, P(not x) shifted up by x.
+    """
+    return _subcube(((1 << (1 << n)) - 1) ^ x) << x, _subcube(x)
+
+
+@lru_cache(maxsize=ROUTE_CACHE_SIZE)
+def _cond_route(n: int, x: int) -> tuple[int, int]:
+    """(up, down): the same two words, by the subbasic conditions.
+
+    Up is "contains every set in x", the AND of HAS[a] over a in x; down is
+    "omits every set outside x", the AND of not HAS[a] over the rest.
+    """
+    return interval_words(GroundSet(n), x)
+
+
+def _interval_mismatch(n: int, members: int, elements) -> dict | None:
+    """The first disagreement between the order and condition routes.
+
+    ``members`` is the collection as a cube word.  At each element x, the
+    members above x by order must be exactly the members containing every
+    set that x contains, and the members below x exactly those omitting
+    every set that x omits.  The two routes share no code: one builds the
+    subcube below a word by carry-free products, the other ANDs projection
+    words.
+    """
+    for x in elements:
+        up_order, down_order = _order_route(n, x)
+        up_cond, down_cond = _cond_route(n, x)
+        for side, diff in (("up", up_order ^ up_cond), ("down", down_order ^ down_cond)):
+            diff &= members
+            if diff:
+                return {"element": x, "side": side, "difference_words": set_bits(diff)[:8]}
     return None
 
 
 def interval_identity_all(universe: GroundSet, gens) -> Report:
     """One generated sublattice: both routes compared at every element."""
-    words = sorted({g.word if isinstance(g, Family) else int(g) for g in gens})
+    words = sorted({family_word(universe, g) for g in gens})
     timer = Stopwatch("interval-identity", {"n": universe.n, "gens": words})
-    fams = [Family(universe, w) for w in words]
-    members = sorted(lat_generate(universe, fams).words)
+    members = sorted(lat_generate(universe, words).words)
     timer.params["sublattice"] = len(members)
-    for x in members:
-        problem = _interval_mismatch(universe, members, x)
-        if problem:
-            return timer.report(FAIL, problem)
+    member_word = 0
+    for w in members:
+        member_word |= 1 << w
+    problem = _interval_mismatch(universe.n, member_word, members)
+    if problem:
+        return timer.report(FAIL, problem)
     return timer.report(PASS, notes=[f"{len(members)} elements, both sides agree"])
 
 
 def interval_identity_sweep(universe: GroundSet, max_gens: int = 3) -> Report:
     """Every generated sublattice of bounded generator count, every element.
 
-    Two tiers.  First, for every cube element both routes are compared over
-    the whole cube; equality there is preserved by restriction to any member
-    collection, which settles the identity for every sublattice and element
-    at once.  Second, sublattices are materialized and put through the
-    literal per-element check: exhaustively for the smaller generator
-    counts, and at INTERVAL_SWEEP_STRIDE through the top layer when the cube
-    is large enough to need it.  Tier one alone is quadratic in the cube, so
-    the ground set is capped at INTERVAL_SWEEP_MAX_N points.
+    Two tiers.  First, at every cube element both routes are compared over
+    the whole cube: one XOR of two words per side.  Equality there is
+    preserved by restriction to any member collection, which settles the
+    identity for every sublattice and element at once.  Second, sublattices
+    are materialized and put through the literal per-element check on their
+    own member word: exhaustively for the smaller generator counts, and at
+    INTERVAL_SWEEP_STRIDE through the top layer when the cube is large
+    enough to need it.  Tier two enumerates generator tuples of the cube,
+    so the ground set is capped at INTERVAL_SWEEP_MAX_N points.
     """
     if universe.n > INTERVAL_SWEEP_MAX_N:
         raise ValueError(
@@ -243,11 +285,9 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3) -> Report:
     timer = Stopwatch("interval-identity", {"n": universe.n, "max_gens": max_gens})
     size = 1 << universe.num_subsets
 
-    cube = list(range(size))
-    for x in cube:
-        problem = _interval_mismatch(universe, cube, x)
-        if problem:
-            return timer.report(FAIL, {**problem, "scope": "whole cube"})
+    problem = _interval_mismatch(universe.n, cube_word(universe), range(size))
+    if problem:
+        return timer.report(FAIL, {**problem, "scope": "whole cube"})
 
     materialized = 0
     for r in range(1, max_gens + 1):

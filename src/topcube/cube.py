@@ -193,6 +193,43 @@ def _projection_words(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def interval_words(universe: GroundSet, x: int) -> tuple[int, int]:
+    """The families above and below family word x, as clopen words (n <= 4 only).
+
+    A family is above x when it contains every set in x: the AND over a in x
+    of HAS[a].  It is below x when it omits every set outside x: the AND over
+    a not in x of the complement of HAS[a].
+    """
+    has = projection_words(universe)
+    full = cube_word(universe)
+    up = down = full
+    for a, h in enumerate(has):
+        if (x >> a) & 1:
+            up &= h
+        else:
+            down &= full ^ h
+    return up, down
+
+
+def family_word(universe: GroundSet, member) -> int:
+    """The word of a Family, or of an int, as a family of this ground set.
+
+    A Family must live on this ground set, and an int must be a word of it
+    (0 <= w < 2^(2^n)); anything else raises ValueError rather than being
+    read as a family of another size.
+    """
+    if isinstance(member, Family):
+        if member.universe != universe:
+            raise ValueError(
+                f"a family of the n={member.universe.n} ground set given for n={universe.n}"
+            )
+        return member.word
+    word = int(member)
+    if not 0 <= word < 1 << universe.num_subsets:
+        raise ValueError(f"member word {word} out of range for n={universe.n}")
+    return word
+
+
 def set_bits(word: int) -> list[int]:
     """The positions of the set bits of a nonnegative word, increasing."""
     bits = bin(word)[:1:-1]  # bit i at index i

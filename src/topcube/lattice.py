@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .cube import Family, GroundSet, cube_word, projection_words, set_bits
+from .cube import Family, GroundSet, cube_word, family_word, interval_words, set_bits
 from .famexpr import FamExpr, LatGenSing
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import UPSet
@@ -35,35 +35,49 @@ CHAIN_SAMPLES = 100  # seeded random chains drawn by chain_completion_check at n
 
 
 def close_words(universe: GroundSet, words) -> frozenset[int]:
-    """Close a set of family words under bitwise AND and OR."""
-    pool = set(words)
-    frontier = list(pool)
-    while frontier:
-        w = frontier.pop()
-        for v in list(pool):
-            for u in (w & v, w | v):
-                if u not in pool:
-                    pool.add(u)
-                    frontier.append(u)
-    return frozenset(pool)
+    """Close a set of family words under bitwise AND and OR.
+
+    Words under AND and OR form a distributive lattice, so the sublattice
+    generated by G is the set of joins of meets of G: by distributivity the
+    meet of two such joins is the join of the pairwise meets of their
+    parts, again a join of meets.  Adding one word g to a set M closed under
+    an operation o keeps it closed once the words g o m (m in M) join it,
+    so the meets are built one generator at a time, then their joins the
+    same way.
+    """
+    meets: set[int] = set()
+    for g in set(words):
+        if g not in meets:
+            meets.update([g & m for m in meets])
+            meets.add(g)
+    joins: set[int] = set()
+    for g in meets:
+        if g not in joins:
+            joins.update([g | j for j in joins])
+            joins.add(g)
+    return frozenset(joins)
 
 
 class FiniteSublattice:
     """A finite collection of families closed under meet and join."""
 
     def __init__(self, universe: GroundSet, members):
-        self.universe = universe
-        self.words = frozenset(
-            m.word if isinstance(m, Family) else int(m) for m in members
-        )
-        if not self.words:
+        words = frozenset(family_word(universe, m) for m in members)
+        if not words:
             raise ValueError("a sublattice has at least one member")
-        size = 1 << universe.num_subsets
-        if any(not 0 <= w < size for w in self.words):
-            raise ValueError(f"member word out of range for n={universe.n}")
-        for w, v in combinations(self.words, 2):
-            if (w & v) not in self.words or (w | v) not in self.words:
+        for w, v in combinations(words, 2):
+            if (w & v) not in words or (w | v) not in words:
                 raise ValueError("member collection is not closed under meet/join")
+        self.universe = universe
+        self.words = words
+
+    @classmethod
+    def _closed(cls, universe: GroundSet, words: frozenset[int]) -> "FiniteSublattice":
+        """Wrap words that ``close_words`` has just closed, without re-checking."""
+        lat = cls.__new__(cls)
+        lat.universe = universe
+        lat.words = words
+        return lat
 
     def __contains__(self, fam: Family) -> bool:
         return fam.universe.n == self.universe.n and fam.word in self.words
@@ -71,11 +85,10 @@ class FiniteSublattice:
 
 def lat_generate(universe: GroundSet, gens) -> FiniteSublattice:
     """The smallest meet/join-closed collection containing the generators."""
-    gens = list(gens)
-    if not gens:
+    words = [family_word(universe, g) for g in gens]
+    if not words:
         raise ValueError("need at least one generating family")
-    words = [g.word if isinstance(g, Family) else int(g) for g in gens]
-    return FiniteSublattice(universe, close_words(universe, words))
+    return FiniteSublattice._closed(universe, close_words(universe, words))
 
 
 def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
@@ -91,16 +104,9 @@ def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
         raise ValueError("comparability needs a nonempty collection")
     if any(f.universe != universe for f in fams):
         raise ValueError(f"every family must live on the n={universe.n} ground set")
-    full = cube_word(universe)
-    has = projection_words(universe)
-    word = full
+    word = cube_word(universe)
     for w in {f.word for f in fams}:
-        up = down = full
-        for a, h in enumerate(has):
-            if (w >> a) & 1:
-                up &= h
-            else:
-                down &= full ^ h
+        up, down = interval_words(universe, w)
         word &= up | down
     return frozenset(Family(universe, g) for g in set_bits(word))
 
@@ -111,7 +117,7 @@ def is_complete_sublattice(universe: GroundSet, members) -> bool:
     Exists to cross-check the closure constructor: on finite collections
     this coincides with binary closure, and the test suite leans on that.
     """
-    words = sorted(m.word if isinstance(m, Family) else int(m) for m in members)
+    words = sorted(family_word(universe, m) for m in members)
     pool = set(words)
     if not pool:
         return False
@@ -128,7 +134,7 @@ def is_complete_sublattice(universe: GroundSet, members) -> bool:
 
 def join_escape_witness(universe: GroundSet, members) -> frozenset[Family] | None:
     """A subcollection whose union escapes, or None when join-complete."""
-    fams = [m if isinstance(m, Family) else Family(universe, int(m)) for m in members]
+    fams = [Family(universe, family_word(universe, m)) for m in members]
     pool = {f.word for f in fams}
     for r in range(2, len(fams) + 1):
         for combo in combinations(fams, r):

@@ -25,6 +25,7 @@ from topcube import (
     ordinal_homeo_check,
     sequence_convergence_check,
 )
+from topcube import certificates
 from topcube.demos import initials_chain, growing_core_chain, nested_initial_chain
 
 U2 = GroundSet(2)
@@ -198,6 +199,66 @@ def test_interval_identity_sweep_two_points():
     report = interval_identity_sweep(U2, max_gens=2)
     assert report.passed
     assert "16 cube elements" in report.notes[0]
+    assert report.notes[1] == "136 generated sublattices re-checked literally"  # 16 + C(16, 2)
+
+
+def test_interval_identity_sweep_work_at_three_points():
+    # pins how much the sweep checks, so that a faster sweep cannot check less
+    report = interval_identity_sweep(U3)
+    assert report.passed
+    assert "all 256 cube elements" in report.notes[0]
+    assert report.notes[1] == "88167 generated sublattices re-checked literally"
+
+
+def _word(fams):
+    return sum(1 << f for f in fams)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_interval_routes_match_their_definitions(n):
+    cube = range(1 << (1 << n))
+    for x in cube:
+        inside = [a for a in range(1 << n) if (x >> a) & 1]
+        outside = [a for a in range(1 << n) if not (x >> a) & 1]
+        assert certificates._order_route(n, x) == (
+            _word(f for f in cube if f & x == x),
+            _word(f for f in cube if f & x == f),
+        ), x
+        assert certificates._cond_route(n, x) == (
+            _word(f for f in cube if all((f >> a) & 1 for a in inside)),
+            _word(f for f in cube if not any((f >> a) & 1 for a in outside)),
+        ), x
+
+
+@pytest.mark.parametrize(
+    "route, side",
+    [("_order_route", "up"), ("_cond_route", "down")],
+)
+def test_interval_identity_fails_when_a_route_drops_a_bit(monkeypatch, route, side):
+    real = getattr(certificates, route)
+
+    def dropped(n, x):
+        up, down = real(n, x)
+        if side == "up":
+            return up & ~(1 << x), down
+        return up, down & ~(1 << x)
+
+    monkeypatch.setattr(certificates, route, dropped)
+    report = interval_identity_all(U2, [9, 11, 13, 15])
+    assert report.verdict == "fail"
+    assert report.witness == {"element": 9, "side": side, "difference_words": [9]}
+    report = interval_identity_sweep(U2)
+    assert report.verdict == "fail"
+    assert report.witness == {
+        "element": 0, "side": side, "difference_words": [0], "scope": "whole cube",
+    }
+
+
+def test_interval_identity_rejects_a_family_of_another_ground_set():
+    with pytest.raises(ValueError, match="n=2 ground set given for n=3"):
+        interval_identity_all(U3, [Family(U2, 5), Family(U2, 9)])
+    with pytest.raises(ValueError, match="out of range"):
+        interval_identity_all(U2, [16])
 
 
 # ------------------------------------------------------------- limit points

@@ -24,7 +24,7 @@ from topcube import (
     relations_set,
 )
 from topcube.demos import growing_core_chain, initials_chain
-from topcube.lattice import random_chain
+from topcube.lattice import close_words, random_chain
 
 U2 = GroundSet(2)
 U3 = GroundSet(3)
@@ -88,6 +88,35 @@ def test_generate_is_least_closed_superset(words):
     extras = lat.words - set(words)
     for w in extras:
         assert not is_complete_sublattice(U3, fams(U3, *(lat.words - {w})))
+
+
+def _naive_closure(words):
+    pool = set(words)
+    while True:
+        grown = pool | {op for w in pool for v in pool for op in (w & v, w | v)}
+        if grown == pool:
+            return pool
+        pool = grown
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_close_words_matches_a_naive_fixpoint(n):
+    universe = GroundSet(n)
+    size = 1 << universe.num_subsets
+    rng = random.Random(n)
+    cases = [[rng.randrange(size)], [0, size - 1], [3 % size] * 3]
+    for _ in range(30):
+        words = [rng.randrange(size) for _ in range(rng.randint(1, 5))]
+        cases.append(words + words[:2])  # duplicates
+    for _ in range(10):
+        # top_generate-style: subset masks with the empty and the full set
+        masks = rng.sample(range(1 << n), rng.randint(1, min(4, 1 << n)))
+        cases.append([0, universe.full_mask, *masks])
+    closed = sorted(_naive_closure(cases[3]))
+    cases.append(closed)  # already closed, in any order
+    cases.append(closed[::-1])
+    for words in cases:
+        assert close_words(universe, words) == _naive_closure(words), words
 
 
 # ------------------------------------------------------------ relations_set
@@ -159,6 +188,15 @@ def test_sublattice_rejects_words_outside_the_cube():
     with pytest.raises(ValueError, match="out of range"):
         lat_generate(U2, [99, 3])
     assert FiniteSublattice(U2, [0, 15]).words == {0, 15}
+
+
+@pytest.mark.parametrize(
+    "build", [lat_generate, FiniteSublattice, is_complete_sublattice, join_escape_witness]
+)
+def test_family_of_another_ground_set_is_refused(build):
+    with pytest.raises(ValueError, match="n=2 ground set given for n=3"):
+        build(U3, [Family(U2, 5)])
+    build(U2, [Family(U2, 5)])
 
 
 def test_singleton_is_complete():
