@@ -38,7 +38,7 @@ from .cube import (
     set_bits,
 )
 from .famexpr import FamExpr, fam_distinct
-from .lattice import OmegaChain, _entry_stages, lat_generate
+from .lattice import OmegaChain, _entry_stages, _generated
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .topology import Topology
 
@@ -251,10 +251,15 @@ def _interval_mismatch(n: int, members: int, elements) -> dict | None:
 
 
 def interval_identity_all(universe: GroundSet, gens) -> Report:
-    """One generated sublattice: both routes compared at every element."""
+    """One generated sublattice: both routes compared at every element.
+
+    Both routes build words over the whole cube, so the ground set is
+    refused above sweep size before any of them is built.
+    """
+    universe.require_sweepable()
     words = sorted({family_word(universe, g) for g in gens})
     timer = Stopwatch("interval-identity", {"n": universe.n, "gens": words})
-    members = sorted(lat_generate(universe, words).words)
+    members = sorted(_generated(universe, words).words)
     timer.params["sublattice"] = len(members)
     member_word = 0
     for w in members:

@@ -71,24 +71,27 @@ class FiniteSublattice:
         self.universe = universe
         self.words = words
 
-    @classmethod
-    def _closed(cls, universe: GroundSet, words: frozenset[int]) -> "FiniteSublattice":
-        """Wrap words that ``close_words`` has just closed, without re-checking."""
-        lat = cls.__new__(cls)
-        lat.universe = universe
-        lat.words = words
-        return lat
-
     def __contains__(self, fam: Family) -> bool:
         return fam.universe.n == self.universe.n and fam.word in self.words
 
 
 def lat_generate(universe: GroundSet, gens) -> FiniteSublattice:
     """The smallest meet/join-closed collection containing the generators."""
-    words = [family_word(universe, g) for g in gens]
+    return _generated(universe, [family_word(universe, g) for g in gens])
+
+
+def _generated(universe: GroundSet, words: list[int]) -> FiniteSublattice:
+    """``lat_generate`` on words already checked to be families of ``universe``.
+
+    What ``close_words`` returns is closed by construction, so it is wrapped
+    without the constructor's pairwise re-check.
+    """
     if not words:
         raise ValueError("need at least one generating family")
-    return FiniteSublattice._closed(universe, close_words(universe, words))
+    lat = FiniteSublattice.__new__(FiniteSublattice)
+    lat.universe = universe
+    lat.words = close_words(universe, words)
+    return lat
 
 
 def relations_set(universe: GroundSet, collection) -> frozenset[Family]:

@@ -170,13 +170,15 @@ def test_sweeps_refuse_five_points_before_allocating():
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
         from topcube import Certificate, Family, GroundSet, SubbasicCond
-        from topcube import all_topologies, count_topologies, relations_set
+        from topcube import all_topologies, count_topologies, interval_identity_all
+        from topcube import relations_set
         U5 = GroundSet(5)
         calls = [
             lambda: Certificate(U5, [(SubbasicCond(0, True),)]).solve(),
             lambda: relations_set(U5, [Family(U5, 1)]),
             lambda: count_topologies(U5),
             lambda: all_topologies(U5),
+            lambda: interval_identity_all(U5, [1, 2]),
         ]
         for call in calls:
             try:
@@ -186,4 +188,4 @@ def test_sweeps_refuse_five_points_before_allocating():
                 print(exc)
     """)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["exhaustive sweep needs n <= 4, got 5"] * 4
+    assert out.stdout.splitlines() == ["exhaustive sweep needs n <= 4, got 5"] * 5
