@@ -34,7 +34,7 @@ JOIN_WITNESS_SAMPLE = 8  # singletons of the candidate checked for membership
 CHAIN_SAMPLES = 100  # seeded random chains drawn by chain_completion_check at n >= 3
 
 
-def close_words(universe: GroundSet, words) -> frozenset[int]:
+def close_words(words) -> frozenset[int]:
     """Close a set of family words under bitwise AND and OR.
 
     Words under AND and OR form a distributive lattice, so the sublattice
@@ -90,7 +90,7 @@ def _generated(universe: GroundSet, words: list[int]) -> FiniteSublattice:
         raise ValueError("need at least one generating family")
     lat = FiniteSublattice.__new__(FiniteSublattice)
     lat.universe = universe
-    lat.words = close_words(universe, words)
+    lat.words = close_words(words)
     return lat
 
 

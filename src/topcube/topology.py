@@ -8,11 +8,20 @@ counting, atoms of the topology lattice, disjointness, and moving a topology
 along an inclusion of ground sets.  Counting and listing read Top(X) as one
 clopen word of the cube (``topology_word``); ``is_topology_word`` stays the
 per-family validator behind ``Topology``.
+
+Adding a point p to the ground set maps family word w to the word of the
+subsets whose trace on the old points lies in w: ``w | (w << 2^p)``.
+``embedding_check`` audits that map on integers alone: it validates each
+image, checks injectivity with a set, and compares inclusion bit-sliced,
+one row per topology holding the topologies above it, built by ANDing one
+column per subset (the topologies containing it).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 from .cube import Family, GroundSet, cube_word, projection_words, set_bits
 from .lattice import close_words
@@ -86,10 +95,23 @@ class Topology:
         return cls(Family.from_json(payload))
 
 
+def _certified(universe: GroundSet, word: int) -> Topology:
+    """A Topology on a word its caller has already proved to be a topology.
+
+    ``topology_word`` certifies its set bits, and a closure of {empty set,
+    whole set, ...} under AND and OR is a topology by construction, so the
+    axioms are not checked a second time.
+    """
+    top = Topology.__new__(Topology)
+    top.family = Family(universe, word)
+    top.universe = universe
+    return top
+
+
 def top_generate(universe: GroundSet, subbase) -> Topology:
     """The coarsest topology containing the given subsets."""
-    masks = {0, universe.full_mask, *subbase}
-    return Topology(Family.from_masks(universe, close_words(universe, masks)))
+    closed = close_words({0, universe.full_mask, *subbase})
+    return _certified(universe, Family.from_masks(universe, closed).word)
 
 
 def topology_word(universe: GroundSet) -> int:
@@ -128,18 +150,31 @@ def are_disjoint(s: Topology, t: Topology) -> bool:
     return (s.family.word & t.family.word) == trivial
 
 
+def _lift(word: int, n: int, big_n: int) -> int:
+    """Family word on n points to its preimage word on big_n >= n points.
+
+    Subset m of the larger set is a member when m & (2^n - 1) is one.  Adding
+    point p copies the 2^p bits so far to the 2^p positions that contain p,
+    a carry-free shift and OR.
+    """
+    for p in range(n, big_n):
+        word |= word << (1 << p)
+    return word
+
+
 def inject_topology(t: Topology, big: GroundSet, mapping=None) -> Topology:
     """Push a topology along an injection of its ground set into a larger one.
 
     Point y of the source lands at mapping[y] (identity when omitted).  The
     image opens are the subsets of the larger set whose preimage is open,
-    together with the larger set itself adjoined.
+    together with the larger set itself adjoined.  The identity map is the
+    word map ``_lift``; an explicit map walks every subset of the larger set.
     """
     small = t.universe
     if big.n < small.n:
         raise ValueError("target ground set must be at least as large")
     if mapping is None:
-        mapping = range(small.n)
+        return Topology(Family(big, _lift(t.family.word, small.n, big.n)))
     mapping = [mapping[y] for y in range(small.n)]
     if len(set(mapping)) != small.n or not all(0 <= p < big.n for p in mapping):
         raise ValueError("point map must place the ground set injectively")
@@ -156,7 +191,41 @@ def inject_topology(t: Topology, big: GroundSet, mapping=None) -> Topology:
 
 
 def all_topologies(universe: GroundSet) -> list[Topology]:
-    return [Topology(Family(universe, w)) for w in set_bits(topology_word(universe))]
+    return [_certified(universe, w) for w in set_bits(topology_word(universe))]
+
+
+def _inclusion_rows(words: list[int], num_subsets: int) -> list[int]:
+    """Bit j of row i is set when words[i] is a subset of words[j].
+
+    Bit-sliced: column a has bit j set when words[j] contains subset a, and
+    row i is the AND of the columns of the subsets in words[i].
+    """
+    members = [set_bits(w) for w in words]
+    columns = [0] * num_subsets
+    for j, subsets in enumerate(members):
+        bit = 1 << j
+        for a in subsets:
+            columns[a] |= bit
+    everyone = (1 << len(words)) - 1
+    return [reduce(and_, map(columns.__getitem__, subsets), everyone) for subsets in members]
+
+
+def _first_inclusion_mismatch(sources, images, n: int):
+    """The first (i, j), in permutations order, where strict inclusion of
+    sources[i] in sources[j] differs from that of images[i] in images[j].
+
+    Both lists must hold distinct words: then x_i is strictly inside x_j
+    exactly when i != j and bit j of row i is set, and every row has bit i,
+    so the two sides agree on every pair exactly when their rows are equal.
+    None when they agree everywhere.
+    """
+    small = _inclusion_rows(sources, 1 << n)
+    large = _inclusion_rows(images, 1 << (n + 1))
+    for i, (r, s) in enumerate(zip(small, large)):
+        if r != s:
+            diff = r ^ s
+            return i, (diff & -diff).bit_length() - 1
+    return None
 
 
 def embedding_check(universe: GroundSet) -> Report:
@@ -164,18 +233,27 @@ def embedding_check(universe: GroundSet) -> Report:
 
     The map must be injective and must preserve and reflect strict
     inclusion; both follow from restriction undoing the construction, and
-    the sweep confirms it topology by topology.
+    the sweep confirms it topology by topology, on words.
     """
-    timer = Stopwatch("embedding", {"n": universe.n, "target": universe.n + 1})
-    big = GroundSet(universe.n + 1)
+    n = universe.n
+    timer = Stopwatch("embedding", {"n": n, "target": n + 1})
     tops = all_topologies(universe)
-    images = [inject_topology(t, big) for t in tops]
-    if len(set(images)) != len(tops):
-        return timer.report(FAIL, {"collision": True})
-    pairs = [(t, t.family.word, i.family.word) for t, i in zip(tops, images)]
-    for (s, x, ix), (t, y, iy) in permutations(pairs, 2):
-        if (x != y and x & y == x) != (ix != iy and ix & iy == ix):
-            return timer.report(FAIL, {"source": s.open_masks(), "other": t.open_masks()})
+    words = [t.family.word for t in tops]
+    images = [_lift(w, n, n + 1) for w in words]
+    for t, image in zip(tops, images):
+        if not is_topology_word(n + 1, image):
+            return timer.report(FAIL, {"not-a-topology": t.open_masks()})
+    if len(set(images)) != len(images):
+        seen = {}
+        for t, image in zip(tops, images):
+            other = seen.setdefault(image, t)
+            if other is not t:
+                return timer.report(FAIL, {"collision": [other.open_masks(), t.open_masks()]})
+    mismatch = _first_inclusion_mismatch(words, images, n)
+    if mismatch is not None:
+        i, j = mismatch
+        return timer.report(FAIL, {"source": tops[i].open_masks(),
+                                   "other": tops[j].open_masks()})
     return timer.report(PASS, notes=[
         f"{len(tops)} topologies embedded injectively, strict inclusions intact"
     ])

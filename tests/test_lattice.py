@@ -116,7 +116,7 @@ def test_close_words_matches_a_naive_fixpoint(n):
     cases.append(closed)  # already closed, in any order
     cases.append(closed[::-1])
     for words in cases:
-        assert close_words(universe, words) == _naive_closure(words), words
+        assert close_words(words) == _naive_closure(words), words
 
 
 # ------------------------------------------------------------ relations_set

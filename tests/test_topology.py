@@ -1,5 +1,8 @@
 """Topology axioms, generation, atoms, counting, and the size-up embedding."""
 
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,8 @@ from topcube import (
     is_topology,
     top_generate,
 )
+from topcube import topology
+from topcube.cli import main
 from topcube.cube import set_bits
 from topcube.oracles import (
     count_preorders,
@@ -102,6 +107,14 @@ def test_generate_all_singletons_is_discrete():
 def test_generate_idempotent():
     t = top_generate(U3, [0b011, 0b101])
     assert top_generate(U3, t.open_masks()) == t
+
+
+def test_generated_words_pass_the_validator():
+    # top_generate wraps its closure without re-checking the axioms
+    rng = random.Random(3)
+    for _ in range(200):
+        subbase = [rng.randrange(8) for _ in range(rng.randint(0, 5))]
+        assert is_topology_word(3, top_generate(U3, subbase).family.word), subbase
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,6 +227,16 @@ def test_inject_is_injective():
     assert len(images) == 4
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inject_word_map_matches_the_point_loop(n):
+    # mapping=None takes the word map, an explicit identity the subset loop
+    for t in all_topologies(GroundSet(n)):
+        for big in (n, n + 1, n + 2):
+            target = GroundSet(big)
+            assert inject_topology(t, target) == inject_topology(
+                t, target, mapping=list(range(n))), (t, big)
+
+
 def test_inject_rejects_bad_maps():
     with pytest.raises(ValueError):
         inject_topology(Topology.discrete(U2), U1)
@@ -228,6 +251,60 @@ def test_embedding_check_small():
     report = embedding_check(U3)
     assert report.passed
     assert "29 topologies" in report.notes[0]
+
+
+def test_embedding_check_at_four_points():
+    report = embedding_check(GroundSet(4))
+    assert report.passed
+    assert "355 topologies" in report.notes[0]
+
+
+def _naive_first_mismatch(sources, images):
+    for (i, x, ix), (j, y, iy) in permutations(zip(range(len(sources)), sources, images), 2):
+        if (x != y and x & y == x) != (ix != iy and ix & iy == ix):
+            return i, j
+    return None
+
+
+def test_inclusion_audit_matches_the_pairwise_loop():
+    rng = random.Random(12)
+    verdicts = set()
+    for trial in range(300):
+        sources = rng.sample(range(256), rng.randint(2, 12))
+        images = [topology._lift(w, 3, 4) for w in sources]
+        if trial % 3:
+            # plant a broken image: one bit cleared or added
+            images[rng.randrange(len(images))] ^= 1 << rng.randrange(16)
+            if len(set(images)) != len(images):
+                continue
+        expected = _naive_first_mismatch(sources, images)
+        assert topology._first_inclusion_mismatch(sources, images, 3) == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def test_embedding_reports_an_image_that_is_no_topology(monkeypatch, capsys):
+    lift = topology._lift
+
+    def drop_full_set(word, n, big_n):
+        return lift(word, n, big_n) & ~(1 << ((1 << big_n) - 1))
+
+    monkeypatch.setattr(topology, "_lift", drop_full_set)
+    report = embedding_check(U3)
+    assert report.verdict == "fail"
+    assert report.witness == {"not-a-topology": [0, 7]}
+    assert main(["verify", "embedding", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "not-a-topology" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_embedding_collision_names_both_sources(monkeypatch):
+    monkeypatch.setattr(topology, "_lift", lambda _word, _n, big_n: (1 << (1 << big_n)) - 1)
+    report = embedding_check(U2)
+    assert report.verdict == "fail"
+    sources = [t.open_masks() for t in all_topologies(U2)]
+    assert report.witness == {"collision": sources[:2]}
 
 
 # ------------------------------------------------------- bounded sublattices
