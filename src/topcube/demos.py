@@ -10,6 +10,7 @@ passes when that witness and no other shows up.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .certificates import (
@@ -35,8 +36,8 @@ _EMPTY = UPSet.empty()
 _NATS = UPSet.naturals()
 
 # The one cap on a fixture's `depth` and `bound`.  The initials-chain demo
-# grows faster than quadratically in them: on a 2-vCPU Xeon host, with
-# both at 128 it runs in 1.4 s, and a bound of 256 alone takes 2.7 s.
+# grows about quadratically in them: on a 2-vCPU Xeon host, with both at
+# 128 it runs in 40 ms, and with the cap lifted, both at 256 take 110 ms.
 MAX_STAGES = 128
 
 
@@ -63,11 +64,13 @@ def initials_chain(fix: dict):
 
     Stage m is the finite topology {empty, first m+1 segments, everything};
     the plain union of the stages collects all segments but not their
-    infinite union, while the declared completion top adjoins it.
+    infinite union, while the declared completion top adjoins it.  Each
+    stage is built once: the demo's sub-checks walk the same stages.
     """
     enum = UPSet.from_json(fix["enum"])
     segs = ChainInitials(enum)
 
+    @cache
     def stage(m: int) -> Explicit:
         return Explicit(
             [_EMPTY] + [segs.initial_segment(j) for j in range(m + 1)] + [_NATS]

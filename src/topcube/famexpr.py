@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .report import FAIL, PASS, Report, Stopwatch
-from .upsets import UPSet
+from .upsets import MAX_WINDOW_BITS, UPSet
 
 GENERATOR_CAP = 16
 
@@ -110,9 +110,10 @@ class FamExpr:
 class Explicit(FamExpr):
     def __init__(self, members):
         self.members = tuple(dict.fromkeys(members))
+        self._lookup = frozenset(self.members)
 
     def contains(self, a: UPSet) -> bool:
-        return a in self.members
+        return a in self._lookup
 
     def union_below(self, w: UPSet) -> UPSet:
         return _union(m for m in self.members if m <= w)
@@ -253,7 +254,12 @@ class UnionFam(FamExpr):
 class ChainInitials(FamExpr):
     """The initial segments of an infinite set, plus listed extras.
 
-    C_m is the set of the first m+1 members of `enum` in increasing order.
+    C_m is the set of the first m+1 members of `enum` in increasing order,
+    that is `enum` cut just above its (m+1)-th member.  `initial_segment`
+    memoises the segments it hands out, each built from the one before by
+    setting one more bit.  `contains` and `union_below` compare words
+    against `enum` directly and store nothing, so asking about a long
+    segment costs one word, not a memo entry per shorter segment.
     """
 
     def __init__(self, enum: UPSet, extras=()):
@@ -261,31 +267,38 @@ class ChainInitials(FamExpr):
             raise ValueError("enumerated set must be infinite")
         self.enum = enum
         self.extras = tuple(dict.fromkeys(extras))
+        self._segments: list[UPSet] = []
+        self._points = enum.iter_members()
 
     def initial_segment(self, m: int) -> UPSet:
-        return UPSet.from_ints(self.enum.first_members(m + 1))
+        if m < 0:
+            raise ValueError(f"segment index must be at least 0, got {m}")
+        segments = self._segments
+        while len(segments) <= m:
+            k = next(self._points)
+            if k >= MAX_WINDOW_BITS:
+                # members only grow, so every longer segment reaches past it too
+                raise ValueError(f"initial segment {len(segments)} reaches a point at or "
+                                 f"beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
+            word = segments[-1]._pre if segments else 0
+            segments.append(UPSet._finite(word | 1 << k))
+        return segments[m]
 
     def contains(self, a: UPSet) -> bool:
         if a in self.extras:
             return True
-        if not a.is_finite or a.is_empty:
-            return False
-        return a == self.initial_segment(a.size() - 1)
+        # a finite nonempty set is a segment iff it is enum cut at its maximum
+        return a.is_finite and not a.is_empty and a._pre == self.enum._word(a._pre_len)
 
     def union_below(self, w: UPSet) -> UPSet:
         out = _union(x for x in self.extras if x <= w)
-        if self.enum <= w:
+        # the segments below w are those ending before the first member of
+        # enum that w misses, so their union is enum cut at that member
+        _, _, x, y = self.enum._aligned(w)
+        missed = x & ~y
+        if not missed:
             return out | self.enum
-        # the segments below w are exactly those before the first member
-        # of enum that w misses
-        j = 0
-        for i in self.enum.iter_members():
-            if i not in w:
-                break
-            j += 1
-        if j > 0:
-            out = out | self.initial_segment(j - 1)
-        return out
+        return out | UPSet._finite(x & ((missed & -missed) - 1))
 
     def probe_sets(self, cap: int = 8):
         return [self.enum, *self.extras,

@@ -132,6 +132,12 @@ class UPSet:
         return out
 
     @classmethod
+    def _finite(cls, word: int) -> "UPSet":
+        """The finite set whose members are the set bits of `word`."""
+        # canonical as it stands: the top preperiod bit is set, the period is 0
+        return cls._raw(word.bit_length(), word, 1, 0)
+
+    @classmethod
     def _split(cls, start: int, period: int, word: int) -> "UPSet":
         """The set whose window word is `word`: `start` preperiod bits, then one period."""
         return cls._raw(*_canonical(start, word & ((1 << start) - 1), period, word >> start))
@@ -183,8 +189,7 @@ class UPSet:
         word = bytearray(b"0" * (top + 1))  # character top - k is point k
         for k in got:
             word[top - k] = 49  # ord("1")
-        # canonical as it stands: the top preperiod bit is set, the period is 0
-        return cls._raw(top + 1, int(word, 2) if got else 0, 1, 0)
+        return cls._finite(int(word, 2) if got else 0)
 
     # -- membership and iteration ------------------------------------------
 
@@ -197,9 +202,7 @@ class UPSet:
 
     def members(self, below: int) -> list[int]:
         """All members strictly below `below`."""
-        if below <= self._pre_len:
-            return set_bits(self._pre & ((1 << max(below, 0)) - 1))
-        return set_bits(self._word(below))
+        return set_bits(self._word(max(below, 0)))
 
     def iter_members(self) -> Iterator[int]:
         yield from set_bits(self._pre)
@@ -239,6 +242,8 @@ class UPSet:
     def _word(self, width: int) -> int:
         """Membership of 0..width-1 as one integer, bit i for point i."""
         n = self._pre_len
+        if width <= n:
+            return self._pre & ((1 << width) - 1)
         return self._pre | _repeat(self._per, self._per_len, width - n) << n
 
     def _aligned(self, other: "UPSet") -> tuple[int, int, int, int]:

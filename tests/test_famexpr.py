@@ -1,6 +1,12 @@
 """Symbolic family expressions: membership, probes, topology refutations."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +33,9 @@ from topcube import (
 
 from topcube.cli import load_fixture
 from topcube.demos import growing_core_chain
+from topcube.upsets import MAX_WINDOW_BITS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EMPTY = UPSet.empty()
 NATS = UPSet.naturals()
@@ -45,6 +54,16 @@ def test_explicit():
     e = Explicit([EVENS, NATS])
     assert e.contains(EVENS) and e.contains(NATS)
     assert not e.contains(ODDS)
+
+
+def test_explicit_keeps_first_seen_order():
+    a, b = up(1, 3), EVENS
+    e = Explicit([b, a, b])
+    assert e.members == (b, a)
+    assert e.to_json() == {"kind": "Explicit", "members": [b.to_json(), a.to_json()]}
+    assert e.probe_sets() == [b, a]
+    for w in (a, b, EMPTY, NATS, ODDS, up(1), up(1, 3, 5), ~EVENS):
+        assert e.contains(w) == (w in e.members)
 
 
 def test_down_pow():
@@ -112,6 +131,111 @@ def test_chain_initials():
     assert not e.contains(EVENS)
     with pytest.raises(ValueError):
         ChainInitials(up(1, 2))
+
+
+def test_initial_segment_refuses_points_past_the_window_cap():
+    # members 0, then MAX_WINDOW_BITS + 1 and on: segment 1 reaches past the cap
+    e = ChainInitials(UPSet("1", "0" * MAX_WINDOW_BITS + "1"))
+    assert e.initial_segment(0) == up(0)
+    for _ in range(2):  # a refused extension leaves the memo as it was
+        with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+            e.initial_segment(1)
+    assert e.initial_segment(0) == up(0)
+    with pytest.raises(ValueError):
+        e.initial_segment(-1)
+
+
+def _defined_contains(e: ChainInitials, a: UPSet) -> bool:
+    """Membership straight from the definition: a listed extra, or the
+    first |a| members of enum."""
+    if a in e.extras:
+        return True
+    if not a.is_finite or a.is_empty:
+        return False
+    return a == UPSet.from_ints(e.enum.first_members(a.size()))
+
+
+def _defined_union_below(e: ChainInitials, w: UPSet) -> UPSet:
+    """The union of the extras below w and of the segments C_0, ..., C_(j-1),
+    where enum's first j members lie in w and its next one does not."""
+    out = EMPTY
+    for x in e.extras:
+        if x <= w:
+            out = out | x
+    if e.enum <= w:
+        return out | e.enum
+    j = 0
+    for i in e.enum.iter_members():
+        if i not in w:
+            break
+        j += 1
+    return out | UPSet.from_ints(e.enum.first_members(j))
+
+
+def _one_point_nudges(a: UPSet, points) -> list[UPSet]:
+    return [a - UPSet.singleton(k) if k in a else a | UPSet.singleton(k) for k in points]
+
+
+bit_words = st.text(alphabet="01", min_size=0, max_size=8)
+periods = st.text(alphabet="01", min_size=1, max_size=32).filter(lambda p: "1" in p)
+
+
+@given(bit_words, periods, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_chain_initials_word_routes_match_the_definition(pre, period, rng):
+    enum = UPSet(pre, period)
+    e = ChainInitials(enum, [EMPTY, NATS])
+    order = list(range(201))
+    rng.shuffle(order)
+    for m in order:
+        seg = e.initial_segment(m)
+        assert seg == UPSet.from_ints(enum.first_members(m + 1)), m
+        assert e.initial_segment(m) is seg
+    cut = enum.first_members(12)[-1] + 3
+    candidates = [e.initial_segment(m) for m in range(10)]
+    candidates += [UPSet.from_ints(rng.sample(range(cut), rng.randint(1, 6)))
+                   for _ in range(6)]
+    candidates += [n for c in list(candidates) for n in _one_point_nudges(c, range(cut))]
+    for a in candidates:
+        assert e.contains(a) == _defined_contains(e, a), a
+        assert e.union_below(a) == _defined_union_below(e, a), a
+    for w in (enum, NATS, ODDS, ~enum, enum - UPSet.singleton(enum.first_members(5)[-1])):
+        assert e.contains(w) == _defined_contains(e, w), w
+        assert e.union_below(w) == _defined_union_below(e, w), w
+
+
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_chain_initials_queries_on_long_segments_store_no_segments():
+    # A segment of 2^19 evens is a 128 KiB word.  Storing one per shorter
+    # segment on the way would take about 32 GB; the child's address space
+    # is capped at 256 MB, so such a memo ends in MemoryError.
+    out = _run_python("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+        from topcube import ChainInitials, UPSet
+        from topcube.upsets import MAX_WINDOW_BITS
+        e = ChainInitials(UPSet.evens())
+        seg = UPSet.from_ints(range(0, MAX_WINDOW_BITS, 2))
+        print(seg.size(), e.contains(seg), e.contains(seg - UPSet.singleton(0)),
+              e.contains(seg | UPSet.singleton(1)))
+        gap = MAX_WINDOW_BITS - 4
+        below = e.union_below(~UPSet.singleton(gap))
+        print(below.size(), below == UPSet.from_ints(range(0, gap, 2)))
+        probes = e.probe_sets(129)
+        print(len(probes), probes[-1] == UPSet.from_ints(range(0, 257, 2)))
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{1 << 19} True False False", f"{(1 << 19) - 2} True", "130 True",
+    ]
 
 
 def test_generator_validation():
