@@ -5,14 +5,18 @@ point of the cube 2^P(X)) is a 2^n-bit word whose bit m says whether the
 subset with mask m belongs to the family.  Meet, join and order of the cube
 are then single word operations (AND, OR, submask test), and exhaustive
 enumeration of all families is a counter loop.  Encodings are canonical, so
-word equality is extensional equality.
+word equality is extensional equality.  The principal ultrafilter at point
+y is the magic mask mu_y (bit m set when y is in m); ``remove_point`` and
+``add_point`` move a family word to one point fewer (the trace) or one
+more (the preimage), with blocks of 2^x bits as the only unit of work.
 
 One level up, a set of families is a clopen word of the cube: a
 2^(2^n)-bit integer whose bit w says whether family w belongs to the set
 (n <= 4; at n = 5 a word would be 2^32 bits, so sweeps refuse it).  The
-projection words HAS[a] ("subset a is a member") generate these words
-under AND, OR and complement, so a whole-cube sweep is a handful of
-big-integer operations, and its solutions are the word's set bits.
+projection words HAS[a] ("subset a is a member"), the same magic masks
+one level up, generate these words under AND, OR and complement, so a
+whole-cube sweep is a handful of big-integer operations, and its
+solutions are the word's set bits.
 """
 
 from __future__ import annotations
@@ -181,16 +185,54 @@ def projection_words(universe: GroundSet) -> tuple[int, ...]:
 
 @cache
 def _projection_words(n: int) -> tuple[int, ...]:
-    # Knuth's magic mask (TAOCP 4A, 7.1.3): as w counts up, bit a of w runs
-    # 2^a zeros then 2^a ones, over and over, so HAS[a] is that one block
-    # times the repunit with a 1 every 2^(a+1) bits.
-    size = 1 << (1 << n)
-    out = []
-    for a in range(1 << n):
-        half = 1 << a
-        block = ((1 << half) - 1) << half
-        out.append(block * (((1 << size) - 1) // ((1 << 2 * half) - 1)))
-    return tuple(out)
+    return tuple(magic_mask(a, 1 << n) for a in range(1 << n))
+
+
+def magic_mask(k: int, m: int) -> int:
+    """The 2^m-bit word whose bit i is bit k of i (k < m).
+
+    Knuth's magic mask (TAOCP 4A, 7.1.3): as i counts up, bit k of i runs
+    2^k zeros then 2^k ones, over and over, so the word is that one block
+    times the repunit with a 1 every 2^(k+1) bits.  With m = n it is the
+    family word of the principal ultrafilter at point k; with m = 2^n it is
+    the clopen word HAS[k].
+    """
+    half = 1 << k
+    block = ((1 << half) - 1) << half
+    return block * (((1 << (1 << m)) - 1) // ((1 << 2 * half) - 1))
+
+
+def remove_point(word: int, n: int, x: int) -> int:
+    """The trace of family word ``word`` on n points with point x removed.
+
+    The bits come in blocks of 2^x, alternately subsets without x and with
+    x; ORing each such pair into one block keeps every member with x cut
+    away, and the points above x move down one place.
+    """
+    size = 1 << x
+    block = (1 << size) - 1
+    out = 0
+    for j in range(1 << (n - 1 - x)):
+        pair = word >> (2 * j * size)
+        out |= ((pair | pair >> size) & block) << (j * size)
+    return out
+
+
+def add_point(word: int, n: int, x: int) -> int:
+    """The preimage of family word ``word`` on n points, with a point
+    inserted at x (0 <= x <= n) and the points from x on moved up one.
+
+    Each block of 2^x bits is put back in both places, without x and with
+    x, so a subset of the larger set is a member exactly when its trace is.
+    At x = n that is ``word | (word << 2^n)``.
+    """
+    size = 1 << x
+    block = (1 << size) - 1
+    out = 0
+    for j in range(1 << (n - x)):
+        b = (word >> (j * size)) & block
+        out |= (b | b << size) << (2 * j * size)
+    return out
 
 
 def interval_words(universe: GroundSet, x: int) -> tuple[int, int]:

@@ -74,3 +74,29 @@ def generated_topology(n: int, subbase) -> frozenset:
         opens.add(u)
     opens.add(space)
     return frozenset(opens)
+
+
+def principal_ultrafilter(n: int, y: int) -> frozenset:
+    """Every subset of {0..n-1} containing point y."""
+    return frozenset(s for s in powerset(range(n)) if y in s)
+
+
+def trace(fam, x: int) -> frozenset:
+    """Every member with point x cut away and the points above x moved down."""
+    return frozenset(frozenset(p - (p > x) for p in s if p != x) for s in fam)
+
+
+def reconstruct(fam, x: int) -> frozenset:
+    """Every member with the points from x on moved up, without and with x."""
+    lifted = frozenset(frozenset(p + (p >= x) for p in s) for s in fam)
+    return lifted | {s | {x} for s in lifted}
+
+
+def inject(n: int, opens, big_n: int, mapping) -> frozenset:
+    """Opens on n points pushed along the injective point map into big_n
+    points: every subset whose preimage is open, and the whole larger set."""
+    image = {frozenset(range(big_n))}
+    for s in powerset(range(big_n)):
+        if frozenset(y for y in range(n) if mapping[y] in s) in opens:
+            image.add(s)
+    return frozenset(image)

@@ -9,12 +9,14 @@ along an inclusion of ground sets.  Counting and listing read Top(X) as one
 clopen word of the cube (``topology_word``); ``is_topology_word`` stays the
 per-family validator behind ``Topology``.
 
-Adding a point p to the ground set maps family word w to the word of the
-subsets whose trace on the old points lies in w: ``w | (w << 2^p)``.
-``embedding_check`` audits that map on integers alone: it validates each
-image, checks injectivity with a set, and compares inclusion bit-sliced,
-one row per topology holding the topologies above it, built by ANDing one
-column per subset (the topologies containing it).
+Adding a point to the ground set maps family word w to the word of the
+subsets whose trace on the old points lies in w: ``cube.add_point``, the
+same routine that rebuilds an ultrafilter from its trace, which for the new
+top point p is ``w | (w << 2^p)``.  ``embedding_check`` audits that map on
+integers alone: it validates each image, checks injectivity with a set, and
+compares inclusion bit-sliced, one row per topology holding the topologies
+above it, built by ANDing one column per subset (the topologies containing
+it).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_
 
-from .cube import Family, GroundSet, cube_word, projection_words, set_bits
+from .cube import Family, GroundSet, add_point, cube_word, projection_words, set_bits
 from .lattice import close_words
 from .report import FAIL, PASS, Report, Stopwatch
 
@@ -150,44 +152,19 @@ def are_disjoint(s: Topology, t: Topology) -> bool:
     return (s.family.word & t.family.word) == trivial
 
 
-def _lift(word: int, n: int, big_n: int) -> int:
-    """Family word on n points to its preimage word on big_n >= n points.
+def inject_topology(t: Topology, big: GroundSet) -> Topology:
+    """Push a topology along the inclusion of its ground set into a larger one.
 
-    Subset m of the larger set is a member when m & (2^n - 1) is one.  Adding
-    point p copies the 2^p bits so far to the 2^p positions that contain p,
-    a carry-free shift and OR.
-    """
-    for p in range(n, big_n):
-        word |= word << (1 << p)
-    return word
-
-
-def inject_topology(t: Topology, big: GroundSet, mapping=None) -> Topology:
-    """Push a topology along an injection of its ground set into a larger one.
-
-    Point y of the source lands at mapping[y] (identity when omitted).  The
-    image opens are the subsets of the larger set whose preimage is open,
-    together with the larger set itself adjoined.  The identity map is the
-    word map ``_lift``; an explicit map walks every subset of the larger set.
+    The image opens are the subsets of the larger set whose trace on the
+    smaller one is open: ``cube.add_point`` once per added point.
     """
     small = t.universe
     if big.n < small.n:
         raise ValueError("target ground set must be at least as large")
-    if mapping is None:
-        return Topology(Family(big, _lift(t.family.word, small.n, big.n)))
-    mapping = [mapping[y] for y in range(small.n)]
-    if len(set(mapping)) != small.n or not all(0 <= p < big.n for p in mapping):
-        raise ValueError("point map must place the ground set injectively")
-    open_small = set(t.open_masks())
-    masks = {big.full_mask}
-    for m in range(1 << big.n):
-        pre = 0
-        for y, p in enumerate(mapping):
-            if (m >> p) & 1:
-                pre |= 1 << y
-        if pre in open_small:
-            masks.add(m)
-    return Topology(Family.from_masks(big, masks))
+    word = t.family.word
+    for p in range(small.n, big.n):
+        word = add_point(word, p, p)
+    return Topology(Family(big, word))
 
 
 def all_topologies(universe: GroundSet) -> list[Topology]:
@@ -239,7 +216,7 @@ def embedding_check(universe: GroundSet) -> Report:
     timer = Stopwatch("embedding", {"n": n, "target": n + 1})
     tops = all_topologies(universe)
     words = [t.family.word for t in tops]
-    images = [_lift(w, n, n + 1) for w in words]
+    images = [add_point(w, n, n) for w in words]
     for t, image in zip(tops, images):
         if not is_topology_word(n + 1, image):
             return timer.report(FAIL, {"not-a-topology": t.open_masks()})

@@ -1,175 +1,50 @@
 """Ultrafilters on a finite ground set and the maximal non-discrete topologies.
 
 Every ultrafilter on a finite set is principal: the sets containing one
-fixed point.  Removing a point x from the ground set induces a trace map on
-ultrafilters concentrated elsewhere, which is a bijection onto the
-ultrafilters of the smaller set (after an order-preserving re-index), and an
-explicit reconstruction rebuilds the original from its trace.
+fixed point y.  As a family it is the word mu_y = ``cube.magic_mask(y, n)``,
+whose bit m is bit y of m.  Removing a point x from the ground set traces
+mu_y (y != x) down to an ultrafilter of the smaller set, the one at the
+re-indexed point y - (y > x); the trace is a bijection onto the
+ultrafilters there, and ``cube.add_point`` rebuilds mu_y from its trace.
+That is the same "add a point" routine that lifts topologies in
+``topology.embedding_check``.
 
-Pairing an excluded point x with an ultrafilter at another point y yields
+Pairing an excluded point x with the ultrafilter at another point y yields
 the topology whose opens are all sets avoiding x together with all sets
-containing y.  These are the maximal topologies short of the discrete one;
-the checks below verify the reconstruction, the bijection, the dictionary
-between subbasic conditions on the big and small ground sets, and the
-partition of these topologies according to which singleton fails to be open.
+containing y: the word (full ^ mu_x) | mu_y.  These are the maximal
+topologies short of the discrete one; the checks below verify the
+reconstruction, the bijection, the dictionary between subbasic conditions
+on the big and small ground sets, and the partition of these topologies
+according to which singleton fails to be open.
 """
 
 from __future__ import annotations
 
-from .cube import Family, GroundSet
+from .cube import Family, GroundSet, add_point, magic_mask, remove_point
 from .report import FAIL, PASS, Report, Stopwatch
 from .topology import Topology
 
 
-class PrincipalUF:
-    """The ultrafilter of all subsets containing a fixed point."""
-
-    __slots__ = ("universe", "point")
-
-    def __init__(self, universe: GroundSet, point: int):
-        if not 0 <= point < universe.n:
-            raise ValueError(f"point {point} outside ground set of size {universe.n}")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "point", point)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrincipalUF is immutable")
-
-    def contains_mask(self, mask: int) -> bool:
-        return bool((mask >> self.point) & 1)
-
-    def member_masks(self) -> list[int]:
-        return [m for m in self.universe.subset_masks() if self.contains_mask(m)]
-
-    def as_family(self) -> Family:
-        return Family.from_masks(self.universe, self.member_masks())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PrincipalUF)
-            and self.universe.n == other.universe.n
-            and self.point == other.point
-        )
-
-    def __hash__(self) -> int:
-        return hash(("PrincipalUF", self.universe.n, self.point))
-
-    def __repr__(self) -> str:
-        return f"PrincipalUF(n={self.universe.n}, point={self.point})"
-
-
-def all_ultrafilters(universe: GroundSet) -> list[PrincipalUF]:
-    return [PrincipalUF(universe, x) for x in range(universe.n)]
-
-
-def ultrafilters_avoiding(universe: GroundSet, x: int) -> frozenset[PrincipalUF]:
-    """The ultrafilters whose singleton at x is not a member.
-
-    On a finite ground set these are exactly the principal ultrafilters
-    concentrated at the other points, so there are n-1 of them.
-    """
-    if not 0 <= x < universe.n:
-        raise ValueError(f"point {x} outside ground set of size {universe.n}")
-    return frozenset(PrincipalUF(universe, y) for y in range(universe.n) if y != x)
-
-
-def _removal_map(universe: GroundSet, removed) -> dict[int, int]:
-    """Order-preserving relabelling of the points left after the removal."""
-    if isinstance(removed, int):
-        pts = {removed}
-    else:
-        pts = {int(p) for p in removed}
-    if any(p < 0 or p >= universe.n for p in pts):
-        raise ValueError("removed points outside the ground set")
-    remaining = [y for y in range(universe.n) if y not in pts]
-    return {y: i for i, y in enumerate(remaining)}
-
-
-def trace(uf: PrincipalUF, removed) -> tuple[PrincipalUF, dict[int, int]]:
-    """Restrict an ultrafilter to the ground set without the removed points.
-
-    ``removed`` is a point or an iterable of points; removing nothing
-    returns the ultrafilter unchanged.  Defined only when the
-    concentration point survives; cutting it away would produce the whole
-    powerset of the rest, not an ultrafilter.
-    """
-    remap = _removal_map(uf.universe, removed)
-    if uf.point not in remap:
-        raise ValueError("trace at the ultrafilter's own point is degenerate")
-    small = GroundSet(len(remap))
-    return PrincipalUF(small, remap[uf.point]), remap
-
-
-def trace_family(uf: PrincipalUF, removed) -> tuple[Family, dict[int, int]]:
-    """The trace as a set family: members of uf cut down to the small set.
-
-    Computed from the member masks directly, so the reconstruction check
-    exercises the set-level definition rather than the principal shortcut.
-    """
-    remap = _removal_map(uf.universe, removed)
-    if uf.point not in remap:
-        raise ValueError("trace at the ultrafilter's own point is degenerate")
-    small = GroundSet(len(remap))
-    cut = set()
-    for m in uf.member_masks():
-        mm = 0
-        for y, ny in remap.items():
-            if (m >> y) & 1:
-                mm |= 1 << ny
-        cut.add(mm)
-    return Family.from_masks(small, cut), remap
-
-
-def extend_trace(tr: PrincipalUF, x: int) -> PrincipalUF:
-    """Inverse of trace: lift an ultrafilter back to the ground set with x."""
-    big = GroundSet(tr.universe.n + 1)
-    point = tr.point if tr.point < x else tr.point + 1
-    return PrincipalUF(big, point)
-
-
-def reconstruct_from_trace(tr_fam: Family, x: int) -> Family:
-    """Rebuild a family on the big set from its trace: each trace member,
-    taken both without and with the removed point."""
-    small = tr_fam.universe
-    big = GroundSet(small.n + 1)
-    remap = _removal_map(big, x)
-    back = {ny: y for y, ny in remap.items()}
-    masks = set()
-    for mm in tr_fam.member_masks():
-        m = 0
-        for ny, y in back.items():
-            if (mm >> ny) & 1:
-                m |= 1 << y
-        masks.add(m)
-        masks.add(m | (1 << x))
-    return Family.from_masks(big, masks)
-
-
-def ultratopology(universe: GroundSet, x: int, uf: PrincipalUF) -> Topology:
-    """Opens: every set avoiding x, plus every member of the ultrafilter."""
-    if uf.universe.n != universe.n:
-        raise ValueError("ultrafilter lives on a different ground set")
-    if uf.point == x:
+def ultratopology(universe: GroundSet, x: int, y: int) -> Topology:
+    """Opens: every set avoiding x, plus every set containing y."""
+    n = universe.n
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"points {x}, {y} must lie in the ground set of size {n}")
+    if y == x:
         raise ValueError("an ultrafilter at the excluded point gives the discrete topology")
-    masks = set()
-    for m in universe.subset_masks():
-        if not (m >> x) & 1 or (m >> uf.point) & 1:
-            masks.add(m)
-    return Topology(Family.from_masks(universe, masks))
+    full = (1 << universe.num_subsets) - 1
+    return Topology(Family(universe, (full ^ magic_mask(x, n)) | magic_mask(y, n)))
 
 
 def ultratopologies_at(universe: GroundSet, x: int) -> frozenset[Topology]:
     """All maximal non-discrete topologies whose non-open singleton is {x}."""
     return frozenset(
-        ultratopology(universe, x, uf) for uf in ultrafilters_avoiding(universe, x)
+        ultratopology(universe, x, y) for y in range(universe.n) if y != x
     )
 
 
 def all_ultratopologies(universe: GroundSet) -> frozenset[Topology]:
-    out = set()
-    for x in range(universe.n):
-        out |= ultratopologies_at(universe, x)
-    return frozenset(out)
+    return frozenset().union(*(ultratopologies_at(universe, x) for x in range(universe.n)))
 
 
 def _require_two_points(universe: GroundSet) -> None:
@@ -180,25 +55,25 @@ def _require_two_points(universe: GroundSet) -> None:
 
 
 def trace_reconstruction_check(universe: GroundSet) -> Report:
-    """Round-trip every ultrafilter through trace and reconstruction."""
+    """Round-trip every ultrafilter through trace and reconstruction.
+
+    The trace is taken by two independent routes: compressing the family
+    word mu_y, and mu at the re-indexed point on the smaller set.
+    """
     _require_two_points(universe)
-    timer = Stopwatch("trace-reconstruction", {"n": universe.n})
+    n = universe.n
+    timer = Stopwatch("trace-reconstruction", {"n": n})
     tried = 0
-    for x in range(universe.n):
-        for uf in all_ultrafilters(universe):
-            if uf.point == x:
+    for x in range(n):
+        for y in range(n):
+            if y == x:
                 continue
-            tr_fam, remap = trace_family(uf, x)
-            tr_uf, remap2 = trace(uf, x)
-            if remap != remap2 or tr_fam != tr_uf.as_family():
-                return timer.report(
-                    FAIL, {"x": x, "point": uf.point, "stage": "trace-disagreement"}
-                )
-            rebuilt = reconstruct_from_trace(tr_fam, x)
-            if rebuilt != uf.as_family():
-                return timer.report(FAIL, {"x": x, "point": uf.point, "stage": "reconstruction"})
-            if extend_trace(tr_uf, x) != uf:
-                return timer.report(FAIL, {"x": x, "point": uf.point, "stage": "extend"})
+            mu = magic_mask(y, n)
+            cut = remove_point(mu, n, x)
+            if cut != magic_mask(y - (y > x), n - 1):
+                return timer.report(FAIL, {"x": x, "point": y, "stage": "trace-disagreement"})
+            if add_point(cut, n - 1, x) != mu:
+                return timer.report(FAIL, {"x": x, "point": y, "stage": "reconstruction"})
             tried += 1
     return timer.report(PASS, notes=[f"round-tripped {tried} ultrafilter/point pairs"])
 
@@ -206,24 +81,24 @@ def trace_reconstruction_check(universe: GroundSet) -> Report:
 def trace_bijection_check(universe: GroundSet) -> Report:
     """For each removed point, trace is a bijection onto the small ultrafilters."""
     _require_two_points(universe)
-    timer = Stopwatch("trace-bijection", {"n": universe.n})
-    small = GroundSet(universe.n - 1)
-    expected = set(all_ultrafilters(small))
-    for x in range(universe.n):
+    n = universe.n
+    timer = Stopwatch("trace-bijection", {"n": n})
+    expected = {magic_mask(z, n - 1): z for z in range(n - 1)}
+    for x in range(n):
         images = {}
-        for uf in all_ultrafilters(universe):
-            if uf.point == x:
+        for y in range(n):
+            if y == x:
                 continue
-            img, _ = trace(uf, x)
+            img = remove_point(magic_mask(y, n), n, x)
             if img in images:
-                return timer.report(FAIL, {"x": x, "collision": [images[img].point, uf.point]})
-            images[img] = uf
-        if set(images) != expected:
-            missing = sorted(u.point for u in expected - set(images))
+                return timer.report(FAIL, {"x": x, "collision": [images[img], y]})
+            images[img] = y
+        if images.keys() != expected.keys():
+            missing = sorted(expected[w] for w in expected.keys() - images.keys())
             return timer.report(FAIL, {"x": x, "not-hit": missing})
     return timer.report(
         PASS,
-        notes=[f"each of {universe.n} removals is a bijection onto {len(expected)} ultrafilters"],
+        notes=[f"each of {n} removals is a bijection onto {len(expected)} ultrafilters"],
     )
 
 
@@ -242,19 +117,17 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
     dictionary.  The report carries the full table for the small set.
     """
     _require_two_points(universe)
-    timer = Stopwatch("subbase-correspondence", {"n": universe.n, "x": x})
-    remap = _removal_map(universe, x)
-    tops = {y: ultratopology(universe, x, PrincipalUF(universe, y)) for y in remap}
+    n = universe.n
+    timer = Stopwatch("subbase-correspondence", {"n": n, "x": x})
+    rest = [y for y in range(n) if y != x]
+    tops = {y: ultratopology(universe, x, y).family for y in rest}
 
     table = []
-    rest = sorted(remap)
-    for bm in range(1 << len(rest)):
-        b_points = [rest[i] for i in range(len(rest)) if (bm >> i) & 1]
-        b_mask = 0
-        for y in b_points:
-            b_mask |= 1 << y
-        a_mask = b_mask | (1 << x)
-        selected = sorted(y for y, t in tops.items() if t.family.contains_mask(a_mask))
+    low = (1 << x) - 1
+    for bm in range(1 << (n - 1)):
+        b_mask = (bm & low) | (bm & ~low) << 1  # make room for x
+        b_points = [y for y in rest if (b_mask >> y) & 1]
+        selected = [y for y in rest if tops[y].contains_mask(b_mask | 1 << x)]
         table.append(
             {
                 "subset": b_points,
@@ -268,12 +141,14 @@ def subbase_correspondence_check(universe: GroundSet, x: int) -> Report:
                 {"subset": b_points, "open_at": selected},
                 notes=[f"table row {bm}"],
             )
-    for m in universe.subset_masks():
-        if (m >> x) & 1:
-            continue
-        bad = [y for y, t in tops.items() if not t.family.contains_mask(m)]
-        if bad:
-            return timer.report(FAIL, {"avoiding-set-mask": m, "not-open-at": bad})
+    avoiding = ((1 << universe.num_subsets) - 1) ^ magic_mask(x, n)
+    missed = 0
+    for fam in tops.values():
+        missed |= avoiding & ~fam.word
+    if missed:
+        m = (missed & -missed).bit_length() - 1
+        bad = [y for y, fam in tops.items() if not fam.contains_mask(m)]
+        return timer.report(FAIL, {"avoiding-set-mask": m, "not-open-at": bad})
     return timer.report(
         PASS,
         notes=[f"table rows: {len(table)}"] + [str(row) for row in table],
@@ -307,8 +182,7 @@ def ultra_cover_check(universe: GroundSet) -> Report:
     if seen != everything:
         return timer.report(FAIL, {"uncovered": len(everything - seen)})
     # every block is nonempty, so dropping any one un-covers its members
-    proper = all(bool(block) for block in blocks.values())
-    if not proper:
+    if not all(blocks.values()):
         return timer.report(FAIL, {"empty-block": True})
     return timer.report(
         PASS,

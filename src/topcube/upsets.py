@@ -41,6 +41,8 @@ from .cube import set_bits
 MAX_WINDOW_BITS = 1 << 20
 
 _BITS = frozenset("01")
+_CHUNK_BITS = 1024
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 def _repeat(block: int, length: int, width: int) -> int:
@@ -205,7 +207,10 @@ class UPSet:
         return set_bits(self._word(max(below, 0)))
 
     def iter_members(self) -> Iterator[int]:
-        yield from set_bits(self._pre)
+        # the preperiod a chunk at a time, so a long one is never listed whole
+        for start in range(0, self._pre_len, _CHUNK_BITS):
+            for j in set_bits((self._pre >> start) & _CHUNK_MASK):
+                yield start + j
         offsets = set_bits(self._per)
         start = self._pre_len
         while offsets:

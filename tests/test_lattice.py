@@ -23,6 +23,8 @@ from topcube import (
     lat_generate,
     relations_set,
 )
+from topcube import lattice
+from topcube.cli import main
 from topcube.demos import growing_core_chain, initials_chain
 from topcube.lattice import close_words, random_chain
 
@@ -256,6 +258,23 @@ def test_random_chains_are_chains():
 def test_completion_check_passes():
     assert chain_completion_check(U2, max_len=4).passed
     assert chain_completion_check(U3, seed=3).passed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_completion_check_refuses_a_padded_completion(monkeypatch, n):
+    # adjoining the cube's bottom and top still gives a chain holding the
+    # input and its meet and join, but it is not the chain itself
+    complete = lattice.chain_completion_finite
+
+    def padded(universe, chain):
+        ends = {Family(universe, 0), Family(universe, (1 << universe.num_subsets) - 1)}
+        return complete(universe, chain) | ends
+
+    monkeypatch.setattr(lattice, "chain_completion_finite", padded)
+    report = chain_completion_check(GroundSet(n))
+    assert report.verdict == "fail"
+    assert report.witness["extra"] and report.witness["missing"] == []
+    assert main(["verify", "chain-completion", "--n", str(n), "--quiet"]) == 1
 
 
 # ------------------------------------------------------------ omega chains

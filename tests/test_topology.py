@@ -23,12 +23,13 @@ from topcube import (
 )
 from topcube import topology
 from topcube.cli import main
-from topcube.cube import set_bits
+from topcube.cube import add_point, set_bits
 from topcube.oracles import (
     count_preorders,
     count_topologies_by_filter,
     family_is_topology,
     generated_topology,
+    inject,
     powerset,
 )
 from topcube.topology import is_topology_word, topology_word
@@ -208,8 +209,12 @@ def test_all_topologies_lists_them():
 
 
 def test_inject_point_map_example():
-    img = inject_topology(Topology.trivial(U1), U2, mapping=[1])
-    assert img == Topology.discrete(U2)
+    # the point map [1] inserts the new point at 0: each subset comes back
+    # without and with it, so the trivial topology on one point becomes discrete
+    trivial, discrete = Topology.trivial(U1), Topology.discrete(U2)
+    assert add_point(trivial.family.word, 1, 0) == discrete.family.word
+    assert inject(1, as_frozensets(U1, trivial.family), 2, [1]) == as_frozensets(
+        U2, discrete.family)
 
 
 def test_inject_identity_keeps_discrete():
@@ -229,21 +234,19 @@ def test_inject_is_injective():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inject_word_map_matches_the_point_loop(n):
-    # mapping=None takes the word map, an explicit identity the subset loop
+    # the word map against the frozenset subset loop along the identity
     for t in all_topologies(GroundSet(n)):
+        opens = as_frozensets(GroundSet(n), t.family)
         for big in (n, n + 1, n + 2):
             target = GroundSet(big)
-            assert inject_topology(t, target) == inject_topology(
-                t, target, mapping=list(range(n))), (t, big)
+            expected = inject(n, opens, big, list(range(n)))
+            assert as_frozensets(target, inject_topology(t, target).family) == expected, (t, big)
 
 
 def test_inject_rejects_bad_maps():
+    # no injection reaches a smaller ground set
     with pytest.raises(ValueError):
         inject_topology(Topology.discrete(U2), U1)
-    with pytest.raises(ValueError):
-        inject_topology(Topology.discrete(U2), U3, mapping=[1, 1])
-    with pytest.raises(ValueError):
-        inject_topology(Topology.discrete(U2), U3, mapping=[0, 3])
 
 
 def test_embedding_check_small():
@@ -271,7 +274,7 @@ def test_inclusion_audit_matches_the_pairwise_loop():
     verdicts = set()
     for trial in range(300):
         sources = rng.sample(range(256), rng.randint(2, 12))
-        images = [topology._lift(w, 3, 4) for w in sources]
+        images = [add_point(w, 3, 3) for w in sources]
         if trial % 3:
             # plant a broken image: one bit cleared or added
             images[rng.randrange(len(images))] ^= 1 << rng.randrange(16)
@@ -284,12 +287,10 @@ def test_inclusion_audit_matches_the_pairwise_loop():
 
 
 def test_embedding_reports_an_image_that_is_no_topology(monkeypatch, capsys):
-    lift = topology._lift
+    def drop_full_set(word, n, x):
+        return add_point(word, n, x) & ~(1 << ((1 << (n + 1)) - 1))
 
-    def drop_full_set(word, n, big_n):
-        return lift(word, n, big_n) & ~(1 << ((1 << big_n) - 1))
-
-    monkeypatch.setattr(topology, "_lift", drop_full_set)
+    monkeypatch.setattr(topology, "add_point", drop_full_set)
     report = embedding_check(U3)
     assert report.verdict == "fail"
     assert report.witness == {"not-a-topology": [0, 7]}
@@ -300,7 +301,7 @@ def test_embedding_reports_an_image_that_is_no_topology(monkeypatch, capsys):
 
 
 def test_embedding_collision_names_both_sources(monkeypatch):
-    monkeypatch.setattr(topology, "_lift", lambda _word, _n, big_n: (1 << (1 << big_n)) - 1)
+    monkeypatch.setattr(topology, "add_point", lambda _word, n, _x: (1 << (1 << (n + 1))) - 1)
     report = embedding_check(U2)
     assert report.verdict == "fail"
     sources = [t.open_masks() for t in all_topologies(U2)]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topcube import UPSet
+from topcube import DownPow, UPSet
+from topcube.cube import set_bits
 from topcube.upsets import MAX_WINDOW_BITS
 
 words = st.text(alphabet="01", min_size=0, max_size=6)
@@ -122,6 +123,37 @@ def test_iteration_and_first_members():
     assert UPSet.evens().first_members(4) == [0, 2, 4, 6]
     with pytest.raises(ValueError):
         UPSet.from_ints([1]).first_members(2)
+
+
+def _members_listed_whole(s, k):
+    """The first k members with the whole preperiod listed up front."""
+    out = set_bits(s._pre)
+    start, offsets = s._pre_len, set_bits(s._per)
+    while len(out) < k and offsets:
+        out += [start + j for j in offsets]
+        start += s._per_len
+    return out[:k]
+
+
+def test_long_preperiod_members_come_lazily():
+    seg = UPSet("10" * 2 ** 19)  # the 2^19 evens below 2^20
+    outside = ~seg
+    assert seg.size() == 2 ** 19
+    assert outside.first_members(1) == [1]
+    assert DownPow(seg).probe_sets() == [
+        UPSet.empty(), seg, UPSet.naturals(), UPSet.singleton(1), seg | UPSet.singleton(1)]
+    # across chunk boundaries and on into the period
+    assert outside.first_members(3000) == _members_listed_whole(outside, 3000)
+    tail = UPSet("1" * 1500 + "0" * 700 + "1", "011")
+    assert tail.first_members(2000) == _members_listed_whole(tail, 2000)
+    rng = random.Random(4)
+    for _ in range(200):
+        pre = "".join(rng.choice("01") for _ in range(rng.randrange(0, 3000)))
+        s = UPSet(pre, rng.choice(["0", "1", "01", "110"]))
+        k = rng.randrange(1, 50)
+        if s.is_finite:
+            k = min(k, s.size())
+        assert s.first_members(k) == _members_listed_whole(s, k)
 
 
 def test_complement_roundtrip():
