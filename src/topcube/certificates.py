@@ -369,7 +369,7 @@ def sequence_convergence_check(
     can never fall back, so all stages are walked: a coordinate locked at a
     value different from the limit's is a genuine refutation, and bits
     observed to decrease raise instead.  Otherwise only the last stage is
-    read.  A depth below 1 raises.
+    read.  No coordinate to examine is inconclusive; a depth below 1 raises.
     """
     coords = list(coords)
     timer = Stopwatch(
@@ -378,6 +378,8 @@ def sequence_convergence_check(
     )
     steps = range(depth) if assume_increasing else range(depth)[-1:]
     entries = _entry_stages([stage(i) for i in steps], coords)
+    if not coords:
+        return timer.report(INCONCLUSIVE, {"coords": 0})
     unsettled = []
     for w, entry in zip(coords, entries):
         inside = entry is not None

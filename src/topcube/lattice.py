@@ -3,11 +3,12 @@
 A family of subsets of a finite ground set is one point of the Boolean
 lattice of all families; collections of families are subsets of that
 lattice.  This module builds the sublattice generated by a collection,
-enumerates the families comparable with everything in a collection,
-tests completeness properties, and completes chains by the closed-form
-recipe: adjoin the meet and join of the whole chain and, for every
-comparable family b, the join of the part of the chain below b and the
-meet of the part strictly above it.
+enumerates the families comparable with everything in a collection, and
+completes a finite chain c_1 < ... < c_k on clopen words: one relations
+word R (the families comparable with the whole chain) and each member's
+strict up- and down-words decide, in O(k) word operations, which c_j is
+the join of the chain part below some comparable family and which is the
+meet of the part above one.
 
 ``close_words`` is the one routine closing a set of words under AND and
 OR; topology generation runs through it too.  An ``OmegaChain`` is
@@ -94,59 +95,33 @@ def _generated(universe: GroundSet, words: list[int]) -> FiniteSublattice:
     return lat
 
 
-def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
-    """All families comparable with every member of the collection.
+def _relations_word(universe: GroundSet, words) -> tuple[int, list[tuple[int, int]]]:
+    """The families comparable with every word, as a clopen word, and each
+    word's (up, down) interval words in the order given.
 
-    Solved over the whole cube as a clopen word, so the ground set is
-    capped at sweep size.  The families above w are those containing every
-    set in w, the families below w those omitting every set outside it, and
-    the result is the AND over w of those two words ORed.
+    The families above w are those containing every set in w, the families
+    below w those omitting every set outside it, and the relations word is
+    the AND over w of those two words ORed.  Whole-cube words, so the
+    ground set is capped at sweep size.
     """
+    rel = cube_word(universe)
+    intervals = []
+    for w in words:
+        up, down = interval_words(universe, w)
+        rel &= up | down
+        intervals.append((up, down))
+    return rel, intervals
+
+
+def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
+    """All families comparable with every member of the collection."""
     fams = list(collection)
     if not fams:
         raise ValueError("comparability needs a nonempty collection")
     if any(f.universe != universe for f in fams):
         raise ValueError(f"every family must live on the n={universe.n} ground set")
-    word = cube_word(universe)
-    for w in {f.word for f in fams}:
-        up, down = interval_words(universe, w)
-        word &= up | down
-    return frozenset(Family(universe, g) for g in set_bits(word))
-
-
-def is_complete_sublattice(universe: GroundSet, members) -> bool:
-    """True when every nonempty subcollection has its meet and join inside.
-
-    Exists to cross-check the closure constructor: on finite collections
-    this coincides with binary closure, and the test suite leans on that.
-    """
-    words = sorted(family_word(universe, m) for m in members)
-    pool = set(words)
-    if not pool:
-        return False
-    for r in range(1, len(words) + 1):
-        for combo in combinations(words, r):
-            meet = join = combo[0]
-            for w in combo[1:]:
-                meet &= w
-                join |= w
-            if meet not in pool or join not in pool:
-                return False
-    return True
-
-
-def join_escape_witness(universe: GroundSet, members) -> frozenset[Family] | None:
-    """A subcollection whose union escapes, or None when join-complete."""
-    fams = [Family(universe, family_word(universe, m)) for m in members]
-    pool = {f.word for f in fams}
-    for r in range(2, len(fams) + 1):
-        for combo in combinations(fams, r):
-            join = 0
-            for f in combo:
-                join |= f.word
-            if join not in pool:
-                return frozenset(combo)
-    return None
+    rel, _ = _relations_word(universe, {f.word for f in fams})
+    return frozenset(Family(universe, g) for g in set_bits(rel))
 
 
 def join_completeness_witness(gens, candidate: UPSet) -> Report:
@@ -180,56 +155,57 @@ def join_completeness_witness(gens, candidate: UPSet) -> Report:
     )
 
 
-def _is_chain(words: list[int]) -> bool:
-    return all(
-        (w & v) in (w, v) for w, v in combinations(words, 2)
-    )
+def _is_chain(ws: list[int]) -> bool:
+    # For increasing distinct words.  A proper superset word is the larger
+    # integer, so a chain in increasing order is in inclusion order, and
+    # inclusion is transitive.
+    return all((w & v) == w for w, v in zip(ws, ws[1:]))
 
 
 def chain_completion_finite(universe: GroundSet, chain) -> frozenset[Family]:
     """Complete a finite chain of families inside the cube.
 
-    Adjoins the meet and join of the whole chain, and for every family b
-    comparable with all of the chain, the join of the chain part below b
-    and the meet of the part strictly above b (skipping empty parts).
-    The result is again a chain and contains the input.
+    The distinct members, sorted, are c_1 < ... < c_k; the meet and join of
+    the whole chain are c_1 and c_k.  The rest of the completion comes from
+    the relations word R and each member's strict up- and down-words in
+    O(k) word operations (``_chain_joins_meets``), with no comparable
+    family listed.  The result contains the input and is again a chain.
     """
-    fams = list(chain)
-    if not fams:
+    words = [family_word(universe, f) for f in chain]
+    if not words:
         raise ValueError("cannot complete an empty chain")
-    words = [f.word for f in fams]
-    if not _is_chain(words):
+    cs = sorted(set(words))
+    if not _is_chain(cs):
         raise ValueError("input collection is not totally ordered")
+    joins, meets = _chain_joins_meets(universe, cs)
+    return frozenset(Family(universe, w) for w in {*cs, *joins, *meets})
 
-    meet = join = words[0]
-    for w in words[1:]:
-        meet &= w
-        join |= w
-    out = set(words) | {meet, join}
 
-    for b in relations_set(universe, fams):
-        bw = b.word
-        below = [w for w in words if (w & bw) == w and w != bw]
-        above = [w for w in words if (w & bw) == bw and w != bw]
-        if below:
-            j = 0
-            for w in below:
-                j |= w
-            out.add(j)
-        if above:
-            m = above[0]
-            for w in above[1:]:
-                m &= w
-            out.add(m)
+def _chain_joins_meets(universe: GroundSet, cs: list[int]) -> tuple[list[int], list[int]]:
+    """The members of the chain c_1 < ... < c_k (distinct words, increasing)
+    that are the join of the chain part strictly below, or the meet of the
+    part strictly above, some family b comparable with the whole chain:
+    the joins, then the meets.
 
-    return frozenset(Family(universe, w) for w in out)
+    The part below b is a prefix, so its join is c_j exactly when b lies
+    strictly above c_j and not strictly above c_(j+1): the word
+    R & above*(c_j) & ~above*(c_(j+1)) is nonzero, where R is the relations
+    word, above*(c) the up-word of c without c's own bit, and c_k has no
+    second term.  The meets mirror this with the down-words.  O(k) word
+    operations; no comparable family is listed.
+    """
+    rel, intervals = _relations_word(universe, cs)
+    above = [up ^ (1 << c) for c, (up, _) in zip(cs, intervals)] + [0]
+    below = [0] + [down ^ (1 << c) for c, (_, down) in zip(cs, intervals)]
+    joins = [c for j, c in enumerate(cs) if rel & above[j] & ~above[j + 1]]
+    meets = [c for j, c in enumerate(cs) if rel & below[j + 1] & ~below[j]]
+    return joins, meets
 
 
 def _completion_violation(universe: GroundSet, words: list[int]) -> dict | None:
     """The words the completion of a chain adds or misses, or None when the
     completion is the chain itself."""
-    fams = [Family(universe, w) for w in words]
-    completed = {f.word for f in chain_completion_finite(universe, fams)}
+    completed = {f.word for f in chain_completion_finite(universe, words)}
     extra, missing = sorted(completed - set(words)), sorted(set(words) - completed)
     return {"extra": extra, "missing": missing} if extra or missing else None
 
@@ -266,7 +242,7 @@ def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4)
         tried = 0
         for r in range(1, min(max_len, universe.num_subsets + 1) + 1):
             for combo in combinations(range(size), r):
-                if not _is_chain(list(combo)):
+                if not _is_chain(combo):
                     continue
                 tried += 1
                 problem = _completion_violation(universe, list(combo))
@@ -333,12 +309,14 @@ def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report
     chain) and its settled value must agree with the declared union.  A
     coordinate the union claims but no stage reaches before the bound is
     undecidable here: the stages may pick it up later or never, so the
-    check comes back inconclusive rather than failed.  A bound below 1
-    raises.
+    check comes back inconclusive rather than failed, and so does a run
+    given no coordinate to examine.  A bound below 1 raises.
     """
     coords = list(coords)
     timer = Stopwatch("omega-completion", {"bound": bound, "coordinates": len(coords)})
     entries = _entry_stages([chain.rule(i) for i in range(bound)], coords)
+    if not coords:
+        return timer.report(INCONCLUSIVE, {"coordinates": 0})
     notes = [f"declared union: {chain.union!r}"]
     pending: list[str] = []
     for w, entered_at in zip(coords, entries):

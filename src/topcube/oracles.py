@@ -5,7 +5,8 @@ with the bit-word encodings the engines use, so agreement between the two is
 meaningful.  The topology count is done twice over: once by filtering all
 families through the axioms, once by counting reflexive transitive relations
 (finite topologies and preorders are the same data, via "y is in every open
-set containing x").
+set containing x").  The lattice cross-checks walk every subcollection, or
+every family of the cube, with families as sets of sets.
 """
 
 from __future__ import annotations
@@ -100,3 +101,56 @@ def inject(n: int, opens, big_n: int, mapping) -> frozenset:
         if frozenset(y for y in range(n) if mapping[y] in s) in opens:
             image.add(s)
     return frozenset(image)
+
+
+def is_complete_sublattice(members) -> bool:
+    """True when every nonempty subcollection of the families has its
+    intersection and union among them (False for no families)."""
+    pool = set(members)
+    if not pool:
+        return False
+    fams = list(pool)
+    for r in range(1, len(fams) + 1):
+        for combo in combinations(fams, r):
+            if frozenset.intersection(*combo) not in pool:
+                return False
+            if frozenset.union(*combo) not in pool:
+                return False
+    return True
+
+
+def join_escape_witness(members):
+    """A subcollection of the families whose union is not among them, or
+    None when every union stays inside."""
+    fams = list(dict.fromkeys(members))
+    pool = set(fams)
+    for r in range(2, len(fams) + 1):
+        for combo in combinations(fams, r):
+            if frozenset.union(*combo) not in pool:
+                return frozenset(combo)
+    return None
+
+
+def chain_joins_meets(n: int, chain) -> tuple[frozenset, frozenset]:
+    """For every family on n points comparable with each family of the
+    chain: the union of the chain part strictly below it and the
+    intersection of the part strictly above it, skipping empty parts."""
+    joins, meets = set(), set()
+    for b in all_families(n):
+        if all(b <= c or c <= b for c in chain):
+            below = [c for c in chain if c < b]
+            above = [c for c in chain if b < c]
+            if below:
+                joins.add(frozenset.union(*below))
+            if above:
+                meets.add(frozenset.intersection(*above))
+    return frozenset(joins), frozenset(meets)
+
+
+def chain_completion(n: int, chain) -> frozenset:
+    """The chain with its intersection and union adjoined, and the joins and
+    meets of ``chain_joins_meets``."""
+    fams = list(chain)
+    joins, meets = chain_joins_meets(n, fams)
+    ends = {frozenset.intersection(*fams), frozenset.union(*fams)}
+    return frozenset(fams) | ends | joins | meets

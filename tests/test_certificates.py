@@ -346,6 +346,17 @@ def test_unsettled_coordinate_is_inconclusive():
     assert report.verdict == "inconclusive"
 
 
+def test_convergence_on_no_coordinates_is_inconclusive():
+    # with nothing to examine there is nothing to claim
+    x = Explicit([EMPTY, NATS])
+    for increasing in (True, False):
+        report = sequence_convergence_check(
+            lambda m: x, x, [], depth=4, assume_increasing=increasing
+        )
+        assert report.verdict == "inconclusive"
+        assert report.witness == {"coords": 0}
+
+
 def test_convergence_rejects_depth_zero():
     x = Explicit([EMPTY, NATS])
     for increasing in (True, False):

@@ -103,6 +103,12 @@ def test_bad_fixture_exits_two(tmp_path, capsys, argv, fixture):
     assert "error:" in capsys.readouterr().err
 
 
+def test_initials_demo_on_no_completion_coordinates_exits_three(tmp_path):
+    # an empty coordinate file leaves the union completion nothing to check
+    path = _write(tmp_path, "coords.json", [])
+    assert main(["demo", "initials-chain", "--coords", path, "--quiet"]) == 3
+
+
 def test_bad_coordinate_type_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "coords.json", [{"pre": 5, "period": "0"}])
     assert main(["demo", "limit-vs-union", "--coords", path, "--quiet"]) == 2

@@ -17,16 +17,21 @@ from topcube import (
     chain_completion_check,
     chain_completion_finite,
     chain_completion_omega,
-    is_complete_sublattice,
     join_completeness_witness,
-    join_escape_witness,
     lat_generate,
     relations_set,
 )
 from topcube import lattice
 from topcube.cli import main
+from topcube.cube import set_bits
 from topcube.demos import growing_core_chain, initials_chain
 from topcube.lattice import close_words, random_chain
+from topcube.oracles import (
+    chain_completion,
+    chain_joins_meets,
+    is_complete_sublattice,
+    join_escape_witness,
+)
 
 U2 = GroundSet(2)
 U3 = GroundSet(3)
@@ -49,6 +54,16 @@ FULL2 = 15
 
 def fams(universe, *words):
     return [Family(universe, w) for w in words]
+
+
+def as_sets(universe, *words):
+    # each family word as a frozenset of frozensets, the oracles' form
+    return [
+        frozenset(
+            frozenset(p for p in range(universe.n) if (m >> p) & 1) for m in set_bits(w)
+        )
+        for w in words
+    ]
 
 
 # ------------------------------------------------------------- lat_generate
@@ -89,7 +104,7 @@ def test_generate_is_least_closed_superset(words):
     lat = lat_generate(U3, fams(U3, *words))
     extras = lat.words - set(words)
     for w in extras:
-        assert not is_complete_sublattice(U3, fams(U3, *(lat.words - {w})))
+        assert not is_complete_sublattice(as_sets(U3, *(lat.words - {w})))
 
 
 def _naive_closure(words):
@@ -174,13 +189,13 @@ def test_relations_match_comparability_filter(n):
 def test_generated_lattices_are_complete():
     for words in ([2, 4], [1, 9, 11], [7], [3, 5, 10]):
         lat = lat_generate(U2, fams(U2, *words))
-        assert is_complete_sublattice(U2, lat.words)
+        assert is_complete_sublattice(as_sets(U2, *lat.words))
 
 
 def test_raw_set_missing_join_is_incomplete():
     with pytest.raises(ValueError):
         FiniteSublattice(U2, fams(U2, 2, 4))
-    assert not is_complete_sublattice(U2, fams(U2, 2, 4))
+    assert not is_complete_sublattice(as_sets(U2, 2, 4))
 
 
 def test_sublattice_rejects_words_outside_the_cube():
@@ -192,9 +207,7 @@ def test_sublattice_rejects_words_outside_the_cube():
     assert FiniteSublattice(U2, [0, 15]).words == {0, 15}
 
 
-@pytest.mark.parametrize(
-    "build", [lat_generate, FiniteSublattice, is_complete_sublattice, join_escape_witness]
-)
+@pytest.mark.parametrize("build", [lat_generate, FiniteSublattice, chain_completion_finite])
 def test_family_of_another_ground_set_is_refused(build):
     with pytest.raises(ValueError, match="n=2 ground set given for n=3"):
         build(U3, [Family(U2, 5)])
@@ -202,19 +215,19 @@ def test_family_of_another_ground_set_is_refused(build):
 
 
 def test_singleton_is_complete():
-    assert is_complete_sublattice(U2, fams(U2, TRIV2))
+    assert is_complete_sublattice(as_sets(U2, TRIV2))
 
 
 def test_join_complete_examples():
-    assert join_escape_witness(U2, fams(U2, 0, 2, 4)) is not None
-    assert join_escape_witness(U2, fams(U2, 1, 9)) is None
-    assert join_escape_witness(U2, fams(U2, *range(16))) is None
+    assert join_escape_witness(as_sets(U2, 0, 2, 4)) is not None
+    assert join_escape_witness(as_sets(U2, 1, 9)) is None
+    assert join_escape_witness(as_sets(U2, *range(16))) is None
 
 
 def test_join_escape_witness():
-    escaped = join_escape_witness(U2, fams(U2, 0, 2, 4))
-    assert {f.word for f in escaped} == {2, 4}
-    assert join_escape_witness(U2, fams(U2, 1, 9)) is None
+    escaped = join_escape_witness(as_sets(U2, 0, 2, 4))
+    assert escaped == frozenset(as_sets(U2, 2, 4))
+    assert join_escape_witness(as_sets(U2, 1, 9)) is None
 
 
 # ----------------------------------------------------- finite chain closure
@@ -245,6 +258,50 @@ def test_completion_rejects_non_chain():
         chain_completion_finite(U2, fams(U2, 2, 4))
     with pytest.raises(ValueError):
         chain_completion_finite(U2, [])
+
+
+def _all_chains(universe, max_len):
+    for r in range(1, max_len + 1):
+        for combo in combinations(range(1 << universe.num_subsets), r):
+            if all((w & v) == w for w, v in zip(combo, combo[1:])):
+                yield list(combo)
+
+
+def test_word_recipe_matches_the_per_family_oracle():
+    # every chain at two points (a chain has at most 2^2 + 1 members), and
+    # seeded chains at three
+    chains = [(U2, c) for c in _all_chains(U2, 5)]
+    rng = random.Random(11)
+    chains += [(U3, [f.word for f in random_chain(U3, rng, 6)]) for _ in range(40)]
+    assert len(chains) > 300
+    for universe, words in chains:
+        joins, meets = lattice._chain_joins_meets(universe, words)
+        chain = as_sets(universe, *words)
+        want_joins, want_meets = chain_joins_meets(universe.n, chain)
+        assert frozenset(as_sets(universe, *joins)) == want_joins, words
+        assert frozenset(as_sets(universe, *meets)) == want_meets, words
+        done = chain_completion_finite(universe, fams(universe, *words))
+        assert frozenset(as_sets(universe, *(f.word for f in done))) == chain_completion(
+            universe.n, chain
+        ), words
+
+
+def test_completion_builds_no_family_per_comparable_family(monkeypatch):
+    # Listing the comparable families built one Family each: 137 for this
+    # chain of four.
+    U4 = GroundSet(4)
+    chain = random_chain(U4, random.Random(5), 6)
+    built = []
+    init = Family.__init__
+
+    def counted_init(self, universe, word):
+        built.append(word)
+        init(self, universe, word)
+
+    monkeypatch.setattr(Family, "__init__", counted_init)
+    done = chain_completion_finite(U4, chain)
+    assert {f.word for f in done} == {f.word for f in chain}
+    assert len(built) <= len(chain) + 2, len(built)
 
 
 def test_random_chains_are_chains():
@@ -330,6 +387,13 @@ def test_omega_membership_drop_raises():
     rule = lambda m: Explicit([EMPTY, NATS]) if m % 2 == 0 else Explicit([NATS])
     with pytest.raises(ValueError):
         chain_completion_omega(OmegaChain(rule, Explicit([NATS])), [EMPTY], 4)
+
+
+def test_omega_on_no_coordinates_is_inconclusive():
+    stage, union, _ = initials_chain({"enum": EVENS.to_json()})
+    report = chain_completion_omega(OmegaChain(stage, union), [], 8)
+    assert report.verdict == "inconclusive"
+    assert report.witness == {"coordinates": 0}
 
 
 def test_omega_rejects_bound_zero():
