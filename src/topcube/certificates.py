@@ -324,7 +324,8 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     the coordinates.  A neighbourhood whose in-pool candidates all coincide
     with x (no separating coordinate found in the shared probe pool) is a
     refutation relative to the pool; a neighbourhood missed by the whole
-    pool leaves the question open.
+    pool, or no coordinate to cut a neighbourhood with, leaves the question
+    open.
     """
     coords = list(coords)
     if len(coords) > MAX_PATTERN_COORDS:
@@ -353,6 +354,8 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
         return timer.report(
             INCONCLUSIVE, {"reason": "some neighbourhood misses the whole candidate pool"}
         )
+    if not coords:
+        return timer.report(INCONCLUSIVE, {"coords": 0})
     return timer.report(PASS, notes=[
         f"all {2 ** len(coords)} sign patterns met the pool away from the base point"
     ])
@@ -403,11 +406,13 @@ def limit_vs_union_check(limit: FamExpr, union: FamExpr, coords) -> Report:
     The pool is the given coordinates plus both expressions' structural
     probes.  Agreement everywhere is a pass; any disagreement is reported
     coordinate by coordinate, which is how a limit picking up a set that no
-    finite stage reaches gets surfaced.
+    finite stage reaches gets surfaced.  An empty pool is inconclusive.
     """
     timer = Stopwatch("limit-vs-union", {})
     pool = list(dict.fromkeys(list(coords) + limit.probe_sets() + union.probe_sets()))
     timer.params["coords"] = len(pool)
+    if not pool:
+        return timer.report(INCONCLUSIVE, {"coords": 0})
     differing = [w for w in pool if limit.contains(w) != union.contains(w)]
     if differing:
         return timer.report(
@@ -434,14 +439,16 @@ def ordinal_homeo_check(chain: OmegaChain, coords=(), depth: int = 16) -> Report
     witnesses double as isolation certificates: the coordinate gained at
     step i is absent from all earlier stages and present in all later ones.
     The stages are walked before any verdict, so a coordinate dropped
-    anywhere within the depth raises, as does a depth below 1.  Whether the
-    top is the plain union of its stages is ``limit_vs_union_check``'s
-    question.
+    anywhere within the depth raises, as does a depth below 1; an empty
+    pool is then inconclusive.  Whether the top is the plain union of its
+    stages is ``limit_vs_union_check``'s question.
     """
     top = chain.union
     coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
     timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth})
     entries = _entry_stages([chain.rule(i) for i in range(depth)], coords)
+    if not coords:
+        return timer.report(INCONCLUSIVE, {"coords": 0})
 
     for i in range(depth - 1):
         if i + 1 not in entries:

@@ -4,8 +4,12 @@ Three verbs: `count` tallies topologies on a small ground set against an
 independent counting route, `verify` runs one of the named structural
 checks, and `demo` walks a packaged construction and confirms it behaves as
 predicted, predicted failures included.  Every run produces a report; exit
-status 0 is a pass, 1 a refutation, 3 an inconclusive sampling, 2 a usage
-problem.
+status 0 is a pass, 1 a refutation, 3 an inconclusive sampling (or a check
+that found nothing to examine), 2 a usage problem.
+
+The argument parser is built once per process, on the first call to
+`main`, and reused by every later call: building it costs more than most
+checks, and argparse keeps no state between parses.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 from importlib import resources
 
 from . import demos, oracles
@@ -197,7 +202,9 @@ def run_demo(args: argparse.Namespace) -> Report:
     return fn(fix)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="topcube",
         description="workbench for families of sets, finite topologies, and "
@@ -240,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.verb == "count":
             report = run_count(args.n)

@@ -115,7 +115,8 @@ def demo_chain_union(fix: dict) -> Report:
 
     The predicted witness is the infinite union of members that the stage
     union fails to contain; the demo passes exactly when the probe turns up
-    that witness on every stage being clean.
+    that witness on every stage being clean.  Fewer than two coordinates
+    give no probe pair, and the demo is inconclusive.
     """
     stage, union = _CHAIN_BUILDERS[fix["builder"]](fix)
     coords = _upsets(fix["coords"])
@@ -126,10 +127,12 @@ def demo_chain_union(fix: dict) -> Report:
         "chain-union-demo", {"builder": fix["builder"], "depth": depth, "coords": len(coords)}
     )
 
-    dirty = [m for m in range(depth) if not fam_is_topology_sym(stage(m), pairs).passed]
+    dirty = [m for m in range(depth) if fam_is_topology_sym(stage(m), pairs).verdict == FAIL]
     if dirty:
         return timer.report(FAIL, {"stage_failed_probe": dirty})
     probe = fam_is_topology_sym(union, pairs)
+    if probe.verdict == INCONCLUSIVE:
+        return timer.report(INCONCLUSIVE, probe.witness)
     if probe.passed:
         return timer.report(FAIL, {"union_passed_probe": True})
     got = probe.witness
@@ -220,6 +223,8 @@ def demo_limit_vs_union(fix: dict) -> Report:
     timer = Stopwatch("limit-vs-union-demo", {"coords": len(coords)})
 
     probe = limit_vs_union_check(top, union, coords)
+    if probe.verdict == INCONCLUSIVE:
+        return timer.report(INCONCLUSIVE, probe.witness)
     wanted = [w.describe() for w in expected]
     if probe.passed or probe.witness.get("differing") != wanted:
         return timer.report(

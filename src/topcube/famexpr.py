@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .report import FAIL, PASS, Report, Stopwatch
+from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import MAX_WINDOW_BITS, UPSet
 
 GENERATOR_CAP = 16
@@ -359,7 +359,8 @@ def fam_is_topology_sym(e: FamExpr, probes) -> Report:
     is again a member.  The last test is what catches families closed under
     finite unions that miss an infinite one: the union of members below the
     missing set reconstructs it exactly.  A pass means no refutation was
-    found, not a proof.
+    found, not a proof; with no probe pair there is nothing past the empty
+    set and the space to look at, and the verdict is inconclusive.
     """
     probes = list(probes)
     timer = Stopwatch("topology-probe", {"expr": e.to_json(), "probe_pairs": len(probes)})
@@ -373,6 +374,8 @@ def fam_is_topology_sym(e: FamExpr, probes) -> Report:
         return fail("missing-empty-set", [_EMPTY])
     if not e.contains(_NATS):
         return fail("missing-whole-space", [_NATS])
+    if not probes:
+        return timer.report(INCONCLUSIVE, {"probe_pairs": 0})
 
     acc = _EMPTY
     for a, b in probes:

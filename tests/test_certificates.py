@@ -290,6 +290,13 @@ def test_missed_neighbourhood_is_inconclusive():
     assert report.verdict == "inconclusive"
 
 
+def test_limit_point_on_no_coordinates_is_inconclusive():
+    # the one pattern left is the whole space, which any pool meets
+    x = Explicit([EMPTY, NATS])
+    report = is_limit_point_sampled(x, [Explicit([NATS])], [], depth=4)
+    assert (report.verdict, report.witness) == ("inconclusive", {"coords": 0})
+
+
 def test_pattern_coordinate_cap():
     xs = [UPSet.singleton(i) for i in range(11)]
     with pytest.raises(ValueError):
@@ -398,6 +405,11 @@ def test_limit_vs_union_agreement():
     assert limit_vs_union_check(union, union, [ODDS, NATS]).passed
 
 
+def test_limit_vs_union_on_an_empty_pool_is_inconclusive():
+    report = limit_vs_union_check(Explicit([]), Explicit([]), [])
+    assert (report.verdict, report.witness) == ("inconclusive", {"coords": 0})
+
+
 # ----------------------------------------------------------- ordinal ladder
 
 
@@ -430,6 +442,13 @@ def test_lost_coordinate_raises():
     rule = lambda m: Explicit([EMPTY, NATS]) if m == 0 else Explicit([NATS])
     with pytest.raises(ValueError):
         ordinal_homeo_check(OmegaChain(rule, Explicit([NATS])), [EMPTY], depth=4)
+
+
+def test_ladder_on_an_empty_pool_is_inconclusive():
+    # depth 1 takes no step, and an empty top suggests no probe set
+    chain = OmegaChain(lambda m: Explicit([]), Explicit([]))
+    report = ordinal_homeo_check(chain, [], depth=1)
+    assert (report.verdict, report.witness) == ("inconclusive", {"coords": 0})
 
 
 def test_ladder_rejects_depth_zero():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,16 @@ def test_initials_demo_on_no_completion_coordinates_exits_three(tmp_path):
     # an empty coordinate file leaves the union completion nothing to check
     path = _write(tmp_path, "coords.json", [])
     assert main(["demo", "initials-chain", "--coords", path, "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("coords", [[], [{"pre": "1", "period": "0"}]])
+def test_powerset_demo_without_a_probe_pair_exits_three(tmp_path, coords):
+    # fewer than two coordinates give the topology probe no pair to test
+    path = _write(tmp_path, "coords.json", coords)
+    out = tmp_path / "report.json"
+    argv = ["demo", "powerset-chain", "--coords", path, "--quiet", "--json", str(out)]
+    assert main(argv) == 3
+    assert json.loads(out.read_text(encoding="utf-8"))["witness"] == {"probe_pairs": 0}
 
 
 def test_bad_coordinate_type_exits_two(tmp_path, capsys):
@@ -359,6 +370,92 @@ def test_json_report_file(tmp_path):
     assert payload["check"] == "count"
     assert payload["verdict"] == "pass"
     assert payload["elapsed_ms"] >= 0
+
+
+# `python -I -m topcube ARGV`, with this source tree first on the path
+_FRESH_MAIN = (f"import runpy, sys; sys.path.insert(0, {str(SRC)!r}); "
+               "runpy.run_module('topcube', run_name='__main__', alter_sys=True)")
+
+
+def _fresh(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-I", "-c", _FRESH_MAIN, *argv],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_ten_calls_build_one_parser():
+    # the parser is built on the first call, not at import, and then reused
+    code = textwrap.dedent(f"""
+        import argparse, sys
+        sys.path.insert(0, {str(SRC)!r})
+        built = 0
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            global built
+            built += 1
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        from topcube.cli import main
+        print(built)
+        for n in (1, 2) * 5:
+            assert main(["count", "--n", str(n), "--quiet"]) == 0
+        print(built)
+    """)
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    at_import, after_ten = map(int, done.stdout.split())
+    assert at_import == 0
+    assert after_ten <= 4  # the root parser and one per verb
+
+
+# each call drops or changes an option of the call before it
+_SEQUENCE = [
+    (["verify", "chain-completion", "--bound", "3", "--seed", "5"], 0),
+    (["verify", "chain-completion", "--seed", "5"], 0),
+    (["demo", "initials-chain", "--bound", "2"], 3),
+    (["demo", "initials-chain"], 0),
+    (["verify", "disjoint-closure", "--fixture", "disjoint-pair"], 0),
+    (["verify", "disjoint-closure", "--seed", "7"], 0),
+    (["verify", "no-such-check"], 2),
+    (["count", "--n", "2"], 0),
+]
+
+
+def _outcome(code, out: Path):
+    if not out.exists():
+        return code, None
+    report = json.loads(out.read_text(encoding="utf-8"))
+    out.unlink()
+    report["elapsed_ms"] = 0
+    return code, report
+
+
+def test_one_process_parses_like_fresh_ones(tmp_path):
+    out = tmp_path / "report.json"
+    here, fresh = [], []
+    for argv, _ in _SEQUENCE:
+        argv = [*argv, "--quiet", "--json", str(out)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        here.append(_outcome(code, out))
+        fresh.append(_outcome(_fresh(*argv).returncode, out))
+    assert here == fresh
+    assert [code for code, _ in here] == [code for _, code in _SEQUENCE]
+    assert [report is None for _, report in here] == [code == 2 for _, code in _SEQUENCE]
+
+
+def test_help_lists_the_three_verbs(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _fresh("--help")
+    assert done.returncode == 0, done.stderr
+    assert "{count,verify,demo}" in done.stdout
+    main(["count", "--n", "1", "--quiet"])
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == done.stdout
 
 
 def test_correspondence_report_matches_golden():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from topcube import UPSet
+from topcube import Explicit, UPSet, demos
 from topcube.cli import DEMOS, load_fixture
 from topcube.demos import (
     demo_chain_union,
@@ -98,6 +98,24 @@ def test_initials_demo_rejects_wrong_unresolved_set():
     assert report.verdict == "fail"
     assert report.witness["union_completion"] == "pass"
     assert report.witness["top_completion"]["verdict"] != "inconclusive"
+
+
+def test_initials_demo_passes_an_inconclusive_limit_point_on():
+    fix = load_fixture("initials-chain")
+    fix["limit_point_coords"] = []
+    report = demo_initials_chain(fix)
+    assert report.verdict == "inconclusive"
+    assert report.witness["limit_point"] == "inconclusive"
+
+
+def test_limit_vs_union_demo_passes_an_inconclusive_probe_on(monkeypatch):
+    # no packaged expression has an empty probe pool: swap in two that do
+    monkeypatch.setattr(demos, "initials_chain",
+                        lambda fix: (None, Explicit([]), Explicit([])))
+    fix = load_fixture("initials-chain")
+    fix["completion_coords"] = []
+    report = demo_limit_vs_union(fix)
+    assert (report.verdict, report.witness) == ("inconclusive", {"coords": 0})
 
 
 def test_limit_vs_union_demo_names_both_sides():

@@ -303,6 +303,12 @@ def test_probe_missing_bounds():
     assert not r.passed and r.witness["kind"] == "missing-whole-space"
 
 
+def test_probe_without_pairs_is_inconclusive():
+    # past the two bounds there is nothing to probe
+    r = fam_is_topology_sym(Explicit([EMPTY, NATS]), [])
+    assert r.verdict == "inconclusive" and r.witness == {"probe_pairs": 0}
+
+
 def test_probe_catches_missing_union():
     # two disjoint members whose union was left out
     e = Explicit([EMPTY, up(0), up(1), NATS])
