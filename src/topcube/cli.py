@@ -9,7 +9,9 @@ that found nothing to examine), 2 a usage problem.
 
 The argument parser is built once per process, on the first call to
 `main`, and reused by every later call: building it costs more than most
-checks, and argparse keeps no state between parses.
+checks, and argparse keeps no state between parses.  A packaged fixture's
+text is likewise read once per process, and parsed afresh on every call,
+so each caller gets a dict of its own to write into.
 """
 
 from __future__ import annotations
@@ -67,13 +69,20 @@ DEMOS = {
 }
 
 
+@cache
+def _packaged_text(name: str) -> str:
+    # packaged fixtures do not change within a process, so each is read once
+    return resources.files("topcube").joinpath("fixtures", f"{name}.json").read_text(
+        encoding="utf-8")
+
+
 def load_fixture(name: str) -> dict:
+    """The fixture as a fresh dict: a packaged name, or a path read every call."""
     if name.endswith(".json") or "/" in name:
         with open(name, encoding="utf-8") as fh:
             fix = json.load(fh)
     else:
-        path = resources.files("topcube").joinpath("fixtures", f"{name}.json")
-        fix = json.loads(path.read_text(encoding="utf-8"))
+        fix = json.loads(_packaged_text(name))
     if not isinstance(fix, dict):
         raise ValueError("a fixture must be a JSON object")
     return fix

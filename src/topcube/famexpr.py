@@ -24,11 +24,20 @@ therefore a member iff it equals the union of the meets lying below it
 (LatGen additionally requires at least one such meet; LatGenSing allows a
 finite remainder, covered by singletons).  Generator lists are capped so the
 meet pool stays enumerable.
+
+The generated variants decide membership on one window.  Their meets are
+plain integers on the generators' window (the longest preperiod plus the lcm
+of the period lengths), ANDed once at construction; a query re-windows them
+together with the candidate (the longer preperiod plus the lcm of both
+periods), ORs the meets below the candidate and compares one word.  Both
+windows are capped at MAX_WINDOW_BITS: generators whose joint window is
+wider are refused with ValueError at construction, and so is a candidate
+whose window with the generators is wider, at the query.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import lcm
 
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import MAX_WINDOW_BITS, UPSet
@@ -46,16 +55,61 @@ def _union(sets) -> UPSet:
     return out
 
 
-def _meets_of(gens: tuple[UPSet, ...]) -> frozenset[UPSet]:
-    """All intersections of nonempty subcollections of the generators."""
-    pool: set[UPSet] = set()
-    for r in range(1, len(gens) + 1):
-        for combo in combinations(gens, r):
-            m = combo[0]
-            for g in combo[1:]:
-                m = m & g
-            pool.add(m)
-    return frozenset(pool)
+def _window_width(start: int, period: int) -> int:
+    width = start + period
+    if width > MAX_WINDOW_BITS:
+        raise ValueError(f"a window of {start} preperiod bits and a {period}-bit period "
+                         f"is {width} bits, beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
+    return width
+
+
+class _Meets:
+    """The meets of a generator list as integers on the generators' window.
+
+    Every generator is periodic from `start` with a period dividing `period`,
+    so each meet is one integer of start + period bits.  With `bounds` the
+    words 0 and all-ones stand in for the empty set and the naturals.
+    """
+
+    def __init__(self, gens: tuple[UPSet, ...], *, bounds: bool = False):
+        self.start = max((g._pre_len for g in gens), default=0)
+        self.period = lcm(*(g._per_len for g in gens))
+        width = _window_width(self.start, self.period)
+        pool = {0, (1 << width) - 1} if bounds else set()
+        for g in gens:
+            word = g._word(width)
+            pool |= {word & m for m in pool}
+            pool.add(word)
+        self.words = tuple(pool)
+
+    def below(self, a: UPSet) -> tuple[int, int, int, int, bool]:
+        """(start, period, word of a, union of the meets below a, whether any is).
+
+        All on one window where a and every meet are periodic: the longer
+        preperiod, then the lcm of the two periods.
+        """
+        start = max(self.start, a._pre_len)
+        period = lcm(self.period, a._per_len)
+        width = _window_width(start, period)
+        words = self.words
+        if width != self.start + self.period:
+            # each meet: its preperiod bits, then its period block repeated
+            ms, mp = self.start, self.period
+            copies = -(-(width - ms) // mp)
+            repunit = ((1 << mp * copies) - 1) // ((1 << mp) - 1)
+            pre_mask, full = (1 << ms) - 1, (1 << width) - 1
+            words = [m & pre_mask | ((m >> ms) * repunit << ms) & full for m in words]
+        x = a._word(width)
+        union, hit = 0, False
+        for m in words:
+            if m & ~x == 0:
+                union |= m
+                hit = True
+        return start, period, x, union, hit
+
+    def union_below(self, w: UPSet) -> UPSet:
+        start, period, _, union, _ = self.below(w)
+        return UPSet._split(start, period, union)
 
 
 def _nudges(s: UPSet) -> list[UPSet]:
@@ -169,13 +223,14 @@ class TopGen(FamExpr):
 
     def __init__(self, subbase):
         self.subbase = _check_gens(subbase, nonempty=True)
-        self._meets = _meets_of(self.subbase) | {_EMPTY, _NATS}
+        self._meets = _Meets(self.subbase, bounds=True)
 
     def contains(self, a: UPSet) -> bool:
-        return _union(m for m in self._meets if m <= a) == a
+        _, _, x, union, _ = self._meets.below(a)
+        return union == x
 
     def union_below(self, w: UPSet) -> UPSet:
-        return _union(m for m in self._meets if m <= w)
+        return self._meets.union_below(w)
 
     def probe_sets(self, cap: int = 8):
         return [_EMPTY, _NATS, *self.subbase]
@@ -189,14 +244,14 @@ class LatGen(FamExpr):
 
     def __init__(self, gens):
         self.gens = _check_gens(gens, nonempty=True)
-        self._meets = _meets_of(self.gens)
+        self._meets = _Meets(self.gens)
 
     def contains(self, a: UPSet) -> bool:
-        below = [m for m in self._meets if m <= a]
-        return bool(below) and _union(below) == a
+        _, _, x, union, hit = self._meets.below(a)
+        return hit and union == x
 
     def union_below(self, w: UPSet) -> UPSet:
-        return _union(m for m in self._meets if m <= w)
+        return self._meets.union_below(w)
 
     def probe_sets(self, cap: int = 8):
         return list(self.gens)
@@ -215,13 +270,13 @@ class LatGenSing(FamExpr):
 
     def __init__(self, gens):
         self.gens = _check_gens(gens, nonempty=False)
-        self._meets = _meets_of(self.gens)
+        self._meets = _Meets(self.gens)
 
     def contains(self, a: UPSet) -> bool:
         if a.is_empty:
             return False
-        covered = _union(m for m in self._meets if m <= a)
-        return (a - covered).is_finite
+        start, _, x, union, _ = self._meets.below(a)
+        return (x & ~union) >> start == 0
 
     def union_below(self, w: UPSet) -> UPSet:
         return w

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topcube import GroundSet, subbase_correspondence_check
+from topcube import GroundSet, cli, subbase_correspondence_check
 from topcube.cli import CHECKS, DEMOS, load_fixture, main
 from topcube.demos import MAX_STAGES
 from topcube.report import INCONCLUSIVE, Stopwatch
@@ -132,6 +132,18 @@ def test_zero_depth_fixture_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "fixture.json", fix)
     assert main(["demo", "initials-chain", "--fixture", path, "--quiet"]) == 2
     assert "at least one stage" in capsys.readouterr().err
+
+
+def test_packaged_fixture_is_read_once_and_handed_out_fresh():
+    cli._packaged_text.cache_clear()
+    first, second = load_fixture("join-gap"), load_fixture("join-gap")
+    assert cli._packaged_text.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert first == second and first is not second
+    # callers write into the dict they get, nested lists included
+    first["bound"] = 3
+    first["sample_points"].append(99)
+    assert load_fixture("join-gap") == second and "bound" not in second
+    assert 99 not in second["sample_points"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Symbolic family expressions: membership, probes, topology refutations."""
 
+import math
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from topcube import (
 
 from topcube.cli import load_fixture
 from topcube.demos import growing_core_chain
+from topcube import upsets
 from topcube.upsets import MAX_WINDOW_BITS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -236,6 +238,146 @@ def test_chain_initials_queries_on_long_segments_store_no_segments():
     assert out.stdout.splitlines() == [
         f"{1 << 19} True False False", f"{(1 << 19) - 2} True", "130 True",
     ]
+
+
+# ------------------------------------------- generated families, long periods
+
+
+def _union(sets) -> UPSet:
+    out = EMPTY
+    for x in sets:
+        out = out | x
+    return out
+
+
+def _pairwise_meets(gens) -> set:
+    """Every meet of a nonempty subcollection, ANDed pairwise as UPSets."""
+    pool = set()
+    for r in range(1, len(gens) + 1):
+        for combo in combinations(gens, r):
+            m = combo[0]
+            for g in combo[1:]:
+                m = m & g
+            pool.add(m)
+    return pool
+
+
+def _pairwise_route(kind, gens, a):
+    """(member?, union of the meets below a) from UPSet &, | and <= alone."""
+    meets = _pairwise_meets(gens) | ({EMPTY, NATS} if kind is TopGen else set())
+    below = [m for m in meets if m <= a]
+    union = _union(below)
+    if kind is TopGen:
+        return union == a, union
+    if kind is LatGen:
+        return bool(below) and union == a, union
+    return not a.is_empty and (a - union).is_finite, union
+
+
+def _pointwise_route(kind, gens, a):
+    """(member?, points of the union below a) from `in` over one window."""
+    sets = [*gens, a]
+    start = max(len(s.pre) for s in sets)
+    width = start + math.lcm(*(len(s.period) for s in sets))
+    points = range(width)
+    inside = {i for i in points if i in a}
+    meets = [{i for i in points if all(i in g for g in combo)}
+             for r in range(1, len(gens) + 1) for combo in combinations(gens, r)]
+    if kind is TopGen:
+        meets += [set(), set(points)]
+    below = [m for m in meets if m <= inside]
+    union = set().union(*below)
+    if kind is TopGen:
+        return union == inside, union, width
+    if kind is LatGen:
+        return bool(below) and union == inside, union, width
+    return bool(inside) and all(i < start for i in inside - union), union, width
+
+
+def _random_upset(rng, period_len: int, pre_len: int) -> UPSet:
+    pre = "".join(rng.choice("01") for _ in range(pre_len))
+    return UPSet(pre, "".join(rng.choice("01") for _ in range(period_len)))
+
+
+def _long_period_tuples(count: int, size: int, rng):
+    """Seeded generator tuples, periods of 8-32 bits and preperiods of 0-8;
+    the lcm of the periods is kept to 2,100 bits so the pointwise route,
+    which asks `in` at every point of the window, stays quick."""
+    out = []
+    while len(out) < count:
+        lengths = [rng.randint(8, 32) for _ in range(size)]
+        if math.lcm(*lengths) <= 2100:
+            out.append(tuple(_random_upset(rng, p, rng.randint(0, 8)) for p in lengths))
+    return out
+
+
+def _long_period_cases():
+    rng = random.Random(20240607)
+    return _long_period_tuples(5, 2, rng) + _long_period_tuples(5, 3, rng)
+
+
+@pytest.mark.parametrize("gens", _long_period_cases())
+def test_generated_families_agree_with_both_routes_at_long_periods(gens):
+    rng = random.Random(repr(gens))
+    g0, g1 = gens[0], gens[1]
+    # a period coprime to every generator's widens the window by that factor
+    coprime = next(p for p in (3, 5, 7, 11, 13) if all(len(g.period) % p for g in gens))
+    candidates = [~g0, g0 | g1, g0 & g1, *gens, _union(_pairwise_meets(gens)),
+                  _random_upset(rng, coprime, rng.randint(0, 4)), g0 | UPSet.singleton(40),
+                  EMPTY, NATS]
+    for kind in (TopGen, LatGen, LatGenSing):
+        e = kind(gens)
+        for a in candidates:
+            member, union = _pairwise_route(kind, gens, a)
+            pointwise, points, width = _pointwise_route(kind, gens, a)
+            assert e.contains(a) == member == pointwise, (kind, a)
+            if kind is not LatGenSing:  # its union_below is a itself
+                got = e.union_below(a)
+                assert got == union
+                assert {i for i in range(width) if i in got} == points
+        assert e.contains(g0) is (kind is not LatGenSing or not g0.is_empty)
+
+
+def _period(length: int, point: int = 0) -> UPSet:
+    """The multiples of `length`, shifted up by `point`."""
+    return UPSet("", "0" * point + "1" + "0" * (length - 1 - point))
+
+
+@pytest.mark.parametrize("kind", [TopGen, LatGen, LatGenSing])
+def test_generators_beyond_the_window_cap_are_refused_at_construction(kind):
+    # Every pair aligns within the cap, and the first two are disjoint, so no
+    # pairwise meet is wider than 7,168 bits; all three together need
+    # lcm(1024, 1020, 7) = 1,827,840 bits.
+    gens = [_period(1024), _period(1020, 1), _period(7)]
+    with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+        kind(gens)
+    kind(gens[:2])
+
+
+@pytest.mark.parametrize("kind", [TopGen, LatGen, LatGenSing])
+def test_candidate_beyond_the_window_cap_is_refused_at_the_query(kind):
+    e = kind([_period(1024), _period(1020)])  # a 261,120-bit window
+    assert e.contains(_period(1024)) is True
+    with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+        e.contains(_period(7))
+    if kind is not LatGenSing:
+        with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+            e.union_below(_period(7))
+
+
+def test_generated_queries_canonicalise_no_meet(monkeypatch):
+    gens = [EVENS | up(1), UPSet("01", "110"), UPSet("", "1100")]
+    candidates = [~gens[0], gens[1] | gens[2], NATS, UPSet("1", "01101")]
+    calls = []
+    real = upsets._canonical
+    monkeypatch.setattr(upsets, "_canonical", lambda *a: calls.append(a) or real(*a))
+    families = [TopGen(gens), LatGen(gens), LatGenSing(gens)]
+    for e in families:
+        for a in candidates:
+            e.contains(a)
+    assert calls == []
+    families[0].union_below(NATS)
+    assert len(calls) == 1  # the union itself, split back into an UPSet
 
 
 def test_generator_validation():
