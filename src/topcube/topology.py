@@ -4,26 +4,30 @@ A topology on the ground set is a family containing the empty set and the
 whole set, closed under binary intersection and union (finiteness makes the
 arbitrary-union axiom collapse to the binary one).  Topologies are ordinary
 Family values; this module adds the axioms check, generation from a subbase,
-counting, atoms of the topology lattice, disjointness, and moving a topology
-along an inclusion of ground sets.  Counting and listing read Top(X) as one
-clopen word of the cube (``topology_word``); ``is_topology_word`` stays the
-per-family validator behind ``Topology``.
+counting, disjointness, and moving a topology along an inclusion of ground
+sets.  The axioms are checked bit-sliced by one routine, ``_axioms_word``:
+given one column per subset (bit j set when family j contains the subset)
+it decides a whole batch of families at once, one family per bit.  Counting
+and listing run it over the projection words, so Top(X) is one clopen word
+of the cube (``topology_word``); ``is_topology_word`` stays the per-family
+validator behind ``Topology``.
 
 Adding a point to the ground set maps family word w to the word of the
 subsets whose trace on the old points lies in w: ``cube.add_point``, the
 same routine that rebuilds an ultrafilter from its trace, which for the new
 top point p is ``w | (w << 2^p)``.  ``embedding_check`` audits that map on
-integers alone: it validates each image, checks injectivity with a set, and
-compares inclusion bit-sliced, one row per topology holding the topologies
-above it, built by ANDing one column per subset (the topologies containing
-it).
+integers alone.  It transposes the images into columns once
+(``_columns``), validates every image with one ``_axioms_word`` call, one
+image per bit, and checks injectivity with a set.  It then compares strict
+inclusion with one row per topology holding the topologies above it: the
+AND of the columns of the topology's subsets, read from byte tables, one
+table of column ANDs per block of 8 subsets.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache
 from itertools import combinations
-from operator import and_
 
 from .cube import Family, GroundSet, add_point, cube_word, projection_words, set_bits
 from .lattice import close_words
@@ -119,31 +123,36 @@ def top_generate(universe: GroundSet, subbase) -> Topology:
 def topology_word(universe: GroundSet) -> int:
     """Top(X) as a clopen word of the cube: bit w is set iff family w is a topology.
 
-    H_0 and H_X, and for every pair of subsets a < b, "not both of a and b,
-    or both of a & b and a | b" (n <= 4 only).
+    ``_axioms_word`` over the projection words, one bit per family (n <= 4
+    only).
     """
-    has = projection_words(universe)
-    full = cube_word(universe)
-    word = has[0] & has[universe.full_mask]
-    for a, b in combinations(range(universe.num_subsets), 2):
-        both = has[a] & has[b]
-        word &= (full ^ both) | (has[a & b] & has[a | b])
+    return _axioms_word(projection_words(universe), cube_word(universe), universe.n)
+
+
+@cache
+def _incomparable_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(a, b, a & b, a | b) for every pair of incomparable subsets a < b."""
+    return tuple((a, b, a & b, a | b) for a, b in combinations(range(1 << n), 2)
+                 if a & b not in (a, b))
+
+
+def _axioms_word(columns, everyone: int, n: int) -> int:
+    """Bit j is set exactly when family j is a topology on n points.
+
+    Bit-sliced (TAOCP 4A, 7.1.3): ``columns[a]`` has bit j set when family
+    j contains subset a, and ``everyone`` has a bit for every family.  The
+    result is H_0 and H_X, and for every pair a, b "not both of a and b, or
+    both of a & b and a | b"; a comparable pair meets its term trivially,
+    so only the incomparable ones are ANDed in.
+    """
+    word = columns[0] & columns[(1 << n) - 1]
+    for a, b, meet, join in _incomparable_pairs(n):
+        word &= (everyone ^ (columns[a] & columns[b])) | (columns[meet] & columns[join])
     return word
 
 
 def count_topologies(universe: GroundSet) -> int:
     return topology_word(universe).bit_count()
-
-
-def atoms_of(universe: GroundSet) -> frozenset[Topology]:
-    """The minimal nontrivial topologies: trivial plus one proper subset."""
-    if universe.n < 2:
-        raise ValueError("a one-point space has no nontrivial topologies")
-    full = universe.full_mask
-    out = set()
-    for m in range(1, full):
-        out.add(Topology(Family.from_masks(universe, [0, m, full])))
-    return frozenset(out)
 
 
 def are_disjoint(s: Topology, t: Topology) -> bool:
@@ -171,33 +180,49 @@ def all_topologies(universe: GroundSet) -> list[Topology]:
     return [_certified(universe, w) for w in set_bits(topology_word(universe))]
 
 
-def _inclusion_rows(words: list[int], num_subsets: int) -> list[int]:
+def _columns(words: list[int], width: int) -> list[int]:
+    """The words transposed: bit j of column a is bit a of words[j].
+
+    The words, last first, are written as ``width``-bit strings one after
+    another; every ``width``-th character from position width - 1 - a on
+    then reads column a, most significant bit first.
+    """
+    if any(w >> width for w in words):
+        raise ValueError(f"a word is not a {width}-bit nonnegative integer")
+    bits = "".join([format(w, f"0{width}b") for w in reversed(words)])
+    return [int(bits[p::width], 2) for p in range(width - 1, -1, -1)]
+
+
+def _inclusion_rows(words: list[int], columns: list[int]) -> list[int]:
     """Bit j of row i is set when words[i] is a subset of words[j].
 
-    Bit-sliced: column a has bit j set when words[j] contains subset a, and
-    row i is the AND of the columns of the subsets in words[i].
+    Row i is the AND of the columns (``_columns(words, ...)``) of the subsets
+    in words[i], taken a byte at a time: for each block of 8 subsets a
+    256-entry table holds the AND of the columns that every byte picks,
+    each entry one AND onto the entry with its highest bit cleared.
     """
-    members = [set_bits(w) for w in words]
-    columns = [0] * num_subsets
-    for j, subsets in enumerate(members):
-        bit = 1 << j
-        for a in subsets:
-            columns[a] |= bit
     everyone = (1 << len(words)) - 1
-    return [reduce(and_, map(columns.__getitem__, subsets), everyone) for subsets in members]
+    rows = [everyone] * len(words)
+    for low in range(0, len(columns), 8):
+        table = [everyone]
+        for column in columns[low:low + 8]:
+            table += [entry & column for entry in table]
+        rows = [row & table[(w >> low) & 0xFF] for row, w in zip(rows, words)]
+    return rows
 
 
-def _first_inclusion_mismatch(sources, images, n: int):
+def _first_inclusion_mismatch(sources, images, image_columns):
     """The first (i, j), in permutations order, where strict inclusion of
     sources[i] in sources[j] differs from that of images[i] in images[j].
 
-    Both lists must hold distinct words: then x_i is strictly inside x_j
-    exactly when i != j and bit j of row i is set, and every row has bit i,
-    so the two sides agree on every pair exactly when their rows are equal.
-    None when they agree everywhere.
+    ``image_columns`` is ``_columns(images, ...)``; the sources are families
+    over half as many subsets.  Both lists must hold distinct words: then
+    x_i is strictly inside x_j exactly when i != j and bit j of row i is
+    set, and every row has bit i, so the two sides agree on every pair
+    exactly when their rows are equal.  None when they agree everywhere.
     """
-    small = _inclusion_rows(sources, 1 << n)
-    large = _inclusion_rows(images, 1 << (n + 1))
+    small = _inclusion_rows(sources, _columns(sources, len(image_columns) // 2))
+    large = _inclusion_rows(images, image_columns)
     for i, (r, s) in enumerate(zip(small, large)):
         if r != s:
             diff = r ^ s
@@ -210,23 +235,27 @@ def embedding_check(universe: GroundSet) -> Report:
 
     The map must be injective and must preserve and reflect strict
     inclusion; both follow from restriction undoing the construction, and
-    the sweep confirms it topology by topology, on words.
+    the sweep confirms it topology by topology, on words.  The images are
+    validated all at once, one image per bit of ``_axioms_word``.
     """
     n = universe.n
     timer = Stopwatch("embedding", {"n": n, "target": n + 1})
     tops = all_topologies(universe)
     words = [t.family.word for t in tops]
     images = [add_point(w, n, n) for w in words]
-    for t, image in zip(tops, images):
-        if not is_topology_word(n + 1, image):
-            return timer.report(FAIL, {"not-a-topology": t.open_masks()})
+    columns = _columns(images, 1 << (n + 1))
+    everyone = (1 << len(images)) - 1
+    broken = everyone ^ _axioms_word(columns, everyone, n + 1)
+    if broken:
+        k = (broken & -broken).bit_length() - 1
+        return timer.report(FAIL, {"not-a-topology": tops[k].open_masks()})
     if len(set(images)) != len(images):
         seen = {}
         for t, image in zip(tops, images):
             other = seen.setdefault(image, t)
             if other is not t:
                 return timer.report(FAIL, {"collision": [other.open_masks(), t.open_masks()]})
-    mismatch = _first_inclusion_mismatch(words, images, n)
+    mismatch = _first_inclusion_mismatch(words, images, columns)
     if mismatch is not None:
         i, j = mismatch
         return timer.report(FAIL, {"source": tops[i].open_masks(),

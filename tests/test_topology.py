@@ -1,4 +1,4 @@
-"""Topology axioms, generation, atoms, counting, and the size-up embedding."""
+"""Topology axioms, generation, disjointness, counting, and the size-up embedding."""
 
 import random
 from itertools import permutations
@@ -13,7 +13,6 @@ from topcube import (
     Topology,
     all_topologies,
     are_disjoint,
-    atoms_of,
     count_topologies,
     embedding_check,
     enumerate_families,
@@ -124,27 +123,6 @@ def test_generate_agrees_with_reference(subbase):
     t = top_generate(U3, subbase)
     sets = [frozenset(p for p in range(3) if (m >> p) & 1) for m in subbase]
     assert as_frozensets(U3, t.family) == generated_topology(3, sets)
-
-
-# ------------------------------------------------------------------ atoms
-
-
-def test_atom_counts():
-    assert len(atoms_of(U2)) == 2
-    assert len(atoms_of(U3)) == 6
-    assert all(len(t) == 3 for t in atoms_of(U3))
-
-
-def test_atoms_are_pairwise_disjoint():
-    atoms = list(atoms_of(U3))
-    for i, s in enumerate(atoms):
-        for t in atoms[i + 1:]:
-            assert are_disjoint(s, t)
-
-
-def test_atoms_need_two_points():
-    with pytest.raises(ValueError):
-        atoms_of(U1)
 
 
 # ------------------------------------------------------------ disjointness
@@ -270,20 +248,30 @@ def _naive_first_mismatch(sources, images):
 
 
 def test_inclusion_audit_matches_the_pairwise_loop():
+    # n = 3 words fill one and two byte tables (8 and 16 subsets), n = 4
+    # words two and four; at n = 4 half the sources are topologies, whose
+    # strict inclusions random words seldom have
     rng = random.Random(12)
-    verdicts = set()
-    for trial in range(300):
-        sources = rng.sample(range(256), rng.randint(2, 12))
-        images = [add_point(w, 3, 3) for w in sources]
-        if trial % 3:
-            # plant a broken image: one bit cleared or added
-            images[rng.randrange(len(images))] ^= 1 << rng.randrange(16)
-            if len(set(images)) != len(images):
-                continue
-        expected = _naive_first_mismatch(sources, images)
-        assert topology._first_inclusion_mismatch(sources, images, 3) == expected
-        verdicts.add(expected is None)
-    assert verdicts == {True, False}
+    tops4 = [t.family.word for t in all_topologies(GroundSet(4))]
+    for n, trials, most in ((3, 300, 12), (4, 150, 24)):
+        verdicts = set()
+        for trial in range(trials):
+            k = rng.randint(2, most)
+            if n == 4 and trial % 2:
+                sources = rng.sample(tops4, k)
+            else:
+                sources = rng.sample(range(1 << (1 << n)), k)
+            images = [add_point(w, n, n) for w in sources]
+            if trial % 3:
+                # plant a broken image: one bit cleared or added
+                images[rng.randrange(len(images))] ^= 1 << rng.randrange(1 << (n + 1))
+                if len(set(images)) != len(images):
+                    continue
+            columns = topology._columns(images, 1 << (n + 1))
+            expected = _naive_first_mismatch(sources, images)
+            assert topology._first_inclusion_mismatch(sources, images, columns) == expected
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}, n
 
 
 def test_embedding_reports_an_image_that_is_no_topology(monkeypatch, capsys):
@@ -306,6 +294,86 @@ def test_embedding_collision_names_both_sources(monkeypatch):
     assert report.verdict == "fail"
     sources = [t.open_masks() for t in all_topologies(U2)]
     assert report.witness == {"collision": sources[:2]}
+
+
+def test_embedding_names_the_first_of_two_broken_images(monkeypatch, capsys):
+    tops = all_topologies(U3)
+    k1, k2 = 11, 17
+    broken = {tops[k1].family.word, tops[k2].family.word}
+
+    def drop_full_set(word, n, x):
+        image = add_point(word, n, x)
+        return image & ~(1 << ((1 << (n + 1)) - 1)) if word in broken else image
+
+    monkeypatch.setattr(topology, "add_point", drop_full_set)
+    report = embedding_check(U3)
+    assert report.verdict == "fail"
+    assert report.witness == {"not-a-topology": tops[k1].open_masks()}
+    assert main(["verify", "embedding", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "not-a-topology" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_embedding_names_the_pair_whose_inclusion_a_swap_breaks(monkeypatch):
+    # two images swapped: every image is still a topology and the map is
+    # still injective, so only the inclusion audit can refute it
+    tops = all_topologies(U3)
+    words = [t.family.word for t in tops]
+    i, j = 9, 20
+    swap = {words[i]: words[j], words[j]: words[i]}
+    monkeypatch.setattr(topology, "add_point",
+                        lambda word, n, x: add_point(swap.get(word, word), n, x))
+    images = [add_point(swap.get(w, w), 3, 3) for w in words]
+    assert all(is_topology_word(4, image) for image in images)
+    assert len(set(images)) == len(images)
+    expected = _naive_first_mismatch(words, images)
+    assert expected is not None
+    report = embedding_check(U3)
+    assert report.verdict == "fail"
+    assert report.witness == {"source": tops[expected[0]].open_masks(),
+                              "other": tops[expected[1]].open_masks()}
+
+
+# ------------------------------------------------------ bit-sliced axioms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_axioms_word_agrees_with_the_per_word_validator(n):
+    # every family for n <= 3; at n = 4 and 5 the images of the topologies
+    # on one point fewer, and seeded one-bit flips of each
+    width = 1 << n
+    if n <= 3:
+        words = list(range(1 << width))
+    else:
+        rng = random.Random(n)
+        images = [add_point(t.family.word, n - 1, n - 1)
+                  for t in all_topologies(GroundSet(n - 1))]
+        words = images + [w ^ (1 << rng.randrange(width)) for w in images for _ in range(2)]
+    everyone = (1 << len(words)) - 1
+    word = topology._axioms_word(topology._columns(words, width), everyone, n)
+    assert word >> len(words) == 0
+    assert [(word >> j) & 1 == 1 for j in range(len(words))] == [
+        is_topology_word(n, w) for w in words
+    ]
+    assert 0 < word < everyone
+
+
+def _naive_columns(words, width):
+    return [sum(((w >> a) & 1) << j for j, w in enumerate(words)) for a in range(width)]
+
+
+@pytest.mark.parametrize("words", [[0b1011_0010], [0], [0xFF], [0, 0xFF, 0x5A, 1, 0x80]])
+def test_columns_transpose_the_words(words):
+    assert topology._columns(words, 8) == _naive_columns(words, 8)
+
+
+def test_columns_refuse_a_word_out_of_range():
+    # the string slices would otherwise shift every column without an error
+    with pytest.raises(ValueError):
+        topology._columns([3, 1 << 8], 8)
+    with pytest.raises(ValueError):
+        topology._columns([-1], 8)
 
 
 # ------------------------------------------------------- bounded sublattices
