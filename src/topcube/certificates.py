@@ -14,7 +14,9 @@ limit-point and convergence probes for symbolic families.
 The chosen atoms {empty, m, everything} are themselves a pairwise-disjoint
 batch in which each topology has one proper open, so the atom certificate
 is the disjoint certificate of its atoms: one clause builder and one
-sweep-and-compare routine serve both.
+sweep-and-compare routine serve both, on words: an atom is 1 | 2^m | 2^full,
+a topology's word is read once at the public edge, and its proper opens are
+the word's set bits, so no ``Topology`` is built and none is imported.
 
 The convergence and ladder checks read the stages of an omega chain through
 the one walker in ``lattice`` (``_entry_stages``): each check builds its stage
@@ -29,7 +31,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from .cube import (
-    Family,
     GroundSet,
     cube_word,
     family_word,
@@ -40,7 +41,6 @@ from .cube import (
 from .famexpr import FamExpr, fam_distinct
 from .lattice import OmegaChain, _entry_stages, _generated
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
-from .topology import Topology
 
 MAX_PATTERN_COORDS = 10
 INTERVAL_SWEEP_MAX_N = 3  # interval-identity tier two walks generator tuples: 2^31 pairs at n=4
@@ -94,15 +94,15 @@ class Certificate:
         return set_bits(word)
 
 
-def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[Topology]]:
-    """The sorted chosen masks and their atoms {empty, m, everything}."""
+def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[int]]:
+    """The sorted chosen masks and the words of their atoms {empty, m, everything}."""
     chosen = sorted(set(opens))
     full = universe.full_mask
     if any(not 0 < m < full for m in chosen):
         raise ValueError("chosen opens must be proper and nonempty")
     if len(chosen) < 2:
         raise ValueError("need at least two chosen opens")
-    return chosen, [Topology(Family.from_masks(universe, [0, m, full])) for m in chosen]
+    return chosen, [1 | 1 << m | 1 << full for m in chosen]
 
 
 def atom_closure_expression(universe: GroundSet, opens) -> Certificate:
@@ -113,7 +113,7 @@ def atom_closure_expression(universe: GroundSet, opens) -> Certificate:
     members, every unchosen proper subset must be absent, and no two chosen
     subsets may be members together.
     """
-    return disjoint_closure_expression(universe, _chosen_atoms(universe, opens)[1])
+    return _batch_expression(universe, _chosen_atoms(universe, opens)[1])
 
 
 def atom_closure_certificate(universe: GroundSet, opens) -> Report:
@@ -123,11 +123,11 @@ def atom_closure_certificate(universe: GroundSet, opens) -> Report:
     return _sweep_batch(timer, universe, atoms)
 
 
-def _proper_opens_of(universe: GroundSet, tops) -> list[list[int]]:
+def _proper_opens_of(universe: GroundSet, words: list[int]) -> list[list[int]]:
     full = universe.full_mask
     proper = []
-    for t in tops:
-        opens = [m for m in t.open_masks() if 0 < m < full]
+    for w in words:
+        opens = [m for m in set_bits(w) if 0 < m < full]
         if not opens:
             raise ValueError("the trivial topology cannot appear in the batch")
         proper.append(opens)
@@ -144,7 +144,12 @@ def disjoint_closure_expression(universe: GroundSet, tops) -> Certificate:
     proper opens; across two topologies, proper opens exclude each other;
     anything open in none of them is forbidden outright.
     """
-    proper = _proper_opens_of(universe, list(tops))
+    return _batch_expression(universe, [t.family.word for t in tops])
+
+
+def _batch_expression(universe: GroundSet, words: list[int]) -> Certificate:
+    """``disjoint_closure_expression`` on the topologies' words."""
+    proper = _proper_opens_of(universe, words)
     full = universe.full_mask
     covered = set().union(*proper) if proper else set()
     clauses = [
@@ -168,26 +173,24 @@ def disjoint_closure_expression(universe: GroundSet, tops) -> Certificate:
 
 def disjoint_closure_certificate(universe: GroundSet, tops) -> Report:
     """Sweep the disjoint-batch certificate and compare with the predicted set."""
-    tops = list(tops)
-    timer = Stopwatch("disjoint-closure", {"n": universe.n, "topologies": len(tops)})
-    return _sweep_batch(timer, universe, tops)
+    words = [t.family.word for t in tops]
+    timer = Stopwatch("disjoint-closure", {"n": universe.n, "topologies": len(words)})
+    return _sweep_batch(timer, universe, words)
 
 
-def _sweep_batch(timer: Stopwatch, universe: GroundSet, tops: list[Topology]) -> Report:
+def _sweep_batch(timer: Stopwatch, universe: GroundSet, words: list[int]) -> Report:
     """Solve a batch's certificate; it must cut out trivial plus each member."""
-    cert = disjoint_closure_expression(universe, tops)
+    cert = _batch_expression(universe, words)
     solutions = cert.solve()
     trivial = (1 << 0) | (1 << universe.full_mask)
-    expected = {trivial} | {trivial | t.family.word for t in tops}
+    expected = {trivial} | {trivial | w for w in words}
     payload = {
         "conjuncts": cert.conjunct_count,
         "sweep_size": 1 << universe.num_subsets,
         "solutions": len(solutions),
     }
     if len(solutions) <= 32:
-        payload["members"] = [
-            sorted(Family(universe, w).member_masks()) for w in sorted(solutions)
-        ]
+        payload["members"] = [set_bits(w) for w in solutions]
     if set(solutions) == expected:
         return timer.report(PASS, notes=[str(payload)])
     diff = sorted(set(solutions) ^ expected)

@@ -9,6 +9,8 @@ word equality is extensional equality.  The principal ultrafilter at point
 y is the magic mask mu_y (bit m set when y is in m); ``remove_point`` and
 ``add_point`` move a family word to one point fewer (the trace) or one
 more (the preimage), with blocks of 2^x bits as the only unit of work.
+``meet_closure`` grows a set of words closed under AND: ``lattice`` and
+``famexpr`` both build the meets of their generated families with it.
 
 One level up, a set of families is a clopen word of the cube: a
 2^(2^n)-bit integer whose bit w says whether family w belongs to the set
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_POINTS = 5          # individual values stay small
 MAX_SWEEP_POINTS = 4    # a clopen word has 2^(2^n) bits: 65,536 at n=4
@@ -127,39 +129,6 @@ class Family:
     def __repr__(self) -> str:
         sets = ", ".join("{" + ", ".join(map(str, pts)) + "}" for pts in self._member_points())
         return f"Family(n={self.universe.n}, {{{sets}}})"
-
-    # -- JSON -------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"n": self.universe.n, "sets": self._member_points()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Family":
-        if not isinstance(data, dict) or set(data) != {"n", "sets"}:
-            raise ValueError("family JSON needs exactly the keys 'n' and 'sets'")
-        universe = GroundSet(int(data["n"]))
-        word = 0
-        for entry in data["sets"]:
-            if not isinstance(entry, list):
-                raise ValueError(f"each set must be a list of points, got {entry!r}")
-            if entry != sorted(set(entry)):
-                raise ValueError(f"points must be sorted and duplicate-free: {entry}")
-            mask = 0
-            for p in entry:
-                if not isinstance(p, int) or not 0 <= p < universe.n:
-                    raise ValueError(f"point {p!r} out of range for n={universe.n}")
-                mask |= 1 << p
-            if (word >> mask) & 1:
-                raise ValueError(f"duplicate set {entry} in family JSON")
-            word |= 1 << mask
-        return cls(universe, word)
-
-
-def enumerate_families(universe: GroundSet) -> Iterator[Family]:
-    """All 2^(2^n) families in increasing word order (n <= 4 only)."""
-    universe.require_sweepable()
-    for word in range(1 << universe.num_subsets):
-        yield Family(universe, word)
 
 
 # -- clopen words: sets of families as 2^(2^n)-bit truth tables -----------------
@@ -281,6 +250,19 @@ def set_bits(word: int) -> list[int]:
         out.append(i)
         i = bits.find("1", i + 1)
     return out
+
+
+def meet_closure(pool: set[int], words) -> set[int]:
+    """Grow ``pool``, a set of words closed under AND, by ``words``; return it.
+
+    Adding one word g to a set M closed under AND keeps it closed once the
+    words g & m (m in M) join it, so the pool grows one word at a time.
+    """
+    for g in words:
+        if g not in pool:
+            pool.update([g & m for m in pool])
+            pool.add(g)
+    return pool
 
 
 def _same_universe(a, b) -> None:

@@ -27,18 +27,20 @@ meet pool stays enumerable.
 
 The generated variants decide membership on one window.  Their meets are
 plain integers on the generators' window (the longest preperiod plus the lcm
-of the period lengths), ANDed once at construction; a query re-windows them
-together with the candidate (the longer preperiod plus the lcm of both
-periods), ORs the meets below the candidate and compares one word.  Both
-windows are capped at MAX_WINDOW_BITS: generators whose joint window is
-wider are refused with ValueError at construction, and so is a candidate
-whose window with the generators is wider, at the query.
+of the period lengths), ANDed once at construction by ``cube.meet_closure``,
+the routine that also builds the meet half of ``lattice.close_words``.  A
+query re-windows them together with the candidate (the longer preperiod plus
+the lcm of both periods), ORs the meets below the candidate and compares one
+word.  Both windows are capped at MAX_WINDOW_BITS: generators whose joint
+window is wider are refused with ValueError at construction, and so is a
+candidate whose window with the generators is wider, at the query.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
+from .cube import meet_closure
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import MAX_WINDOW_BITS, UPSet
 
@@ -76,11 +78,7 @@ class _Meets:
         self.period = lcm(*(g._per_len for g in gens))
         width = _window_width(self.start, self.period)
         pool = {0, (1 << width) - 1} if bounds else set()
-        for g in gens:
-            word = g._word(width)
-            pool |= {word & m for m in pool}
-            pool.add(word)
-        self.words = tuple(pool)
+        self.words = tuple(meet_closure(pool, [g._word(width) for g in gens]))
 
     def below(self, a: UPSet) -> tuple[int, int, int, int, bool]:
         """(start, period, word of a, union of the meets below a, whether any is).
@@ -365,29 +363,6 @@ class ChainInitials(FamExpr):
             "enum": self.enum.to_json(),
             "extras": [x.to_json() for x in self.extras],
         }
-
-
-_KINDS = {
-    "Explicit": lambda d: Explicit([UPSet.from_json(m) for m in d["members"]]),
-    "DownPow": lambda d: DownPow(UPSet.from_json(d["bound"])),
-    "NearDown": lambda d: NearDown(UPSet.from_json(d["core"])),
-    "TopGen": lambda d: TopGen([UPSet.from_json(g) for g in d["subbase"]]),
-    "LatGen": lambda d: LatGen([UPSet.from_json(g) for g in d["gens"]]),
-    "LatGenSing": lambda d: LatGenSing([UPSet.from_json(g) for g in d["gens"]]),
-    "UnionFam": lambda d: UnionFam(expr_from_json(d["a"]), expr_from_json(d["b"])),
-    "ChainInitials": lambda d: ChainInitials(
-        UPSet.from_json(d["enum"]), [UPSet.from_json(x) for x in d["extras"]]
-    ),
-}
-
-
-def expr_from_json(data: dict) -> FamExpr:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("family expression JSON needs a 'kind' tag")
-    kind = data["kind"]
-    if kind not in _KINDS:
-        raise ValueError(f"unknown family expression kind {kind!r}")
-    return _KINDS[kind](data)
 
 
 def fam_distinct(e1: FamExpr, e2: FamExpr, extra=(), cap: int = 8) -> UPSet | None:

@@ -11,7 +11,8 @@ the join of the chain part below some comparable family and which is the
 meet of the part above one.
 
 ``close_words`` is the one routine closing a set of words under AND and
-OR; topology generation runs through it too.  An ``OmegaChain`` is
+OR; topology generation runs through it too, and its meet half is
+``cube.meet_closure``, which ``famexpr`` shares.  An ``OmegaChain`` is
 increasing by definition, so its completion point is coordinatewise
 eventual membership, and every sampled omega-chain check (here and in
 ``certificates``) reads its coordinates through one walker,
@@ -26,7 +27,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .cube import Family, GroundSet, cube_word, family_word, interval_words, set_bits
+from .cube import (Family, GroundSet, cube_word, family_word, interval_words, meet_closure,
+                   set_bits)
 from .famexpr import FamExpr, LatGenSing
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import UPSet
@@ -43,14 +45,10 @@ def close_words(words) -> frozenset[int]:
     meet of two such joins is the join of the pairwise meets of their
     parts, again a join of meets.  Adding one word g to a set M closed under
     an operation o keeps it closed once the words g o m (m in M) join it,
-    so the meets are built one generator at a time, then their joins the
-    same way.
+    so the meets are built one generator at a time (``cube.meet_closure``),
+    then their joins the same way.
     """
-    meets: set[int] = set()
-    for g in set(words):
-        if g not in meets:
-            meets.update([g & m for m in meets])
-            meets.add(g)
+    meets = meet_closure(set(), words)
     joins: set[int] = set()
     for g in meets:
         if g not in joins:
@@ -62,13 +60,7 @@ def close_words(words) -> frozenset[int]:
 class FiniteSublattice:
     """A finite collection of families closed under meet and join."""
 
-    def __init__(self, universe: GroundSet, members):
-        words = frozenset(family_word(universe, m) for m in members)
-        if not words:
-            raise ValueError("a sublattice has at least one member")
-        for w, v in combinations(words, 2):
-            if (w & v) not in words or (w | v) not in words:
-                raise ValueError("member collection is not closed under meet/join")
+    def __init__(self, universe: GroundSet, words: frozenset[int]):
         self.universe = universe
         self.words = words
 
@@ -82,17 +74,10 @@ def lat_generate(universe: GroundSet, gens) -> FiniteSublattice:
 
 
 def _generated(universe: GroundSet, words: list[int]) -> FiniteSublattice:
-    """``lat_generate`` on words already checked to be families of ``universe``.
-
-    What ``close_words`` returns is closed by construction, so it is wrapped
-    without the constructor's pairwise re-check.
-    """
+    """``lat_generate`` on words already checked to be families of ``universe``."""
     if not words:
         raise ValueError("need at least one generating family")
-    lat = FiniteSublattice.__new__(FiniteSublattice)
-    lat.universe = universe
-    lat.words = close_words(words)
-    return lat
+    return FiniteSublattice(universe, close_words(words))
 
 
 def _relations_word(universe: GroundSet, words) -> tuple[int, list[tuple[int, int]]]:
@@ -124,28 +109,35 @@ def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
     return frozenset(Family(universe, g) for g in set_bits(rel))
 
 
-def join_completeness_witness(gens, candidate: UPSet) -> Report:
+def join_completeness_witness(gens, candidate: UPSet, points=None) -> Report:
     """Certify that a singleton-closed generated family misses a join.
 
     The family generated from ``gens`` (nonempty sets whose uncovered part
     is finite, singletons included by construction) contains every
     singleton drawn from ``candidate``, so the candidate is a union of
-    members.  The check passes when the candidate itself is *not* a
-    member: the union of members escapes, so the family is not closed
-    under arbitrary joins.  Needs an infinite candidate -- a finite one is
-    a finite union and can never escape.
+    members.  The check samples the singletons at ``points`` (by default
+    the candidate's first JOIN_WITNESS_SAMPLE members) and passes when the
+    candidate itself is *not* a member: the union of members escapes, so
+    the family is not closed under arbitrary joins.  ValueError refuses a
+    finite candidate (a finite union can never escape), and a pass on no
+    points or on a point outside the candidate.
     """
     if candidate.is_finite:
         raise ValueError("a finite candidate cannot witness a missing join")
     timer = Stopwatch("join-gap-witness", {})
     family = LatGenSing(list(gens))
-    points = candidate.first_members(JOIN_WITNESS_SAMPLE)
-    timer.params.update(generators=len(family.gens), sampled_singletons=points)
-    for k in points:
-        if not family.contains(UPSet.singleton(k)):
+    if points is None:
+        points = candidate.first_members(JOIN_WITNESS_SAMPLE)
+    singles = [UPSet.singleton(k) for k in points]
+    timer.params.update(generators=len(family.gens), sampled_singletons=list(points))
+    for k, single in zip(points, singles):
+        if not family.contains(single):
             return timer.report(FAIL, {"missing_singleton": k})
     if family.contains(candidate):
         return timer.report(FAIL, {"candidate_is_member": candidate.describe()})
+    if not points or any(k not in candidate for k in points):
+        raise ValueError(f"sampled points {points} must be one or more members of the "
+                         f"candidate {candidate.describe()}")
     return timer.report(
         PASS,
         notes=[

@@ -16,9 +16,10 @@ Adding a point to the ground set maps family word w to the word of the
 subsets whose trace on the old points lies in w: ``cube.add_point``, the
 same routine that rebuilds an ultrafilter from its trace, which for the new
 top point p is ``w | (w << 2^p)``.  ``embedding_check`` audits that map on
-integers alone.  It transposes the images into columns once
-(``_columns``), validates every image with one ``_axioms_word`` call, one
-image per bit, and checks injectivity with a set.  It then compares strict
+integers alone, the set bits of ``topology_word``, and builds no
+``Topology``.  It transposes the images into columns once (``_columns``),
+validates every image with one ``_axioms_word`` call, one image per bit,
+and checks injectivity with a set.  It then compares strict
 inclusion with one row per topology holding the topologies above it: the
 AND of the columns of the topology's subsets, read from byte tables, one
 table of column ANDs per block of 8 subsets.
@@ -87,18 +88,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return f"Topology({self.family!r})"
-
-    def to_json(self) -> dict:
-        data = self.family.to_json()
-        data["topology"] = True
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Topology":
-        if data.get("topology") is not True:
-            raise ValueError("missing topology marker")
-        payload = {k: v for k, v in data.items() if k != "topology"}
-        return cls(Family.from_json(payload))
 
 
 def _certified(universe: GroundSet, word: int) -> Topology:
@@ -235,31 +224,31 @@ def embedding_check(universe: GroundSet) -> Report:
 
     The map must be injective and must preserve and reflect strict
     inclusion; both follow from restriction undoing the construction, and
-    the sweep confirms it topology by topology, on words.  The images are
-    validated all at once, one image per bit of ``_axioms_word``.
+    the sweep confirms it topology by topology, on the set bits of
+    ``topology_word``.  The images are validated all at once, one image per
+    bit of ``_axioms_word``; a witness lists the open masks of its sources.
     """
     n = universe.n
     timer = Stopwatch("embedding", {"n": n, "target": n + 1})
-    tops = all_topologies(universe)
-    words = [t.family.word for t in tops]
+    words = set_bits(topology_word(universe))
     images = [add_point(w, n, n) for w in words]
     columns = _columns(images, 1 << (n + 1))
     everyone = (1 << len(images)) - 1
     broken = everyone ^ _axioms_word(columns, everyone, n + 1)
     if broken:
         k = (broken & -broken).bit_length() - 1
-        return timer.report(FAIL, {"not-a-topology": tops[k].open_masks()})
+        return timer.report(FAIL, {"not-a-topology": set_bits(words[k])})
     if len(set(images)) != len(images):
         seen = {}
-        for t, image in zip(tops, images):
-            other = seen.setdefault(image, t)
-            if other is not t:
-                return timer.report(FAIL, {"collision": [other.open_masks(), t.open_masks()]})
+        for w, image in zip(words, images):
+            first = seen.setdefault(image, w)
+            if first != w:
+                return timer.report(FAIL, {"collision": [set_bits(first), set_bits(w)]})
     mismatch = _first_inclusion_mismatch(words, images, columns)
     if mismatch is not None:
         i, j = mismatch
-        return timer.report(FAIL, {"source": tops[i].open_masks(),
-                                   "other": tops[j].open_masks()})
+        return timer.report(FAIL, {"source": set_bits(words[i]),
+                                   "other": set_bits(words[j])})
     return timer.report(PASS, notes=[
-        f"{len(tops)} topologies embedded injectively, strict inclusions intact"
+        f"{len(words)} topologies embedded injectively, strict inclusions intact"
     ])

@@ -303,6 +303,31 @@ def test_join_gap_beyond_the_window_cap_exits_two(tmp_path, capsys, fixture):
     assert "MAX_WINDOW_BITS" in capsys.readouterr().err
 
 
+def _join_gap_exit(tmp_path, candidate, points) -> int:
+    fix = load_fixture("join-gap")
+    fix.update(candidate=candidate, sample_points=points)
+    return main(["demo", "join-gap", "--fixture", _write(tmp_path, "gap.json", fix), "--quiet"])
+
+
+def test_join_gap_refuses_an_empty_candidate_with_no_points(tmp_path, capsys):
+    # this used to pass with "the family is not join-complete"
+    assert _join_gap_exit(tmp_path, {"pre": "", "period": "0"}, []) == 2
+    assert "finite candidate" in capsys.readouterr().err
+
+
+def test_join_gap_refuses_points_outside_the_candidate(tmp_path, capsys):
+    # this used to pass, calling the singletons {1} and {3} "below" the evens
+    assert _join_gap_exit(tmp_path, {"pre": "", "period": "10"}, [1, 3]) == 2
+    assert "[1, 3] must be one or more members" in capsys.readouterr().err
+
+
+def test_join_gap_refuses_a_finite_candidate(tmp_path, capsys):
+    # {0, 2} is a finite union of members, so it is a member: this used to
+    # exit 1 as a refutation of a check that cannot apply
+    assert _join_gap_exit(tmp_path, {"pre": "101", "period": "0"}, [0, 2]) == 2
+    assert "finite candidate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["chain-completion", "embedding"])
 def test_whole_cube_checks_run_at_four_points(tmp_path, name):
     out = tmp_path / "report.json"

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import topcube
-from topcube import Family, GroundSet, enumerate_families
+from topcube import Family, GroundSet
 from topcube.cube import cube_word, projection_words, set_bits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,35 +80,9 @@ def test_mixed_universe_rejected():
         fam(U2, 1).meet(fam(U3, 1))
 
 
-def test_enumerate_families_small():
-    fams = list(enumerate_families(U2))
-    assert len(fams) == 1 << 4
-    assert len(set(fams)) == len(fams)
-    with pytest.raises(ValueError):
-        list(enumerate_families(GroundSet(5)))
-
-
 def test_family_json_roundtrip():
     f = Family.from_masks(U3, [0, 0b101, 0b111])
-    data = f.to_json()
-    assert data == {"n": 3, "sets": [[], [0, 2], [0, 1, 2]]}
-    assert Family.from_json(data) == f
     assert repr(f) == "Family(n=3, {{}, {0, 2}, {0, 1, 2}})"
-
-
-def test_family_json_rejections():
-    with pytest.raises(ValueError):
-        Family.from_json({"n": 2, "sets": [[0], [0]]})  # duplicate member
-    with pytest.raises(ValueError):
-        Family.from_json({"n": 2, "sets": [[2]]})  # point out of range
-    with pytest.raises(ValueError):
-        Family.from_json({"n": 2, "sets": [[1, 0]]})  # not sorted
-    with pytest.raises(ValueError):
-        Family.from_json({"n": 2, "sets": [[0, 0]]})  # repeated point
-    with pytest.raises(ValueError):
-        Family.from_json({"sets": []})
-    with pytest.raises(ValueError):
-        Family.from_json({"n": 2, "sets": [[0]], "stray": 1})
 
 
 # ------------------------------------------------------------- clopen words
@@ -171,7 +145,7 @@ def test_sweeps_refuse_five_points_before_allocating():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
         from topcube import Certificate, Family, GroundSet, SubbasicCond
         from topcube import all_topologies, count_topologies, interval_identity_all
-        from topcube import relations_set
+        from topcube import atom_closure_certificate, embedding_check, relations_set
         U5 = GroundSet(5)
         calls = [
             lambda: Certificate(U5, [(SubbasicCond(0, True),)]).solve(),
@@ -179,6 +153,8 @@ def test_sweeps_refuse_five_points_before_allocating():
             lambda: count_topologies(U5),
             lambda: all_topologies(U5),
             lambda: interval_identity_all(U5, [1, 2]),
+            lambda: embedding_check(U5),
+            lambda: atom_closure_certificate(U5, [1, 2]),
         ]
         for call in calls:
             try:
@@ -188,4 +164,4 @@ def test_sweeps_refuse_five_points_before_allocating():
                 print(exc)
     """)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["exhaustive sweep needs n <= 4, got 5"] * 5
+    assert out.stdout.splitlines() == ["exhaustive sweep needs n <= 4, got 5"] * 7

@@ -25,7 +25,6 @@ from topcube import (
     TopGen,
     UnionFam,
     UPSet,
-    expr_from_json,
     fam_distinct,
     fam_is_topology_sym,
     lat_generate,
@@ -540,31 +539,3 @@ def test_lat_gen_symbolic_matches_small_closure():
     for w in range(1 << universe.num_subsets):
         fam = Family(universe, w)
         assert symbolic.contains(embed_family(fam)) == (fam in finite)
-
-
-# -------------------------------------------------------------------- JSON
-
-
-def test_expr_json_roundtrip():
-    exprs = [
-        Explicit([EVENS, EMPTY]),
-        DownPow(ODDS),
-        NearDown(EVENS),
-        TopGen([EVENS, up(0)]),
-        LatGen([EVENS]),
-        LatGenSing([~up(0)]),
-        UnionFam(DownPow(EVENS), Explicit([NATS])),
-        ChainInitials(EVENS, [EMPTY, NATS]),
-    ]
-    for e in exprs:
-        back = expr_from_json(e.to_json())
-        probes = e.probe_sets() + [EMPTY, NATS, ODDS, up(0, 5)]
-        for w in probes:
-            assert back.contains(w) == e.contains(w)
-
-
-def test_expr_json_rejects_unknown():
-    with pytest.raises(ValueError):
-        expr_from_json({"kind": "Mystery"})
-    with pytest.raises(ValueError):
-        expr_from_json(["not", "a", "dict"])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from topcube import (
     Explicit,
     Family,
-    FiniteSublattice,
     GroundSet,
     OmegaChain,
     UPSet,
@@ -193,21 +192,15 @@ def test_generated_lattices_are_complete():
 
 
 def test_raw_set_missing_join_is_incomplete():
-    with pytest.raises(ValueError):
-        FiniteSublattice(U2, fams(U2, 2, 4))
     assert not is_complete_sublattice(as_sets(U2, 2, 4))
 
 
 def test_sublattice_rejects_words_outside_the_cube():
-    for words in ([99, 3], [16], [-1], [0, 15, 16]):
-        with pytest.raises(ValueError, match="out of range"):
-            FiniteSublattice(U2, words)
     with pytest.raises(ValueError, match="out of range"):
         lat_generate(U2, [99, 3])
-    assert FiniteSublattice(U2, [0, 15]).words == {0, 15}
 
 
-@pytest.mark.parametrize("build", [lat_generate, FiniteSublattice, chain_completion_finite])
+@pytest.mark.parametrize("build", [lat_generate, chain_completion_finite])
 def test_family_of_another_ground_set_is_refused(build):
     with pytest.raises(ValueError, match="n=2 ground set given for n=3"):
         build(U3, [Family(U2, 5)])
@@ -425,3 +418,12 @@ def test_join_witness_disjoint_generator_passes():
 def test_join_witness_rejects_finite_candidate():
     with pytest.raises(ValueError):
         join_completeness_witness([EVENS], UPSet.from_ints([1, 2]))
+
+
+def test_join_witness_refuses_points_it_cannot_sample():
+    with pytest.raises(ValueError, match="one or more members"):
+        join_completeness_witness([EVENS], ODDS, [])
+    with pytest.raises(ValueError, match="one or more members"):
+        join_completeness_witness([EVENS], ODDS, [1, 2])
+    report = join_completeness_witness([EVENS], ODDS, [3, 1])
+    assert report.passed and report.params["sampled_singletons"] == [3, 1]
