@@ -68,6 +68,10 @@ DEMOS = {
     "limit-vs-union": ("initials-chain", demos.demo_limit_vs_union),
 }
 
+# the fixture key each demo reads `--coords` into; the other demos refuse it
+_COORDS_KEYS = {"initials-chain": "completion_coords", "limit-vs-union": "completion_coords",
+                "powerset-chain": "coords"}
+
 
 @cache
 def _packaged_text(name: str) -> str:
@@ -199,9 +203,10 @@ def run_demo(args: argparse.Namespace) -> Report:
     default_fixture, fn = DEMOS[args.name]
     fix = load_fixture(args.fixture or default_fixture)
     if args.coords:
-        coords = _load_coords(args.coords)
-        key = "coords" if "coords" in fix else "completion_coords"
-        fix[key] = coords
+        if args.name not in _COORDS_KEYS:
+            raise ValueError("--coords applies only to the initials-chain, limit-vs-union "
+                             f"and powerset-chain demos, not to {args.name}")
+        fix[_COORDS_KEYS[args.name]] = _load_coords(args.coords)
     if args.bound is not None:
         if args.name != "initials-chain":
             raise ValueError(
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="walk a packaged construction")
     p_demo.add_argument("name", choices=sorted(DEMOS))
     p_demo.add_argument("--fixture", help="packaged fixture name or JSON path")
-    p_demo.add_argument("--coords", help="JSON file of probe coordinates")
+    p_demo.add_argument("--coords", help="JSON file of coordinates (not join-gap)")
     p_demo.add_argument(
         "--bound", type=int, help="stage bound override (initials-chain only)"
     )

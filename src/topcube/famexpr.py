@@ -29,11 +29,14 @@ The generated variants decide membership on one window.  Their meets are
 plain integers on the generators' window (the longest preperiod plus the lcm
 of the period lengths), ANDed once at construction by ``cube.meet_closure``,
 the routine that also builds the meet half of ``lattice.close_words``.  A
-query re-windows them together with the candidate (the longer preperiod plus
-the lcm of both periods), ORs the meets below the candidate and compares one
-word.  Both windows are capped at MAX_WINDOW_BITS: generators whose joint
-window is wider are refused with ValueError at construction, and so is a
-candidate whose window with the generators is wider, at the query.
+query re-windows them to the candidate's window with the generators (the
+longer preperiod plus the lcm of both periods): each meet keeps its
+preperiod bits and has its period block repeated by ``upsets._repeat``, the
+one routine that repeats blocks.  It then ORs the meets below the candidate
+and compares one word.  Both windows are capped at MAX_WINDOW_BITS:
+generators whose joint window is wider are refused with ValueError at
+construction, and so is a candidate whose window with the generators is
+wider, at the query.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from math import lcm
 
 from .cube import meet_closure
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
-from .upsets import MAX_WINDOW_BITS, UPSet
+from .upsets import MAX_WINDOW_BITS, UPSet, _repeat
 
 GENERATOR_CAP = 16
 
@@ -93,10 +96,8 @@ class _Meets:
         if width != self.start + self.period:
             # each meet: its preperiod bits, then its period block repeated
             ms, mp = self.start, self.period
-            copies = -(-(width - ms) // mp)
-            repunit = ((1 << mp * copies) - 1) // ((1 << mp) - 1)
-            pre_mask, full = (1 << ms) - 1, (1 << width) - 1
-            words = [m & pre_mask | ((m >> ms) * repunit << ms) & full for m in words]
+            pre_mask = (1 << ms) - 1
+            words = [m & pre_mask | _repeat(m >> ms, mp, width - ms) << ms for m in words]
         x = a._word(width)
         union, hit = 0, False
         for m in words:
@@ -203,7 +204,9 @@ class NearDown(FamExpr):
         self.core = core
 
     def contains(self, a: UPSet) -> bool:
-        return (a - self.core).is_finite
+        # the part of a outside core is finite when the aligned period is clear
+        start, _, x, y = a._aligned(self.core)
+        return (x & ~y) >> start == 0
 
     def union_below(self, w: UPSet) -> UPSet:
         # every singleton drawn from w is a member, so the union is w itself

@@ -12,13 +12,15 @@ This class of sets is closed under complement, union, intersection and
 difference, so it forms a Boolean algebra with a decision procedure.  Two
 sets are aligned on one window: it starts after the longer preperiod and
 holds one period of the lcm of their period lengths, and on it each set is
-a single integer, its period block times the repunit
-``((1 << k*r) - 1) // ((1 << k) - 1)`` (r copies of a k-bit block) cut to
-the window, above its preperiod.  An intersection, union or difference is
-then one integer operation on the two words, and ``a <= b`` is
-``a & ~b == 0``.  The window is capped at ``MAX_WINDOW_BITS``: aligning two
-sets whose window would be wider, or building a finite set reaching a point
-at or beyond the cap, raises ``ValueError`` before any such word is built.
+a single integer, its period block repeated above its preperiod.  A block
+is repeated by doubling: OR the word with itself shifted by its current
+length until it is wide enough, then cut it to the window, so a k-bit block
+fills w bits in about log2(w/k) shifts and no division.  An intersection,
+union or difference is then one integer operation on the two words, and
+``a <= b`` is ``a & ~b == 0``.  The window is capped at
+``MAX_WINDOW_BITS``: aligning two sets whose window would be wider, or
+building a finite set reaching a point at or beyond the cap, raises
+``ValueError`` before any such word is built.
 
 Every value is kept in canonical form, so structural equality of UPSet
 values is extensional equality.  Canonical form means the period is
@@ -29,6 +31,7 @@ in its place).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator
@@ -46,12 +49,15 @@ _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 def _repeat(block: int, length: int, width: int) -> int:
-    """The `length`-bit `block` repeated to fill `width` bits."""
-    if width <= length:
-        return block & ((1 << width) - 1)
-    copies = -(-width // length)
-    repunit = ((1 << length * copies) - 1) // ((1 << length) - 1)
-    return block * repunit & ((1 << width) - 1)
+    """The `length`-bit `block` repeated to fill `width` bits.
+
+    `block` must be below 2**length: each doubling ORs in a copy shifted by
+    the current length, which only lands above the copies already there.
+    """
+    while length < width:
+        block |= block << length
+        length <<= 1
+    return block & ((1 << width) - 1)
 
 
 def _rotate(bits: int, length: int, shift: int) -> int:
@@ -62,7 +68,8 @@ def _rotate(bits: int, length: int, shift: int) -> int:
     return (bits << shift | bits >> (length - shift)) & ((1 << length) - 1)
 
 
-def _prime_factors(n: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _prime_factors(n: int) -> tuple[int, ...]:
     out, p = [], 2
     while p * p <= n:
         if n % p == 0:
@@ -72,7 +79,7 @@ def _prime_factors(n: int) -> list[int]:
         p += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def _canonical(pre_len: int, pre: int, per_len: int, per: int) -> tuple[int, int, int, int]:
@@ -110,7 +117,7 @@ def _str_word(word: str) -> int:
 class UPSet:
     """An eventually periodic subset of the naturals, kept in canonical form."""
 
-    __slots__ = ("_pre_len", "_pre", "_per_len", "_per")
+    __slots__ = ("_pre_len", "_pre", "_per_len", "_per", "_hash")
 
     def __init__(self, pre: str = "", period: str = "0"):
         if not period:
@@ -297,7 +304,13 @@ class UPSet:
                 and self._pre_len == other._pre_len and self._per_len == other._per_len)
 
     def __hash__(self) -> int:
-        return hash((self._pre_len, self._pre, self._per_len, self._per))
+        # computed on the first call and kept: values are immutable
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self._pre_len, self._pre, self._per_len, self._per))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"UPSet({self.pre!r}, {self.period!r})"

@@ -204,6 +204,13 @@ def test_bound_on_a_demo_without_one_exits_two(capsys, demo):
     assert "only to the initials-chain demo" in capsys.readouterr().err
 
 
+def test_coords_on_a_demo_that_reads_none_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, "coords.json", [{"pre": "", "period": "1"}])
+    assert main(["demo", "join-gap", "--coords", path, "--quiet"]) == 2
+    assert "--coords applies only to" in capsys.readouterr().err
+    assert main(["demo", "join-gap", "--quiet"]) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

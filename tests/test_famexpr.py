@@ -34,6 +34,7 @@ from topcube import (
 from topcube.cli import load_fixture
 from topcube.demos import growing_core_chain
 from topcube import upsets
+from topcube.famexpr import _Meets
 from topcube.upsets import MAX_WINDOW_BITS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -377,6 +378,59 @@ def test_generated_queries_canonicalise_no_meet(monkeypatch):
     assert calls == []
     families[0].union_below(NATS)
     assert len(calls) == 1  # the union itself, split back into an UPSet
+
+
+def _primitive(rng: random.Random, length: int) -> str:
+    """A random period word of exactly `length` bits in canonical form."""
+    while True:
+        word = "".join(rng.choice("01") for _ in range(length))
+        if len(UPSet("", word).period) == length:
+            return word
+
+
+def _or_all(words) -> int:
+    out = 0
+    for w in words:
+        out |= w
+    return out
+
+
+def test_meets_rewindow_like_the_word_of_each_meet():
+    rng = random.Random(9)
+    gens = (UPSet("01", _primitive(rng, 9)), UPSet("1", _primitive(rng, 16)),
+            UPSet("", _primitive(rng, 25)))
+    meets = _Meets(gens)
+    assert (meets.start, meets.period) == (2, 3600)
+    as_sets = [UPSet._split(meets.start, meets.period, m) for m in meets.words]
+    candidates = [gens[0] | gens[1], gens[2] | up(0, 5, 4000), gens[0] & gens[2] | up(3, 9),
+                  gens[1] | UPSet(_primitive(rng, 12), _primitive(rng, 7)),
+                  UPSet("", _primitive(rng, 32)) | gens[2], NATS]
+    rewindowed = 0
+    for a in candidates:
+        start, period, x, union, hit = meets.below(a)
+        width = start + period
+        rewindowed += width != meets.start + meets.period
+        assert x == a._word(width)
+        below = [m._word(width) for m in as_sets if m <= a]
+        assert (union, hit) == (_or_all(below), bool(below))
+    assert rewindowed == 4  # a preperiod past 2 bits, or a period not dividing 3600
+
+
+def test_near_down_matches_the_finite_difference():
+    rng = random.Random(18)
+    word = lambda n: "".join(rng.choice("01") for _ in range(n))  # noqa: E731
+    seen = set()
+    for _ in range(60):
+        core = UPSet(word(rng.randint(0, 10)), word(rng.randint(8, 40)))
+        a = UPSet(word(rng.randint(0, 10)), word(rng.randint(8, 40)))
+        finite = UPSet.from_ints(rng.sample(range(60), 3))
+        for cand in (a, core | finite, core & a | finite, core - finite, a & ~core | finite):
+            got = NearDown(core).contains(cand)
+            assert got is ((cand - core).is_finite), (core, cand)
+            seen.add(got)
+    assert seen == {True, False}
+    with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+        NearDown(_period(1031)).contains(_period(1033))
 
 
 def test_generator_validation():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from topcube import DownPow, UPSet
 from topcube.cube import set_bits
-from topcube.upsets import MAX_WINDOW_BITS
+from topcube.upsets import MAX_WINDOW_BITS, _repeat
 
 words = st.text(alphabet="01", min_size=0, max_size=6)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -80,6 +80,25 @@ def test_immutable():
     s = UPSet.evens()
     with pytest.raises(AttributeError):
         s.pre = "1"
+
+
+def test_values_built_by_different_routes_are_equal_and_hash_equal():
+    pairs = [
+        (UPSet("1", "01"), UPSet("", "10")),
+        (UPSet("110", "01"), UPSet("11001", "01")),
+        (UPSet.evens() | UPSet.odds(), UPSet("", "11")),
+        (~UPSet.from_ints([0, 2]) & UPSet.evens(), UPSet("000", "01")),
+    ]
+    for s, t in pairs:
+        assert s == t and hash(s) == hash(t)
+        for u in (s, t):
+            # the 4-tuple's hash, on the first call and from the kept slot
+            assert hash(u) == hash(u) == hash((u._pre_len, u._pre, u._per_len, u._per))
+    fresh, hashed = UPSet("", "10"), pairs[0][0]
+    for u in (fresh, hashed):
+        with pytest.raises(AttributeError):
+            u._hash = 0
+    assert hash(fresh) == hash(hashed)
 
 
 @given(words, periods, words, periods)
@@ -267,3 +286,17 @@ def test_window_cap_refuses_far_points():
         with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
             make()
     assert UPSet.singleton(MAX_WINDOW_BITS - 1).members(MAX_WINDOW_BITS) == [MAX_WINDOW_BITS - 1]
+
+
+def _repeat_reference(block: int, length: int, width: int) -> int:
+    return sum(1 << i for i in range(width) if block >> (i % length) & 1)
+
+
+@pytest.mark.parametrize("length", [*range(1, 41), 600, 3600])
+def test_repeat_matches_the_per_bit_reference(length):
+    rng = random.Random(length)
+    block = rng.getrandbits(length) | 1 << (length - 1)  # the top bit set
+    widths = {0, 1, length - 1, length, length + 1, 2 * length, 3 * length - 1,
+              3 * length, 4 * length + 1, 7200}
+    for width in sorted(widths):
+        assert _repeat(block, length, width) == _repeat_reference(block, length, width), width

@@ -2,8 +2,10 @@
 
 The traffic is what the project promises to keep working:
 
-- 82 CLI argv: ``count --n 1..4``; every ``verify`` check at ``--n 1..4``,
-  with and without ``--seed 7``; both fixtured checks; every demo;
+- 83 CLI argv: ``count --n 1..4``; every ``verify`` check at ``--n 1..4``,
+  with and without ``--seed 7``; both fixtured checks; every demo; and
+  ``demo initials-chain --coords FILE``, FILE holding the packaged fixture's
+  completion coordinates;
 - one round of each workload in ``bench/workloads.py`` (seed 1);
 - every test function of ``tests/test_acceptance.py``.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -35,7 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "topcube")
 
 
-def cli_argv(checks, demos) -> list[list[str]]:
+def cli_argv(checks, demos, coords: str) -> list[list[str]]:
     argv = [["count", "--n", str(n)] for n in range(1, 5)]
     for name in checks:
         for n in range(1, 5):
@@ -44,6 +47,7 @@ def cli_argv(checks, demos) -> list[list[str]]:
     argv.append(["verify", "atom-closure", "--fixture", "all-atoms-n3"])
     argv.append(["verify", "disjoint-closure", "--fixture", "disjoint-pair"])
     argv += [["demo", name] for name in sorted(demos)]
+    argv.append(["demo", "initials-chain", "--coords", coords])
     return argv
 
 
@@ -53,7 +57,10 @@ def run_traffic(scratch: str) -> list[str]:
 
     problems = []
     sink = io.StringIO()
-    for argv in cli_argv(cli.CHECKS, cli.DEMOS):
+    coords = os.path.join(scratch, "coords.json")
+    with open(coords, "w", encoding="utf-8") as fh:
+        json.dump(cli.load_fixture("initials-chain")["completion_coords"], fh)
+    for argv in cli_argv(cli.CHECKS, cli.DEMOS, coords):
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             cli.main(argv + ["--json", os.path.join(scratch, "report.json")])
 
