@@ -31,6 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .cube import (
+    ROUTE_CACHE_SIZE,
     GroundSet,
     cube_word,
     family_word,
@@ -45,7 +46,6 @@ from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 MAX_PATTERN_COORDS = 10
 INTERVAL_SWEEP_MAX_N = 3  # interval-identity tier two walks generator tuples: 2^31 pairs at n=4
 INTERVAL_SWEEP_STRIDE = 50  # tier two thins its top layer to every 50th generator set
-ROUTE_CACHE_SIZE = 1024  # elements memoised per interval route: all 256 at n=3, ~32 MB at n=4
 
 
 @dataclass(frozen=True)
@@ -223,14 +223,11 @@ def _order_route(n: int, x: int) -> tuple[int, int]:
     return _subcube(((1 << (1 << n)) - 1) ^ x) << x, _subcube(x)
 
 
-@lru_cache(maxsize=ROUTE_CACHE_SIZE)
-def _cond_route(n: int, x: int) -> tuple[int, int]:
-    """(up, down): the same two words, by the subbasic conditions.
-
-    Up is "contains every set in x", the AND of HAS[a] over a in x; down is
-    "omits every set outside x", the AND of not HAS[a] over the rest.
-    """
-    return interval_words(GroundSet(n), x)
+# (up, down): the same two words, by the subbasic conditions.  Up is
+# "contains every set in x", the AND of HAS[a] over a in x; down is "omits
+# every set outside x", the AND of not HAS[a] over the rest.  It is the memo
+# that chain completion reads too.
+_cond_route = interval_words
 
 
 def _interval_mismatch(n: int, members: int, elements) -> dict | None:

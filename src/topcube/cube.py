@@ -24,11 +24,12 @@ solutions are the word's set bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable
 
 MAX_POINTS = 5          # individual values stay small
 MAX_SWEEP_POINTS = 4    # a clopen word has 2^(2^n) bits: 65,536 at n=4
+ROUTE_CACHE_SIZE = 1024  # interval word pairs memoised: all 256 at n=3, 16 MB at n=4
 
 
 @dataclass(frozen=True)
@@ -204,13 +205,17 @@ def add_point(word: int, n: int, x: int) -> int:
     return out
 
 
-def interval_words(universe: GroundSet, x: int) -> tuple[int, int]:
-    """The families above and below family word x, as clopen words (n <= 4 only).
+@lru_cache(maxsize=ROUTE_CACHE_SIZE)
+def interval_words(n: int, x: int) -> tuple[int, int]:
+    """The families above and below family word x on n points, as clopen
+    words (n <= 4 only).
 
     A family is above x when it contains every set in x: the AND over a in x
     of HAS[a].  It is below x when it omits every set outside x: the AND over
-    a not in x of the complement of HAS[a].
+    a not in x of the complement of HAS[a].  Memoised on (n, x): chain
+    completion and the interval-identity check read the same pairs.
     """
+    universe = GroundSet(n)
     has = projection_words(universe)
     full = cube_word(universe)
     up = down = full

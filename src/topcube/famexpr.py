@@ -165,6 +165,14 @@ class Explicit(FamExpr):
         self.members = tuple(dict.fromkeys(members))
         self._lookup = frozenset(self.members)
 
+    def _grown(self, x: UPSet) -> "Explicit":
+        """This family with x, not a member yet, listed before the last member:
+        the tuple and the lookup set are copied in C, hashing no member again."""
+        out = Explicit.__new__(Explicit)
+        out.members = (*self.members[:-1], x, self.members[-1])
+        out._lookup = self._lookup | {x}
+        return out
+
     def contains(self, a: UPSet) -> bool:
         return a in self._lookup
 
@@ -391,9 +399,11 @@ def fam_is_topology_sym(e: FamExpr, probes) -> Report:
     and, for every probe component w, that the union of all members below w
     is again a member.  The last test is what catches families closed under
     finite unions that miss an infinite one: the union of members below the
-    missing set reconstructs it exactly.  A pass means no refutation was
-    found, not a proof; with no probe pair there is nothing past the empty
-    set and the space to look at, and the verdict is inconclusive.
+    missing set reconstructs it exactly.  Each distinct set's membership is
+    decided once per call, and each distinct component's union below it
+    once.  A pass means no refutation was found, not a proof; with no probe
+    pair there is nothing past the empty set and the space to look at, and
+    the verdict is inconclusive.
     """
     probes = list(probes)
     timer = Stopwatch("topology-probe", {"expr": e.to_json(), "probe_pairs": len(probes)})
@@ -403,29 +413,41 @@ def fam_is_topology_sym(e: FamExpr, probes) -> Report:
                    "readable": [s.describe() for s in sets]}
         return timer.report(FAIL, witness)
 
-    if not e.contains(_EMPTY):
+    known: dict[UPSet, bool] = {}
+
+    def member(x: UPSet) -> bool:
+        # membership is decided once per distinct set in one call
+        if x not in known:
+            known[x] = e.contains(x)
+        return known[x]
+
+    if not member(_EMPTY):
         return fail("missing-empty-set", [_EMPTY])
-    if not e.contains(_NATS):
+    if not member(_NATS):
         return fail("missing-whole-space", [_NATS])
     if not probes:
         return timer.report(INCONCLUSIVE, {"probe_pairs": 0})
 
     acc = _EMPTY
+    seen: set[UPSet] = set()
     for a, b in probes:
-        in_a, in_b = e.contains(a), e.contains(b)
-        if in_a and in_b:
-            if not e.contains(a & b):
+        if member(a) and member(b):
+            if not member(a & b):
                 return fail("intersection-escapes", [a, b, a & b])
-            if not e.contains(a | b):
+            if not member(a | b):
                 return fail("union-escapes", [a, b, a | b])
-        for w, inside in ((a, in_a), (b, in_b)):
-            if inside:
+        # a component met in an earlier pair passed the two tests below
+        # there, and they would find the same again
+        fresh = [w for w in dict.fromkeys((a, b)) if w not in seen]
+        seen.update(fresh)
+        for w in fresh:
+            if member(w):
                 acc = acc | w
-                if not e.contains(acc):
+                if not member(acc):
                     return fail("accumulated-union-escapes", [acc])
-        for w in (a, b):
+        for w in fresh:
             u = e.union_below(w)
-            if not e.contains(u):
+            if not member(u):
                 return fail("union-of-members-escapes", [u])
 
     return timer.report(PASS)

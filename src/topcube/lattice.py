@@ -87,12 +87,14 @@ def _relations_word(universe: GroundSet, words) -> tuple[int, list[tuple[int, in
     The families above w are those containing every set in w, the families
     below w those omitting every set outside it, and the relations word is
     the AND over w of those two words ORed.  Whole-cube words, so the
-    ground set is capped at sweep size.
+    ground set is capped at sweep size; each pair comes from the memo of
+    ``cube.interval_words``.
     """
     rel = cube_word(universe)
+    n = universe.n
     intervals = []
     for w in words:
-        up, down = interval_words(universe, w)
+        up, down = interval_words(n, w)
         rel &= up | down
         intervals.append((up, down))
     return rel, intervals
@@ -204,6 +206,11 @@ def _completion_violation(universe: GroundSet, words: list[int]) -> dict | None:
 
 def random_chain(universe: GroundSet, rng: random.Random, max_len: int) -> list[Family]:
     """A strictly increasing run of families, grown by switching on bits."""
+    return [Family(universe, w) for w in _random_chain_words(universe, rng, max_len)]
+
+
+def _random_chain_words(universe: GroundSet, rng: random.Random, max_len: int) -> list[int]:
+    """``random_chain`` as words, from the same calls on ``rng``."""
     size = 1 << universe.num_subsets
     word = rng.randrange(size)
     words = [word]
@@ -215,7 +222,7 @@ def random_chain(universe: GroundSet, rng: random.Random, max_len: int) -> list[
         for b in rng.sample(zeros, rng.randint(1, len(zeros))):
             word |= 1 << b
         words.append(word)
-    return [Family(universe, w) for w in words]
+    return words
 
 
 def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4) -> Report:
@@ -227,6 +234,13 @@ def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4)
     names the words it adds and the ones it misses.  A chain of distinct
     families has at most 2^n + 1 members, so the exhaustive sweep stops
     there whatever ``max_len`` says.
+
+    A finite chain's completion is the chain by construction: every word
+    the recipe adjoins (c_1, c_k and each c_j that ``_chain_joins_meets``
+    picks) is a member already.  So this check catches only a recipe that
+    adjoins a non-member, whatever the relations word says;
+    ``test_word_recipe_matches_the_per_family_oracle`` tests the joins and
+    meets themselves.
     """
     timer = Stopwatch("chain-completion", {"n": universe.n, "max_len": max_len})
     if universe.n <= 2:
@@ -245,8 +259,7 @@ def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4)
         timer.params.update(seed=seed, samples=CHAIN_SAMPLES)
         rng = random.Random(seed)
         for _ in range(CHAIN_SAMPLES):
-            chain = random_chain(universe, rng, max_len)
-            words = [f.word for f in chain]
+            words = _random_chain_words(universe, rng, max_len)
             problem = _completion_violation(universe, words)
             if problem:
                 return timer.report(FAIL, {"chain": words, **problem})

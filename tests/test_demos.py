@@ -1,8 +1,10 @@
 """The packaged walkthroughs should pass from their shipped fixtures."""
 
+import random
+
 import pytest
 
-from topcube import Explicit, UPSet, demos
+from topcube import ChainInitials, Explicit, UPSet, demos
 from topcube.cli import DEMOS, load_fixture
 from topcube.demos import (
     demo_chain_union,
@@ -122,3 +124,25 @@ def test_limit_vs_union_demo_names_both_sides():
     report = demo_limit_vs_union(load_fixture("initials-chain"))
     assert report.passed
     assert EVENS.describe() in report.notes[0]
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+@pytest.mark.parametrize("enum", [EVENS, UPSet("1101", "011")])
+def test_grown_stages_equal_the_explicit_stages(order, enum):
+    # stage m is grown from stage m-1; it must be the family listed afresh,
+    # members in the same order, whatever order the stages are asked for in
+    stage, _, _ = initials_chain({"enum": enum.to_json()})
+    segments = [ChainInitials(enum).initial_segment(j) for j in range(demos.MAX_STAGES + 1)]
+    ms = list(range(demos.MAX_STAGES))
+    if order == "decreasing":
+        ms.reverse()
+    elif order == "shuffled":
+        random.Random(5).shuffle(ms)
+    probes = [*segments, UPSet.empty(), UPSet.naturals(), enum, ~enum, EVENS]
+    for m in ms:
+        want = Explicit([UPSet.empty(), *segments[:m + 1], UPSet.naturals()])
+        got = stage(m)
+        assert got.members == want.members, m
+        assert [got.contains(w) for w in probes] == [want.contains(w) for w in probes], m
+    with pytest.raises(ValueError, match="at least 0"):
+        stage(-1)

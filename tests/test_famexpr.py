@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from topcube import (
 )
 
 from topcube.cli import load_fixture
-from topcube.demos import growing_core_chain
+from topcube.demos import growing_core_chain, nested_initial_chain
 from topcube import upsets
 from topcube.famexpr import _Meets
 from topcube.upsets import MAX_WINDOW_BITS
@@ -539,6 +540,110 @@ def test_probe_reads_a_generator_of_pairs_once():
     assert r.verdict == "fail"
     assert r.witness["kind"] == "union-of-members-escapes"
     assert r.params["probe_pairs"] == 3
+
+
+def _probe_reference(e, probes):
+    """The topology probe asking every pair afresh: (verdict, witness)."""
+    def fail(kind, sets):
+        return "fail", {"kind": kind, "sets": [s.to_json() for s in sets],
+                        "readable": [s.describe() for s in sets]}
+
+    if not e.contains(EMPTY):
+        return fail("missing-empty-set", [EMPTY])
+    if not e.contains(NATS):
+        return fail("missing-whole-space", [NATS])
+    if not probes:
+        return "inconclusive", {"probe_pairs": 0}
+    acc = EMPTY
+    for a, b in probes:
+        in_a, in_b = e.contains(a), e.contains(b)
+        if in_a and in_b:
+            if not e.contains(a & b):
+                return fail("intersection-escapes", [a, b, a & b])
+            if not e.contains(a | b):
+                return fail("union-escapes", [a, b, a | b])
+        for w, inside in ((a, in_a), (b, in_b)):
+            if inside:
+                acc = acc | w
+                if not e.contains(acc):
+                    return fail("accumulated-union-escapes", [acc])
+        for w in (a, b):
+            if not e.contains(e.union_below(w)):
+                return fail("union-of-members-escapes", [e.union_below(w)])
+    return "pass", None
+
+
+def _probe_cases():
+    cases = []
+    for name in ("powerset-chain", "nested-powersets"):
+        fix = load_fixture(name)
+        stage, union = (growing_core_chain if fix["builder"] == "growing-core"
+                        else nested_initial_chain)(fix)
+        coords = [UPSet.from_json(c) for c in fix["coords"]]
+        pairs = list(combinations(coords, 2))
+        cases += [(stage(m), pairs) for m in range(6)] + [(union, pairs)]
+    singles = Explicit([EMPTY, up(0), up(1), up(2), up(0, 1), up(1, 2), NATS])
+    cases += [
+        (Explicit([EMPTY, up(0, 1), up(1, 2), up(0, 1, 2), NATS]), pairs_of(up(0, 1), up(1, 2))),
+        (singles, pairs_of(up(0), up(1)) + pairs_of(up(1), up(2))),
+        (singles, pairs_of(up(0), up(1), up(2))),
+    ]
+    coords = [EVENS, ODDS, up(0), up(1), up(2), up(0, 1), up(1, 2), up(0, 2), NATS, EMPTY]
+    exprs = [
+        singles,
+        UnionFam(DownPow(EVENS), Explicit([NATS])),
+        Explicit([EMPTY, up(0), up(1), NATS]),
+        Explicit([EMPTY, up(0, 1), up(1, 2), up(0, 1, 2), NATS]),
+        UnionFam(LatGenSing([]), Explicit([EMPTY, NATS])),
+        TopGen([EVENS, up(0, 1)]),
+        UnionFam(LatGen([EVENS, ODDS, up(1)]), Explicit([EMPTY, NATS])),
+        UnionFam(NearDown(EVENS), Explicit([NATS])),
+        UnionFam(ChainInitials(EVENS, [EMPTY, NATS]), Explicit([EVENS])),
+    ]
+    rng = random.Random(3)
+    for e in exprs:
+        for _ in range(6):
+            picked = rng.sample(coords, rng.randint(2, 5))
+            pairs = list(combinations(picked, 2)) + [(picked[0], picked[0])]
+            rng.shuffle(pairs)
+            cases.append((e, pairs))
+    return cases
+
+
+def test_probe_verdicts_match_asking_every_pair_afresh():
+    kinds = set()
+    for e, pairs in _probe_cases():
+        r = fam_is_topology_sym(e, pairs)
+        assert (r.verdict, r.witness) == _probe_reference(e, pairs), (e, pairs)
+        kinds.add(r.witness["kind"] if r.witness else r.verdict)
+    assert kinds >= {"pass", "intersection-escapes", "accumulated-union-escapes",
+                     "union-of-members-escapes"}, kinds
+
+
+def test_probe_decides_each_coordinate_once():
+    for e, pairs in _probe_cases():
+        asked, unions = Counter(), Counter()
+        contains, union_below = e.contains, e.union_below
+
+        def counted(a, contains=contains):
+            asked[a] += 1
+            return contains(a)
+
+        def counted_union(w, union_below=union_below):
+            unions[w] += 1
+            return union_below(w)
+
+        e.contains, e.union_below = counted, counted_union
+        try:
+            passed = fam_is_topology_sym(e, pairs).passed
+        finally:
+            del e.contains, e.union_below
+        components = {w for pair in pairs for w in pair}
+        assert max(asked.values()) == 1, asked
+        assert max(unions.values(), default=1) == 1, unions
+        assert set(unions) <= components
+        if passed:
+            assert components <= set(asked) and set(unions) == components
 
 
 # ------------------------------------------- agreement with the finite engine

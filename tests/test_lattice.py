@@ -1,5 +1,6 @@
 """Sublattice generation, comparability, completeness, chain completion."""
 
+import json
 import random
 from itertools import combinations
 
@@ -325,6 +326,76 @@ def test_completion_check_refuses_a_padded_completion(monkeypatch, n):
     assert report.verdict == "fail"
     assert report.witness["extra"] and report.witness["missing"] == []
     assert main(["verify", "chain-completion", "--n", str(n), "--quiet"]) == 1
+
+
+def _reference_chain(universe, rng, max_len):
+    # random_chain's draws, written out: a start word, a target length, then
+    # each step switches on a random nonempty sample of the zero bits
+    word = rng.randrange(1 << universe.num_subsets)
+    words, target = [word], rng.randint(1, max_len)
+    while len(words) < target:
+        zeros = [b for b in range(universe.num_subsets) if not (word >> b) & 1]
+        if not zeros:
+            break
+        for b in rng.sample(zeros, rng.randint(1, len(zeros))):
+            word |= 1 << b
+        words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_draws_the_chains_random_chain_draws(monkeypatch, n):
+    # the check draws its chains as words; they must be the words of
+    # random_chain's families, drawn from the same generator state
+    universe = GroundSet(n)
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for max_len in range(1, 7):
+            assert ([f.word for f in random_chain(universe, rng, max_len)]
+                    == _reference_chain(universe, ref, max_len))
+    drawn = []
+
+    def recorded(universe, chain):
+        drawn.append(list(chain))
+        return frozenset(Family(universe, w) for w in chain)
+
+    monkeypatch.setattr(lattice, "chain_completion_finite", recorded)
+    for seed in range(10):
+        for max_len in range(1, 7):
+            drawn.clear()
+            assert chain_completion_check(universe, seed=seed, max_len=max_len).passed
+            rng = random.Random(seed)
+            want = [[f.word for f in random_chain(universe, rng, max_len)]
+                    for _ in range(lattice.CHAIN_SAMPLES)]
+            assert drawn == want, (seed, max_len)
+            assert all(type(w) is int for chain in drawn for w in chain)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [7, 424242])
+def test_chain_completion_reports_are_unchanged(tmp_path, monkeypatch, n, seed):
+    path = tmp_path / "report.json"
+    argv = ["verify", "chain-completion", "--n", str(n), "--seed", str(seed), "--quiet"]
+    assert main([*argv, "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    report["elapsed_ms"] = 0
+    assert report == {
+        "schema_version": 1, "check": "chain-completion",
+        "params": {"n": n, "max_len": 4, "seed": seed, "samples": 100},
+        "verdict": "pass", "witness": None,
+        "notes": ["100 seeded chains of length at most 4"], "elapsed_ms": 0,
+    }
+    # a padded completion fails on the first chain drawn, and names it
+    universe = GroundSet(n)
+    top = (1 << universe.num_subsets) - 1
+    complete = lattice.chain_completion_finite
+    monkeypatch.setattr(lattice, "chain_completion_finite", lambda u, chain: (
+        complete(u, chain) | {Family(u, 0), Family(u, top)}))
+    assert main([*argv, "--json", str(path)]) == 1
+    first = [f.word for f in random_chain(universe, random.Random(seed), 4)]
+    assert json.loads(path.read_text())["witness"] == {
+        "chain": first, "extra": sorted({0, top} - set(first)), "missing": [],
+    }
 
 
 # ------------------------------------------------------------ omega chains
