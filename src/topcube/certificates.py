@@ -6,7 +6,7 @@ of such conditions cut out clopen pieces.  This module builds certificates
 whose solution sets are, provably, small named collections (the trivial
 topology plus the one-step topologies; a pairwise-disjoint batch of
 topologies plus the trivial one), solves them over the whole cube as
-clopen words (``cube.projection_words``), checks the two evaluation routes
+clopen words, checks the two evaluation routes
 for order intervals against each other (the families above and below x as
 carry-free products, and as ANDs of projection words), and provides sampled
 limit-point and convergence probes for symbolic families.
@@ -18,6 +18,15 @@ sweep-and-compare routine serve both, on words: an atom is 1 | 2^m | 2^full,
 a topology's word is read once at the public edge, and its proper opens are
 the word's set bits, so no ``Topology`` is built and none is imported.
 
+A certificate is solved as the complement of its violations.  A clause
+fails exactly where every one of its conditions fails, that is on the AND
+of the opposite subbasic words: HAS[a] for "a is absent" and LACKS[a] for
+"a is a member" (``cube.projection_words``, ``cube.absence_words``).  The
+solutions are then cube_word ^ OR(violations): one AND per extra
+condition, one OR per clause and one XOR in all, with no complement built
+per condition.  The batch certificates draw their conditions from one
+cached constructor, so each (mask, present) pair is built once.
+
 The convergence and ladder checks read the stages of an omega chain through
 the one walker in ``lattice`` (``_entry_stages``): each check builds its stage
 list once, takes every coordinate's entry stage from it, and raises
@@ -27,19 +36,20 @@ ValueError on a dropped coordinate or an empty stage list (depth below 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .cube import (
     ROUTE_CACHE_SIZE,
     GroundSet,
+    absence_words,
     cube_word,
     family_word,
     interval_words,
     projection_words,
     set_bits,
 )
-from .famexpr import FamExpr, fam_distinct
+from .famexpr import FamExpr
 from .lattice import OmegaChain, _entry_stages, _generated
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 
@@ -60,17 +70,26 @@ class SubbasicCond:
         return f"[{self.mask}]{sign}"
 
 
+@cache
+def _cond(mask: int, present: bool) -> SubbasicCond:
+    """The condition (mask, present), built once: a certificate over n points
+    uses at most 2 * 2^n distinct conditions however many clauses it has."""
+    return SubbasicCond(mask, present)
+
+
 class Certificate:
     """A conjunction of clauses, each a disjunction of subbasic conditions."""
 
     def __init__(self, universe: GroundSet, clauses):
         self.universe = universe
         self.clauses = tuple(tuple(cl) for cl in clauses)
+        full = universe.full_mask
         for cl in self.clauses:
             if not cl:
                 raise ValueError("empty clause is unsatisfiable by fiat; reject it")
-            if any(not 0 <= c.mask <= universe.full_mask for c in cl):
-                raise ValueError(f"condition mask out of range for n={universe.n}")
+            for c in cl:
+                if not 0 <= c.mask <= full:
+                    raise ValueError(f"condition mask out of range for n={universe.n}")
 
     @property
     def conjunct_count(self) -> int:
@@ -79,19 +98,20 @@ class Certificate:
     def solve(self) -> list[int]:
         """Every family word in the full cube satisfying the certificate.
 
-        A condition is its projection word or that word's complement, a
-        clause the OR of its conditions, and the certificate the AND of its
-        clauses; the solutions are the set bits of the result.
+        A clause is violated where all its conditions fail: the AND of each
+        condition's opposite word, LACKS[a] for a member condition and HAS[a]
+        for an absence.  The solutions are the set bits of the cube word with
+        every clause's violations cleared.
         """
-        full = cube_word(self.universe)
-        has = projection_words(self.universe)
-        word = full
+        has, lacks = projection_words(self.universe), absence_words(self.universe)
+        violated = 0
         for cl in self.clauses:
-            clause = 0
-            for c in cl:
-                clause |= has[c.mask] if c.present else full ^ has[c.mask]
-            word &= clause
-        return set_bits(word)
+            c = cl[0]
+            fails = lacks[c.mask] if c.present else has[c.mask]
+            for c in cl[1:]:
+                fails &= lacks[c.mask] if c.present else has[c.mask]
+            violated |= fails
+        return set_bits(cube_word(self.universe) ^ violated)
 
 
 def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[int]]:
@@ -144,7 +164,7 @@ def disjoint_closure_expression(universe: GroundSet, tops) -> Certificate:
     proper opens; across two topologies, proper opens exclude each other;
     anything open in none of them is forbidden outright.
     """
-    return _batch_expression(universe, [t.family.word for t in tops])
+    return _batch_expression(universe, [family_word(universe, t.family) for t in tops])
 
 
 def _batch_expression(universe: GroundSet, words: list[int]) -> Certificate:
@@ -153,17 +173,15 @@ def _batch_expression(universe: GroundSet, words: list[int]) -> Certificate:
     full = universe.full_mask
     covered = set().union(*proper) if proper else set()
     clauses = [
-        (SubbasicCond(0, True),),
-        (SubbasicCond(full, True),),
+        (_cond(0, True),),
+        (_cond(full, True),),
     ]
-    clauses += [(SubbasicCond(d, False),) for d in range(1, full) if d not in covered]
+    clauses += [(_cond(d, False),) for d in range(1, full) if d not in covered]
     for pi, pj in combinations(proper, 2):
-        clauses += [
-            (SubbasicCond(a, False), SubbasicCond(b, False)) for a in pi for b in pj
-        ]
+        clauses += [(_cond(a, False), _cond(b, False)) for a in pi for b in pj]
     for pi in proper:
         clauses += [
-            (SubbasicCond(a, True), SubbasicCond(b, False))
+            (_cond(a, True), _cond(b, False))
             for a in pi
             for b in pi
             if a != b
@@ -173,7 +191,7 @@ def _batch_expression(universe: GroundSet, words: list[int]) -> Certificate:
 
 def disjoint_closure_certificate(universe: GroundSet, tops) -> Report:
     """Sweep the disjoint-batch certificate and compare with the predicted set."""
-    words = [t.family.word for t in tops]
+    words = [family_word(universe, t.family) for t in tops]
     timer = Stopwatch("disjoint-closure", {"n": universe.n, "topologies": len(words)})
     return _sweep_batch(timer, universe, words)
 
@@ -225,7 +243,7 @@ def _order_route(n: int, x: int) -> tuple[int, int]:
 
 # (up, down): the same two words, by the subbasic conditions.  Up is
 # "contains every set in x", the AND of HAS[a] over a in x; down is "omits
-# every set outside x", the AND of not HAS[a] over the rest.  It is the memo
+# every set outside x", the AND of LACKS[a] over the rest.  It is the memo
 # that chain completion reads too.
 _cond_route = interval_words
 
@@ -326,6 +344,12 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     refutation relative to the pool; a neighbourhood missed by the whole
     pool, or no coordinate to cut a neighbourhood with, leaves the question
     open.
+
+    A candidate counts as distinct from x when ``fam_distinct(x, c,
+    extra=coords, cap=depth + 1)`` finds a separating coordinate.  That pool
+    starts with the coordinates and x's probes whatever the candidate, so
+    it is built once per check, and x's membership of each pooled set is
+    decided once; the sets are asked in fam_distinct's order.
     """
     coords = list(coords)
     if len(coords) > MAX_PATTERN_COORDS:
@@ -334,7 +358,22 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     timer = Stopwatch("limit-point", {"coords": len(coords), "candidates": len(candidates)})
 
     reference = {w: x.contains(w) for w in coords}
-    distinct = [fam_distinct(x, c, extra=coords, cap=depth + 1) is not None for c in candidates]
+    # with no candidate, nothing is compared with x and its probes are not asked for
+    top_pool = dict.fromkeys(coords + x.probe_sets(depth + 1)) if candidates else {}
+
+    def x_has(w) -> bool:
+        if w not in reference:
+            reference[w] = x.contains(w)
+        return reference[w]
+
+    def separated(c: FamExpr) -> bool:
+        probes = c.probe_sets(depth + 1)
+        for w in top_pool:
+            if x_has(w) != c.contains(w):
+                return True
+        return any(w not in top_pool and x_has(w) != c.contains(w) for w in probes)
+
+    distinct = [separated(c) for c in candidates]
 
     open_question = False
     for r in range(len(coords) + 1):

@@ -16,20 +16,26 @@ One level up, a set of families is a clopen word of the cube: a
 2^(2^n)-bit integer whose bit w says whether family w belongs to the set
 (n <= 4; at n = 5 a word would be 2^32 bits, so sweeps refuse it).  The
 projection words HAS[a] ("subset a is a member"), the same magic masks
-one level up, generate these words under AND, OR and complement, so a
-whole-cube sweep is a handful of big-integer operations, and its
-solutions are the word's set bits.
+one level up, and their complements LACKS[a] ("subset a is absent") are
+the subbasis: both are built once per n and cached together, 128 KB at
+n = 4.  They generate these words under AND and OR, so a whole-cube sweep
+is a handful of big-integer operations, and its solutions are the word's
+set bits, read a 64-bit limb at a time with the zero limbs skipped.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import compress
 from typing import Iterable
 
 MAX_POINTS = 5          # individual values stay small
 MAX_SWEEP_POINTS = 4    # a clopen word has 2^(2^n) bits: 65,536 at n=4
 ROUTE_CACHE_SIZE = 1024  # interval word pairs memoised: all 256 at n=3, 16 MB at n=4
+_BIG_ENDIAN = sys.byteorder == "big"  # set_bits reads its limbs little-endian
 
 
 @dataclass(frozen=True)
@@ -146,16 +152,27 @@ def projection_words(universe: GroundSet) -> tuple[int, ...]:
 
     HAS[a] is the clopen word whose bit w is set exactly when family w
     contains subset a: the subbasic clopen "a is a member".  Its absence
-    counterpart is cube_word ^ HAS[a], and any finite Boolean combination of
-    subbasic conditions is the same combination of these words.
+    counterpart LACKS[a] = cube_word ^ HAS[a] is cached beside it (see
+    ``absence_words``), and any finite Boolean combination of subbasic
+    conditions is the same combination of these words.
     """
     universe.require_sweepable()
-    return _projection_words(universe.n)
+    return _projection_words(universe.n)[0]
+
+
+def absence_words(universe: GroundSet) -> tuple[int, ...]:
+    """LACKS[a] = cube_word ^ HAS[a] for every subset mask a (n <= 4 only):
+    the subbasic clopen "a is not a member", built once with HAS."""
+    universe.require_sweepable()
+    return _projection_words(universe.n)[1]
 
 
 @cache
-def _projection_words(n: int) -> tuple[int, ...]:
-    return tuple(magic_mask(a, 1 << n) for a in range(1 << n))
+def _projection_words(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(HAS, LACKS) on n points, one word per subset mask each."""
+    full = (1 << (1 << (1 << n))) - 1
+    has = tuple(magic_mask(a, 1 << n) for a in range(1 << n))
+    return has, tuple(full ^ h for h in has)
 
 
 def magic_mask(k: int, m: int) -> int:
@@ -212,18 +229,16 @@ def interval_words(n: int, x: int) -> tuple[int, int]:
 
     A family is above x when it contains every set in x: the AND over a in x
     of HAS[a].  It is below x when it omits every set outside x: the AND over
-    a not in x of the complement of HAS[a].  Memoised on (n, x): chain
-    completion and the interval-identity check read the same pairs.
+    a not in x of LACKS[a].  Memoised on (n, x): chain completion and the
+    interval-identity check read the same pairs.
     """
-    universe = GroundSet(n)
-    has = projection_words(universe)
-    full = cube_word(universe)
-    up = down = full
-    for a, h in enumerate(has):
+    up = down = cube_word(GroundSet(n))
+    has, lacks = _projection_words(n)
+    for a in range(1 << n):
         if (x >> a) & 1:
-            up &= h
+            up &= has[a]
         else:
-            down &= full ^ h
+            down &= lacks[a]
     return up, down
 
 
@@ -247,13 +262,26 @@ def family_word(universe: GroundSet, member) -> int:
 
 
 def set_bits(word: int) -> list[int]:
-    """The positions of the set bits of a nonnegative word, increasing."""
-    bits = bin(word)[:1:-1]  # bit i at index i
+    """The positions of the set bits of a nonnegative word, increasing.
+
+    The word is read as 64-bit limbs, and ``compress`` skips the zero limbs
+    in C, so a sparse solution word of a sweep costs one pass over its bytes
+    and a few steps per set bit.  Each nonzero limb gives up its set bits
+    lowest first.
+    """
+    count = (word.bit_length() + 63) >> 6
+    limbs = array("Q", word.to_bytes(count << 3, "little"))
+    if _BIG_ENDIAN:
+        limbs.byteswap()
     out = []
-    i = bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
+    append = out.append
+    for i in compress(range(count), limbs):
+        limb = limbs[i]
+        base = (i << 6) - 1
+        while limb:
+            low = limb & -limb
+            append(base + low.bit_length())
+            limb ^= low
     return out
 
 

@@ -17,6 +17,7 @@ from topcube import (
     atom_closure_expression,
     disjoint_closure_certificate,
     disjoint_closure_expression,
+    fam_distinct,
     fam_is_topology_sym,
     interval_identity_all,
     interval_identity_sweep,
@@ -102,6 +103,79 @@ def test_solve_matches_per_word_evaluation(n, count):
         assert cert.solve() == _per_word_solutions(cert), cert.clauses
 
 
+def _shaped_clauses(rng, universe, shape):
+    """Clauses of the shapes the violation form treats specially."""
+    def cond(present=None):
+        p = rng.random() < 0.5 if present is None else present
+        return SubbasicCond(rng.randrange(universe.num_subsets), p)
+
+    def tautology():
+        a = rng.randrange(universe.num_subsets)
+        return (SubbasicCond(a, True), SubbasicCond(a, False))
+
+    def repeated():
+        c = cond()
+        return (c, c) if rng.random() < 0.5 else (c, cond(), c)
+
+    def positive():
+        return tuple(cond(True) for _ in range(rng.randint(2, 4)))
+
+    if shape == "units":
+        return [(cond(),) for _ in range(rng.randint(1, 6))]
+    make = {"tautology": tautology, "repeated": repeated, "positive": positive}[shape]
+    clauses = [make() for _ in range(rng.randint(1, 3))]
+    clauses += [tuple(cond() for _ in range(rng.randint(1, 2))) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(clauses)
+    return clauses
+
+
+@pytest.mark.parametrize("shape", ["tautology", "repeated", "positive", "units"])
+@pytest.mark.parametrize("n, count", [(3, 15), (4, 1)])
+def test_solve_matches_per_word_evaluation_on_clause_shapes(n, count, shape):
+    # a clause is violated on the AND of its conditions' opposite words; these
+    # shapes make that AND empty (a tautology), idempotent (a repeated
+    # condition), a run of LACKS words (all members), or a bare word (units)
+    rng = random.Random(f"{shape}-{n}")
+    universe = GroundSet(n)
+    for _ in range(count):
+        cert = Certificate(universe, _shaped_clauses(rng, universe, shape))
+        assert cert.solve() == _per_word_solutions(cert), cert.clauses
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_tautology_alone_cuts_out_the_whole_cube(n):
+    universe = GroundSet(n)
+    cert = Certificate(universe, [(SubbasicCond(1, True), SubbasicCond(1, False))])
+    assert cert.solve() == list(range(1 << universe.num_subsets))
+
+
+def test_batch_conditions_equal_the_public_ones():
+    # the batch builder draws its conditions from a cache; they must be the
+    # values SubbasicCond builds, one object per (mask, present)
+    first = atom_closure_expression(U3, [1, 2]).clauses
+    again = disjoint_closure_expression(U3, [Topology(fam(U3, 0, 1, 7)),
+                                             Topology(fam(U3, 0, 2, 7))]).clauses
+    C = SubbasicCond
+    assert first == (
+        (C(0, True),), (C(7, True),),
+        (C(3, False),), (C(4, False),), (C(5, False),), (C(6, False),),
+        (C(1, False), C(2, False)),
+    )
+    assert again == first
+    assert all(a is b for ca, cb in zip(first, again) for a, b in zip(ca, cb))
+    conds = [c for cl in first for c in cl]
+    assert [hash(c) for c in conds] == [hash(C(c.mask, c.present)) for c in conds]
+    for m in range(8):
+        assert certificates._cond(m, True) != certificates._cond(m, False)
+        for p in (True, False):
+            assert certificates._cond(m, p) == C(m, p)
+            assert hash(certificates._cond(m, p)) == hash(C(m, p))
+    assert repr(certificates._cond(3, False)) == "[3]-"
+    with pytest.raises(AttributeError):
+        certificates._cond(3, False).present = True
+    assert certificates._cond(3, False).present is False
+
+
 def test_certificate_solve():
     cert = Certificate(U2, [(SubbasicCond(0, True),), (SubbasicCond(3, True),)])
     assert cert.conjunct_count == 2
@@ -164,6 +238,20 @@ def test_disjoint_certificate_two_chains():
     trivial = (1 << 0) | (1 << 7)
     expected = [trivial, trivial | (1 << 1) | (1 << 3), trivial | (1 << 4) | (1 << 6)]
     assert sorted(disjoint_closure_expression(U3, tops).solve()) == expected
+
+
+def test_disjoint_certificate_refuses_a_batch_on_another_ground_set():
+    # the batch's words are read as families of the command's ground set:
+    # a 3-point topology is not silently a 4-point family, nor the reverse
+    small = [Topology(fam(U3, 0, 1, 7))]
+    for build in (disjoint_closure_certificate, disjoint_closure_expression):
+        with pytest.raises(ValueError, match="n=3 ground set given for n=4"):
+            build(GroundSet(4), small)
+    U4 = GroundSet(4)
+    large = [Topology(fam(U4, 0, 1, 15)), Topology(fam(U4, 0, 2, 15))]
+    for build in (disjoint_closure_certificate, disjoint_closure_expression):
+        with pytest.raises(ValueError, match="n=4 ground set given for n=3"):
+            build(U3, large)
 
 
 def test_disjoint_certificate_validation():
@@ -295,6 +383,100 @@ def test_limit_point_on_no_coordinates_is_inconclusive():
     x = Explicit([EMPTY, NATS])
     report = is_limit_point_sampled(x, [Explicit([NATS])], [], depth=4)
     assert (report.verdict, report.witness) == ("inconclusive", {"coords": 0})
+
+
+def _old_limit_point(x, candidates, coords, depth):
+    """The limit-point check as it was written with one fam_distinct per
+    candidate: (verdict, witness, notes)."""
+    from itertools import combinations
+
+    reference = {w: x.contains(w) for w in coords}
+    distinct = [fam_distinct(x, c, extra=coords, cap=depth + 1) is not None
+                for c in candidates]
+    open_question = False
+    for r in range(len(coords) + 1):
+        for subset in combinations(coords, r):
+            inside = [i for i, c in enumerate(candidates)
+                      if all(c.contains(w) == reference[w] for w in subset)]
+            if not inside:
+                open_question = True
+                continue
+            if not any(distinct[i] for i in inside):
+                return "fail", {"pattern": [w.describe() for w in subset],
+                                "pool_members_inside": len(inside)}
+    if open_question:
+        return "inconclusive", {"reason": "some neighbourhood misses the whole candidate pool"}
+    if not coords:
+        return "inconclusive", {"coords": 0}
+    return "pass", None
+
+
+def _limit_point_cases():
+    stage, union, top = initials_chain({"enum": EVENS.to_json()})
+    c3 = UPSet.from_ints([0, 2, 4, 6])
+    core_stage, core_union = growing_core_chain({"core": EVENS.to_json()})
+    nested_stage, nested_union = nested_initial_chain({})
+    one = UPSet.singleton(1)
+    pair = Explicit([EMPTY, NATS])
+    return [
+        (top, [stage(m) for m in range(16)], [c3, ODDS, NATS], 16),
+        (top, [stage(m) for m in range(4)], [c3, ODDS, NATS], 4),
+        (union, [stage(m) for m in range(8)] + [top], [c3, EVENS], 8),
+        (top, [top, union], [EVENS, c3], 6),
+        (core_union, [core_stage(m) for m in range(8)], [EVENS, ODDS, one], 8),
+        (core_union, [core_union, core_stage(0)], [EVENS, one], 3),
+        (nested_union, [nested_stage(m) for m in range(6)], [one, NATS, EMPTY], 5),
+        (pair, [pair, pair, pair], [EMPTY, NATS], 4),
+        (pair, [Explicit([NATS]), Explicit([EMPTY])], [EMPTY, NATS], 4),
+        (Explicit([EMPTY]), [Explicit([NATS])], [EMPTY], 4),
+        (pair, [Explicit([NATS])], [], 4),
+        (pair, [], [EMPTY], 4),
+    ]
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_limit_point_verdicts_match_one_fam_distinct_per_candidate(case):
+    x, candidates, coords, depth = _limit_point_cases()[case]
+    report = is_limit_point_sampled(x, candidates, coords, depth=depth)
+    verdict, witness = _old_limit_point(x, candidates, coords, depth)
+    assert report.verdict == verdict
+    if witness is not None:
+        assert report.witness == witness
+
+
+def test_limit_point_asks_for_the_base_point_probes_once(monkeypatch):
+    stage, _, top = initials_chain({"enum": EVENS.to_json()})
+    calls = []
+    real = top.probe_sets
+
+    def counting(cap=8):
+        calls.append(cap)
+        return real(cap)
+
+    monkeypatch.setattr(top, "probe_sets", counting)
+    pool = [stage(m) for m in range(16)]
+    c3 = UPSet.from_ints([0, 2, 4, 6])
+    assert is_limit_point_sampled(top, pool, [c3, ODDS, NATS], depth=16).passed
+    assert calls == [17]
+    calls.clear()
+    assert is_limit_point_sampled(top, [], [c3], depth=16).verdict == "inconclusive"
+    assert calls == []
+
+
+def test_limit_point_decides_each_base_point_membership_once(monkeypatch):
+    stage, _, top = initials_chain({"enum": EVENS.to_json()})
+    asked = []
+    real = top.contains
+
+    def counting(w):
+        asked.append(w)
+        return real(w)
+
+    monkeypatch.setattr(top, "contains", counting)
+    pool = [stage(m) for m in range(16)]
+    c3 = UPSet.from_ints([0, 2, 4, 6])
+    assert is_limit_point_sampled(top, pool, [c3, ODDS, NATS], depth=16).passed
+    assert len(asked) == len(set(asked))
 
 
 def test_pattern_coordinate_cap():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import topcube
 from topcube import Family, GroundSet
-from topcube.cube import cube_word, projection_words, set_bits
+from topcube.cube import absence_words, cube_word, interval_words, projection_words, set_bits
+from topcube.topology import topology_word
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -104,6 +105,68 @@ def test_set_bits_lists_the_set_positions(word):
     bits = set_bits(word)
     assert bits == [i for i in range(word.bit_length()) if (word >> i) & 1]
     assert sum(1 << i for i in bits) == word
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_absence_words_complement_the_projection_words(n):
+    universe = GroundSet(n)
+    size = 1 << universe.num_subsets
+    full = cube_word(universe)
+    lacks = absence_words(universe)
+    assert lacks == tuple(full ^ h for h in projection_words(universe))
+    for a, word in enumerate(lacks):
+        assert set_bits(word) == [w for w in range(size) if not (w >> a) & 1]
+    assert absence_words(universe) is lacks  # built once per n
+
+
+def test_interval_words_at_four_points_are_their_definitions():
+    universe = GroundSet(4)
+    has, full = projection_words(universe), cube_word(universe)
+    for x in (0, 1, 0b1000_0000_0000_0001, 0x5A5A, 0xFFFF):
+        up = down = full
+        for a in range(16):
+            if (x >> a) & 1:
+                up &= has[a]
+            else:
+                down &= full ^ has[a]
+        assert interval_words(4, x) == (up, down), x
+
+
+def _bin_bits(word: int) -> list[int]:
+    """The set bit positions read off the binary string, lowest first."""
+    return [i for i, bit in enumerate(reversed(bin(word)[2:])) if bit == "1"]
+
+
+def _limb_edges() -> list[int]:
+    # a 4-limb word: bits on both sides of every 64-bit limb boundary
+    return [sum(1 << i for i in {b - 1, b} if i >= 0) for b in (0, 64, 128, 192, 256)]
+
+
+_WIDE_WORDS = {
+    "zero": 0,
+    **{f"bit-{i}": 1 << i for i in (0, 63, 64, 65, 65_535)},
+    **{f"edge-{i}": w for i, w in enumerate(_limb_edges())},
+    "all-edges": sum(1 << b for b in (0, 63, 64, 127, 128, 191, 192, 255)),
+    "four-full-limbs": (1 << 256) - 1,
+    "cube-n4": (1 << 65_536) - 1,
+    "ends-n4": 1 | 1 << 65_535,
+}
+
+
+@pytest.mark.parametrize("name", list(_WIDE_WORDS))
+def test_set_bits_at_four_point_widths(name):
+    word = _WIDE_WORDS[name]
+    assert set_bits(word) == _bin_bits(word)
+
+
+def test_set_bits_on_the_four_point_words():
+    universe = GroundSet(4)
+    assert set_bits(cube_word(universe)) == list(range(1 << 16))
+    word = topology_word(universe)
+    bits = set_bits(word)
+    assert bits == _bin_bits(word) and len(bits) == 355
+    for h in projection_words(universe)[::5]:
+        assert set_bits(h) == _bin_bits(h)
 
 
 def test_all_lists_the_public_names():
