@@ -27,10 +27,12 @@ condition, one OR per clause and one XOR in all, with no complement built
 per condition.  The batch certificates draw their conditions from one
 cached constructor, so each (mask, present) pair is built once.
 
-The convergence and ladder checks read the stages of an omega chain through
-the one walker in ``lattice`` (``_entry_stages``): each check builds its stage
-list once, takes every coordinate's entry stage from it, and raises
-ValueError on a dropped coordinate or an empty stage list (depth below 1).
+The convergence and ladder checks take an omega chain as ``(stage, top)``, a
+stage rule and a declared top, as ``lattice.chain_completion_omega`` does.
+They read its stages through the one walker in ``lattice``
+(``_entry_stages``): each check builds its stage list once, takes every
+coordinate's entry stage from it, and raises ValueError on a dropped
+coordinate or an empty stage list (depth below 1).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .cube import (
     set_bits,
 )
 from .famexpr import FamExpr
-from .lattice import OmegaChain, _entry_stages, _generated
+from .lattice import _entry_stages, _generated
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 
 MAX_PATTERN_COORDS = 10
@@ -277,7 +279,7 @@ def interval_identity_all(universe: GroundSet, gens) -> Report:
     universe.require_sweepable()
     words = sorted({family_word(universe, g) for g in gens})
     timer = Stopwatch("interval-identity", {"n": universe.n, "gens": words})
-    members = sorted(_generated(universe, words).words)
+    members = sorted(_generated(words))
     timer.params["sublattice"] = len(members)
     member_word = 0
     for w in members:
@@ -345,11 +347,12 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     pool, or no coordinate to cut a neighbourhood with, leaves the question
     open.
 
-    A candidate counts as distinct from x when ``fam_distinct(x, c,
-    extra=coords, cap=depth + 1)`` finds a separating coordinate.  That pool
-    starts with the coordinates and x's probes whatever the candidate, so
-    it is built once per check, and x's membership of each pooled set is
-    decided once; the sets are asked in fam_distinct's order.
+    A candidate c counts as distinct from x when some set in the pool
+    separates them: x contains it and c does not, or the other way round.
+    The pool is the coordinates, then x's ``probe_sets(depth + 1)``, then
+    c's, each set asked once in that order.  Its first two parts do not
+    depend on the candidate, so they are built once per check, and x's
+    membership of each pooled set is decided once.
     """
     coords = list(coords)
     if len(coords) > MAX_PATTERN_COORDS:
@@ -468,24 +471,23 @@ def limit_vs_union_check(limit: FamExpr, union: FamExpr, coords) -> Report:
     return timer.report(PASS, notes=["limit and union agree on the whole probe pool"])
 
 
-def ordinal_homeo_check(chain: OmegaChain, coords=(), depth: int = 16) -> Report:
+def ordinal_homeo_check(stage, top: FamExpr, coords=(), depth: int = 16) -> Report:
     """Sampled evidence that stages plus their top form one convergent ladder.
 
-    The chain's declared union is the element sitting above all the
-    stages, and the check wants, on the probe pool: strictly increasing
-    stages (each step gains a coordinate), and every coordinate's
-    membership locking to the top's value within the depth.  Entry
-    witnesses double as isolation certificates: the coordinate gained at
-    step i is absent from all earlier stages and present in all later ones.
-    The stages are walked before any verdict, so a coordinate dropped
+    ``stage(m)`` gives the m-th stage and ``top`` is the element declared
+    to sit above all of them.  The check wants, on the probe pool:
+    strictly increasing stages (each step gains a coordinate), and every
+    coordinate's membership locking to the top's value within the depth.
+    Entry witnesses double as isolation certificates: the coordinate gained
+    at step i is absent from all earlier stages and present in all later
+    ones.  The stages are walked before any verdict, so a coordinate dropped
     anywhere within the depth raises, as does a depth below 1; an empty
     pool is then inconclusive.  Whether the top is the plain union of its
     stages is ``limit_vs_union_check``'s question.
     """
-    top = chain.union
     coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
     timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth})
-    entries = _entry_stages([chain.rule(i) for i in range(depth)], coords)
+    entries = _entry_stages([stage(i) for i in range(depth)], coords)
     if not coords:
         return timer.report(INCONCLUSIVE, {"coords": 0})
 

@@ -146,13 +146,17 @@ def run_count(n: int) -> Report:
 
 def run_check(args: argparse.Namespace) -> Report:
     name = args.name
+    if args.fixture is not None and name not in ("atom-closure", "disjoint-closure"):
+        raise ValueError("--fixture applies only to atom-closure and disjoint-closure, "
+                         f"not to {name}")
     reads_bound = name == "chain-completion" or (
         name == "disjoint-closure" and args.fixture is None
     )
     if args.bound is not None and not reads_bound:
         raise ValueError(
             "--bound applies only to chain-completion and to disjoint-closure "
-            f"without a fixture, not to {name}" + (" with a fixture" if args.fixture else "")
+            f"without a fixture, not to {name}"
+            + (" with a fixture" if args.fixture is not None else "")
         )
     if args.bound is not None and args.bound < 1:
         raise ValueError(f"--bound must be at least 1, got {args.bound}")
@@ -170,7 +174,7 @@ def run_check(args: argparse.Namespace) -> Report:
         universe = _fixture_universe(fix, args.n)
         return atom_closure_certificate(universe, _int_list(fix["opens"], "'opens'"))
     if name == "disjoint-closure":
-        if args.fixture:
+        if args.fixture is not None:
             fix = load_fixture(args.fixture)
             universe = _fixture_universe(fix, args.n)
             if not isinstance(fix["topologies"], list):
@@ -244,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="size knob >= 1: longest chain for chain-completion (default 4), batch size "
         "for disjoint-closure without a fixture (default 3); other checks refuse it",
     )
-    p_verify.add_argument("--fixture", help="packaged fixture name or JSON path")
+    p_verify.add_argument(
+        "--fixture", help="packaged fixture name or JSON path, read by atom-closure and "
+        "disjoint-closure; other checks refuse it",
+    )
 
     p_demo = sub.add_parser("demo", help="walk a packaged construction")
     p_demo.add_argument("name", choices=sorted(DEMOS))

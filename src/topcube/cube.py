@@ -56,9 +56,6 @@ class GroundSet:
     def num_subsets(self) -> int:
         return 1 << self.n
 
-    def subset_masks(self) -> range:
-        return range(1 << self.n)
-
     def require_sweepable(self) -> None:
         if self.n > MAX_SWEEP_POINTS:
             raise ValueError(
@@ -94,30 +91,6 @@ class Family:
     def contains_mask(self, mask: int) -> bool:
         return bool((self.word >> mask) & 1)
 
-    def member_masks(self) -> list[int]:
-        return [m for m in self.universe.subset_masks() if (self.word >> m) & 1]
-
-    def __len__(self) -> int:
-        return bin(self.word).count("1")
-
-    # -- the cube's lattice structure -----------------------------------------
-
-    def meet(self, other: "Family") -> "Family":
-        _same_universe(self, other)
-        return Family(self.universe, self.word & other.word)
-
-    def join(self, other: "Family") -> "Family":
-        _same_universe(self, other)
-        return Family(self.universe, self.word | other.word)
-
-    def leq(self, other: "Family") -> bool:
-        _same_universe(self, other)
-        return self.word | other.word == other.word
-
-    __and__ = meet
-    __or__ = join
-    __le__ = leq
-
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -131,7 +104,7 @@ class Family:
     def _member_points(self) -> list[list[int]]:
         """Each member mask as its increasing list of points."""
         n = self.universe.n
-        return [[p for p in range(n) if (m >> p) & 1] for m in self.member_masks()]
+        return [[p for p in range(n) if (m >> p) & 1] for m in set_bits(self.word)]
 
     def __repr__(self) -> str:
         sets = ", ".join("{" + ", ".join(map(str, pts)) + "}" for pts in self._member_points())
@@ -297,7 +270,3 @@ def meet_closure(pool: set[int], words) -> set[int]:
             pool.add(g)
     return pool
 
-
-def _same_universe(a, b) -> None:
-    if a.universe != b.universe:
-        raise ValueError(f"universe mismatch: n={a.universe.n} vs n={b.universe.n}")

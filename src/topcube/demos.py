@@ -27,7 +27,7 @@ from .famexpr import (
     UnionFam,
     fam_is_topology_sym,
 )
-from .lattice import OmegaChain, chain_completion_omega, join_completeness_witness
+from .lattice import chain_completion_omega, join_completeness_witness
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 from .upsets import UPSet
 
@@ -182,11 +182,9 @@ def demo_initials_chain(fix: dict) -> Report:
     lp = is_limit_point_sampled(
         top, [stage(m) for m in range(depth)], lp_coords, depth=depth
     )
-    ladder = ordinal_homeo_check(OmegaChain(stage, union), conv_coords, depth=depth)
-    completion = chain_completion_omega(OmegaChain(stage, union), comp_coords, bound)
-    gap = chain_completion_omega(
-        OmegaChain(stage, top), comp_coords + expected_open, bound
-    )
+    ladder = ordinal_homeo_check(stage, union, conv_coords, depth=depth)
+    completion = chain_completion_omega(stage, union, comp_coords, bound)
+    gap = chain_completion_omega(stage, top, comp_coords + expected_open, bound)
 
     wanted = [w.describe() for w in expected_open]
     unresolved = (

@@ -156,9 +156,6 @@ class FamExpr:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json()})"
 
-    def __or__(self, other: "FamExpr") -> "FamExpr":
-        return UnionFam(self, other)
-
 
 class Explicit(FamExpr):
     def __init__(self, members):
@@ -374,20 +371,6 @@ class ChainInitials(FamExpr):
             "enum": self.enum.to_json(),
             "extras": [x.to_json() for x in self.extras],
         }
-
-
-def fam_distinct(e1: FamExpr, e2: FamExpr, extra=(), cap: int = 8) -> UPSet | None:
-    """A coordinate separating the two families, if the probe pool finds one.
-
-    Extensional equality of arbitrary expressions is not decided here; the
-    pool combines the caller's coordinates with both expressions' structural
-    probes, which separates every pair arising in the shipped constructions.
-    """
-    pool = list(extra) + e1.probe_sets(cap) + e2.probe_sets(cap)
-    for w in dict.fromkeys(pool):
-        if e1.contains(w) != e2.contains(w):
-            return w
-    return None
 
 
 def fam_is_topology_sym(e: FamExpr, probes) -> Report:

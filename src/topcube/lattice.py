@@ -12,12 +12,13 @@ meet of the part above one.
 
 ``close_words`` is the one routine closing a set of words under AND and
 OR; topology generation runs through it too, and its meet half is
-``cube.meet_closure``, which ``famexpr`` shares.  An ``OmegaChain`` is
-increasing by definition, so its completion point is coordinatewise
-eventual membership, and every sampled omega-chain check (here and in
-``certificates``) reads its coordinates through one walker,
-``_entry_stages``: given the stage list a check builds once, it returns
-each coordinate's first stage, raises when a later stage drops a
+``cube.meet_closure``, which ``famexpr`` shares.  An omega chain is given
+as a stage rule and a declared top, ``(stage, top)``: ``stage(m)`` is the
+m-th stage, and the chain is increasing by definition, so its completion
+point is coordinatewise eventual membership.  Every sampled omega-chain
+check (here and in ``certificates``) reads its coordinates through one
+walker, ``_entry_stages``: given the stage list a check builds once, it
+returns each coordinate's first stage, raises when a later stage drops a
 coordinate, and rejects an empty stage list, so a depth or bound below 1
 is a ValueError rather than a vacuous verdict.
 """
@@ -57,27 +58,17 @@ def close_words(words) -> frozenset[int]:
     return frozenset(joins)
 
 
-class FiniteSublattice:
-    """A finite collection of families closed under meet and join."""
-
-    def __init__(self, universe: GroundSet, words: frozenset[int]):
-        self.universe = universe
-        self.words = words
-
-    def __contains__(self, fam: Family) -> bool:
-        return fam.universe.n == self.universe.n and fam.word in self.words
+def lat_generate(universe: GroundSet, gens) -> frozenset[int]:
+    """The words of the smallest meet/join-closed collection containing the
+    generators."""
+    return _generated([family_word(universe, g) for g in gens])
 
 
-def lat_generate(universe: GroundSet, gens) -> FiniteSublattice:
-    """The smallest meet/join-closed collection containing the generators."""
-    return _generated(universe, [family_word(universe, g) for g in gens])
-
-
-def _generated(universe: GroundSet, words: list[int]) -> FiniteSublattice:
-    """``lat_generate`` on words already checked to be families of ``universe``."""
+def _generated(words: list[int]) -> frozenset[int]:
+    """``lat_generate`` on words already checked to be families of one ground set."""
     if not words:
         raise ValueError("need at least one generating family")
-    return FiniteSublattice(universe, close_words(words))
+    return close_words(words)
 
 
 def _relations_word(universe: GroundSet, words) -> tuple[int, list[tuple[int, int]]]:
@@ -267,20 +258,6 @@ def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4)
     return timer.report(PASS, notes=[note])
 
 
-class OmegaChain:
-    """An increasing sequence of symbolic families with a declared union.
-
-    ``rule(m)`` gives the m-th stage; membership of any probed coordinate
-    must be monotone in m, and every check walking the stages raises on a
-    drop.  The declared union is what the stages are supposed to converge
-    to coordinate-wise; it is checked, not trusted.
-    """
-
-    def __init__(self, rule, union: FamExpr):
-        self.rule = rule
-        self.union = union
-
-
 def _entry_stages(stages: list[FamExpr], coords) -> list[int | None]:
     """Each coordinate's first stage index, or None where no stage holds it.
 
@@ -305,13 +282,15 @@ def _entry_stages(stages: list[FamExpr], coords) -> list[int | None]:
     return entries
 
 
-def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report:
+def chain_completion_omega(stage, union: FamExpr, coords, bound: int = 64) -> Report:
     """Check the declared union of an increasing chain on probe coordinates.
 
-    Coordinate-wise eventual membership is the completion point of the
-    chain, so for every probed coordinate the membership sequence along
-    the stages must be monotone (a drop raises -- the input was not a
-    chain) and its settled value must agree with the declared union.  A
+    ``stage(m)`` gives the m-th stage, and ``union`` is what the stages are
+    declared to converge to; it is checked, not trusted.  Coordinate-wise
+    eventual membership is the completion point of the chain, so for every
+    probed coordinate the membership sequence along the stages must be
+    monotone (a drop raises -- the input was not a chain) and its settled
+    value must agree with the declared union.  A
     coordinate the union claims but no stage reaches before the bound is
     undecidable here: the stages may pick it up later or never, so the
     check comes back inconclusive rather than failed, and so does a run
@@ -319,13 +298,13 @@ def chain_completion_omega(chain: OmegaChain, coords, bound: int = 64) -> Report
     """
     coords = list(coords)
     timer = Stopwatch("omega-completion", {"bound": bound, "coordinates": len(coords)})
-    entries = _entry_stages([chain.rule(i) for i in range(bound)], coords)
+    entries = _entry_stages([stage(i) for i in range(bound)], coords)
     if not coords:
         return timer.report(INCONCLUSIVE, {"coordinates": 0})
-    notes = [f"declared union: {chain.union!r}"]
+    notes = [f"declared union: {union!r}"]
     pending: list[str] = []
     for w, entered_at in zip(coords, entries):
-        in_union = chain.union.contains(w)
+        in_union = union.contains(w)
         if entered_at is not None and not in_union:
             return timer.report(
                 FAIL,

@@ -67,24 +67,11 @@ class Topology:
     def trivial(cls, universe: GroundSet) -> "Topology":
         return cls(Family.from_masks(universe, [0, universe.full_mask]))
 
-    @classmethod
-    def discrete(cls, universe: GroundSet) -> "Topology":
-        return cls(Family(universe, (1 << universe.num_subsets) - 1))
-
-    def open_masks(self) -> list[int]:
-        return self.family.member_masks()
-
-    def __len__(self) -> int:
-        return len(self.family)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Topology) and self.family == other.family
 
     def __hash__(self) -> int:
         return hash(("Topology", self.family))
-
-    def __le__(self, other: "Topology") -> bool:
-        return self.family <= other.family
 
     def __repr__(self) -> str:
         return f"Topology({self.family!r})"

@@ -175,14 +175,6 @@ class UPSet:
         return cls("", "1")
 
     @classmethod
-    def evens(cls) -> "UPSet":
-        return cls("", "10")
-
-    @classmethod
-    def odds(cls) -> "UPSet":
-        return cls("", "01")
-
-    @classmethod
     def singleton(cls, k: int) -> "UPSet":
         return cls.from_ints([k])
 
@@ -243,12 +235,6 @@ class UPSet:
     def is_empty(self) -> bool:
         return self._per == 0 and self._pre == 0
 
-    def size(self) -> int:
-        """Number of members; raises on infinite sets."""
-        if not self.is_finite:
-            raise ValueError("infinite set")
-        return self._pre.bit_count()
-
     # -- Boolean algebra -----------------------------------------------------
 
     def _word(self, width: int) -> int:
@@ -291,9 +277,6 @@ class UPSet:
     def __le__(self, other: "UPSet") -> bool:
         _, _, x, y = self._aligned(other)
         return (x & ~y) == 0
-
-    def __lt__(self, other: "UPSet") -> bool:
-        return self != other and self <= other
 
     # -- value semantics -----------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 The benchmark harness wraps the functions listed in its tracer's TARGETS
 table and builds its workloads from a few more names; deleting or renaming
-any of them would break the benchmark, so that fails here first.
+any of them would break the benchmark, so that fails here first.  The same
+holds for the stay-list of ``tools/traffic.py``, and its code-line counter
+is pinned on a small source; neither test runs the traffic.
 """
 
 import contextlib
@@ -10,19 +12,25 @@ import gc
 import importlib
 import importlib.util
 import io
+import textwrap
 from pathlib import Path
 
 from topcube import UPSet, cli, lattice
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
+TRAFFIC = BENCH.parent / "tools" / "traffic.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("bench_tracing", TRACING)
 
 
 def test_every_traced_target_resolves():
@@ -96,3 +104,36 @@ def test_cli_default_argv_leave_no_reference_cycles(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_every_stay_listed_name_is_a_function_of_the_package():
+    """A cut or a rename in ``src/topcube`` has to update the stay-list."""
+    traffic = _load("traffic", TRAFFIC)
+    defined = {qual for _, _, qual, _ in traffic.defined_functions()}
+    names = [name for name, _ in traffic.STAY]
+    assert len(set(names)) == len(names)
+    assert set(names) <= defined, sorted(set(names) - defined)
+    assert all(reason for _, reason in traffic.STAY)
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    traffic = _load("traffic", TRAFFIC)
+    source = textwrap.dedent('''\
+        """A module docstring
+        over two lines."""
+
+        import os  # a trailing comment keeps the line
+
+
+        # a comment alone
+        class A:
+            """A class docstring."""
+
+            def f(self):
+                """A function docstring,
+                also over two lines."""
+                text = """a string that is no docstring
+                counts on every line"""
+                return text
+        ''')
+    assert traffic.code_lines(source) == 6

@@ -6,10 +6,11 @@ import pytest
 
 from topcube import (
     Certificate,
+    DownPow,
     Explicit,
     Family,
     GroundSet,
-    OmegaChain,
+    NearDown,
     SubbasicCond,
     Topology,
     UPSet,
@@ -17,7 +18,6 @@ from topcube import (
     atom_closure_expression,
     disjoint_closure_certificate,
     disjoint_closure_expression,
-    fam_distinct,
     fam_is_topology_sym,
     interval_identity_all,
     interval_identity_sweep,
@@ -34,8 +34,8 @@ U3 = GroundSet(3)
 
 EMPTY = UPSet.empty()
 NATS = UPSet.naturals()
-EVENS = UPSet.evens()
-ODDS = UPSet.odds()
+EVENS = UPSet("", "10")
+ODDS = UPSet("", "01")
 
 
 def fam(universe, *masks):
@@ -385,6 +385,24 @@ def test_limit_point_on_no_coordinates_is_inconclusive():
     assert (report.verdict, report.witness) == ("inconclusive", {"coords": 0})
 
 
+def fam_distinct(e1, e2, extra=(), cap=8):
+    """A coordinate separating the two families, if the probe pool finds one:
+    the caller's coordinates, then both expressions' structural probes."""
+    pool = list(extra) + e1.probe_sets(cap) + e2.probe_sets(cap)
+    for w in dict.fromkeys(pool):
+        if e1.contains(w) != e2.contains(w):
+            return w
+    return None
+
+
+def test_fam_distinct():
+    w = fam_distinct(DownPow(EVENS), NearDown(EVENS))
+    assert w is not None
+    assert DownPow(EVENS).contains(w) != NearDown(EVENS).contains(w)
+    assert fam_distinct(DownPow(EVENS), DownPow(EVENS)) is None
+    assert fam_distinct(Explicit([EVENS]), Explicit([ODDS])) is not None
+
+
 def _old_limit_point(x, candidates, coords, depth):
     """The limit-point check as it was written with one fam_distinct per
     candidate: (verdict, witness, notes)."""
@@ -598,13 +616,13 @@ def test_limit_vs_union_on_an_empty_pool_is_inconclusive():
 def test_stages_with_plain_union_form_a_ladder():
     stage, union, _ = initials_chain({"enum": EVENS.to_json()})
     c0 = UPSet.singleton(0)
-    report = ordinal_homeo_check(OmegaChain(stage, union), [c0, ODDS], depth=12)
+    report = ordinal_homeo_check(stage, union, [c0, ODDS], depth=12)
     assert report.passed
 
 
 def test_declared_top_without_reference_is_inconclusive():
     stage, _, top = initials_chain({"enum": EVENS.to_json()})
-    report = ordinal_homeo_check(OmegaChain(stage, top), [ODDS], depth=12)
+    report = ordinal_homeo_check(stage, top, [ODDS], depth=12)
     assert report.verdict == "inconclusive"
     assert report.witness["coordinates_not_reached_within_depth"] == [EVENS.describe()]
 
@@ -614,7 +632,7 @@ def test_stage_member_missing_from_top_is_locked_fail():
     c0 = UPSet.singleton(0)
     c1 = UPSet.from_ints([0, 2])
     report = ordinal_homeo_check(
-        OmegaChain(stage, Explicit([EMPTY, NATS])), [c0, c1], depth=2
+        stage, Explicit([EMPTY, NATS]), [c0, c1], depth=2
     )
     assert report.verdict == "fail"
     assert c0.describe() in report.witness["coordinates_locked_off_top"]
@@ -623,20 +641,19 @@ def test_stage_member_missing_from_top_is_locked_fail():
 def test_lost_coordinate_raises():
     rule = lambda m: Explicit([EMPTY, NATS]) if m == 0 else Explicit([NATS])
     with pytest.raises(ValueError):
-        ordinal_homeo_check(OmegaChain(rule, Explicit([NATS])), [EMPTY], depth=4)
+        ordinal_homeo_check(rule, Explicit([NATS]), [EMPTY], depth=4)
 
 
 def test_ladder_on_an_empty_pool_is_inconclusive():
     # depth 1 takes no step, and an empty top suggests no probe set
-    chain = OmegaChain(lambda m: Explicit([]), Explicit([]))
-    report = ordinal_homeo_check(chain, [], depth=1)
+    report = ordinal_homeo_check(lambda m: Explicit([]), Explicit([]), [], depth=1)
     assert (report.verdict, report.witness) == ("inconclusive", {"coords": 0})
 
 
 def test_ladder_rejects_depth_zero():
     stage, union, _ = initials_chain({"enum": EVENS.to_json()})
     with pytest.raises(ValueError, match="at least one stage"):
-        ordinal_homeo_check(OmegaChain(stage, union), [ODDS], depth=0)
+        ordinal_homeo_check(stage, union, [ODDS], depth=0)
 
 
 def test_ladder_raises_on_a_drop_after_a_step_that_gained_nothing():
@@ -644,4 +661,4 @@ def test_ladder_raises_on_a_drop_after_a_step_that_gained_nothing():
     # the depth is an input error and wins over the inconclusive step
     rule = lambda m: Explicit([NATS]) if m < 2 else Explicit([])
     with pytest.raises(ValueError, match="dropped"):
-        ordinal_homeo_check(OmegaChain(rule, Explicit([NATS])), [NATS], depth=4)
+        ordinal_homeo_check(rule, Explicit([NATS]), [NATS], depth=4)

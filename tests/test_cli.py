@@ -224,6 +224,25 @@ def test_bound_on_a_check_without_one_exits_two(capsys, argv):
     assert "--bound applies only to chain-completion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name", [c for c in CHECKS if c not in ("atom-closure", "disjoint-closure")]
+)
+def test_fixture_on_a_check_that_reads_none_exits_two(tmp_path, capsys, name):
+    # refused before it is read: a missing file and a packaged fixture alike
+    for fixture in (str(tmp_path / "missing.json"), "all-atoms-n3"):
+        assert main(["verify", name, "--fixture", fixture, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --fixture applies only to atom-closure and disjoint-closure, "
+            f"not to {name}\n"
+        )
+
+
+@pytest.mark.parametrize("name", ["atom-closure", "disjoint-closure"])
+def test_an_empty_fixture_name_is_read_not_ignored(capsys, name):
+    assert main(["verify", name, "--fixture", "", "--quiet"]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 @pytest.mark.parametrize("name", ["chain-completion", "disjoint-closure"])
 def test_bound_below_one_exits_two(capsys, name, bound):

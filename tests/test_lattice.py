@@ -12,7 +12,6 @@ from topcube import (
     Explicit,
     Family,
     GroundSet,
-    OmegaChain,
     UPSet,
     chain_completion_check,
     chain_completion_finite,
@@ -38,8 +37,8 @@ U3 = GroundSet(3)
 
 EMPTY = UPSet.empty()
 NATS = UPSet.naturals()
-EVENS = UPSet.evens()
-ODDS = UPSet.odds()
+EVENS = UPSet("", "10")
+ODDS = UPSet("", "01")
 
 # family words over n=2: bit index = subset mask, so
 #   {}               -> 0
@@ -71,17 +70,17 @@ def as_sets(universe, *words):
 
 def test_generate_two_singleton_families():
     lat = lat_generate(U2, fams(U2, 2, 4))
-    assert lat.words == {0, 2, 4, 6}
+    assert lat == {0, 2, 4, 6}
 
 
 def test_generate_single_family_is_itself():
     lat = lat_generate(U2, fams(U2, TRIV2))
-    assert lat.words == {TRIV2}
+    assert lat == {TRIV2}
 
 
 def test_generate_chain_already_closed():
     chain = fams(U2, 1, 9, 11)
-    assert lat_generate(U2, chain).words == {1, 9, 11}
+    assert lat_generate(U2, chain) == {1, 9, 11}
 
 
 def test_generate_rejects_empty():
@@ -92,9 +91,9 @@ def test_generate_rejects_empty():
 @given(st.lists(st.integers(0, 15), min_size=1, max_size=4), st.integers(0, 15))
 def test_generate_contains_gens_and_is_closed(words, probe):
     lat = lat_generate(U2, fams(U2, *words))
-    assert set(words) <= lat.words
-    for w, v in combinations(lat.words, 2):
-        assert (w & v) in lat.words and (w | v) in lat.words
+    assert set(words) <= lat
+    for w, v in combinations(lat, 2):
+        assert (w & v) in lat and (w | v) in lat
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,9 +101,9 @@ def test_generate_contains_gens_and_is_closed(words, probe):
 def test_generate_is_least_closed_superset(words):
     # dropping any non-generator leaves a set no longer closed
     lat = lat_generate(U3, fams(U3, *words))
-    extras = lat.words - set(words)
+    extras = lat - set(words)
     for w in extras:
-        assert not is_complete_sublattice(as_sets(U3, *(lat.words - {w})))
+        assert not is_complete_sublattice(as_sets(U3, *(lat - {w})))
 
 
 def _naive_closure(words):
@@ -189,7 +188,7 @@ def test_relations_match_comparability_filter(n):
 def test_generated_lattices_are_complete():
     for words in ([2, 4], [1, 9, 11], [7], [3, 5, 10]):
         lat = lat_generate(U2, fams(U2, *words))
-        assert is_complete_sublattice(as_sets(U2, *lat.words))
+        assert is_complete_sublattice(as_sets(U2, *lat))
 
 
 def test_raw_set_missing_join_is_incomplete():
@@ -405,7 +404,7 @@ def test_omega_segment_chain_matches_union():
     fix = {"enum": EVENS.to_json()}
     stage, union, _ = initials_chain(fix)
     c5 = UPSet.from_ints([0, 2, 4, 6, 8, 10])
-    report = chain_completion_omega(OmegaChain(stage, union), [c5, ODDS, NATS], 64)
+    report = chain_completion_omega(stage, union, [c5, ODDS, NATS], 64)
     assert report.passed
     assert any(n.endswith("stabilizes true at stage 5") for n in report.notes)
     assert any("stays false" in n for n in report.notes)
@@ -414,7 +413,7 @@ def test_omega_segment_chain_matches_union():
 def test_omega_constant_chain():
     rule = lambda m: Explicit([EMPTY, NATS])
     report = chain_completion_omega(
-        OmegaChain(rule, Explicit([EMPTY, NATS])), [EMPTY, NATS, EVENS], 8
+        rule, Explicit([EMPTY, NATS]), [EMPTY, NATS, EVENS], 8
     )
     assert report.passed
     assert any("stabilizes true at stage 0" in n for n in report.notes)
@@ -423,7 +422,7 @@ def test_omega_constant_chain():
 def test_omega_growing_core_chain():
     stage, union = growing_core_chain({"core": EVENS.to_json()})
     one = UPSet.singleton(1)
-    report = chain_completion_omega(OmegaChain(stage, union), [EVENS, ODDS, one], 32)
+    report = chain_completion_omega(stage, union, [EVENS, ODDS, one], 32)
     assert report.passed
     assert any(n.endswith("stabilizes true at stage 1") for n in report.notes)
     assert any(n.startswith(ODDS.describe() + " stays false") for n in report.notes)
@@ -433,7 +432,7 @@ def test_omega_union_missing_settled_coordinate_fails():
     fix = {"enum": EVENS.to_json()}
     stage, _, _ = initials_chain(fix)
     report = chain_completion_omega(
-        OmegaChain(stage, Explicit([EMPTY, NATS])), [UPSet.singleton(0)], 8
+        stage, Explicit([EMPTY, NATS]), [UPSet.singleton(0)], 8
     )
     assert report.verdict == "fail"
     assert report.witness["entered_at_stage"] == 0
@@ -442,7 +441,7 @@ def test_omega_union_missing_settled_coordinate_fails():
 def test_omega_unsettled_union_member_is_inconclusive():
     fix = {"enum": EVENS.to_json()}
     stage, _, top = initials_chain(fix)
-    report = chain_completion_omega(OmegaChain(stage, top), [EVENS], 64)
+    report = chain_completion_omega(stage, top, [EVENS], 64)
     assert report.verdict == "inconclusive"
     assert report.witness["in_union_but_settled_by_no_stage"] == [EVENS.describe()]
 
@@ -450,12 +449,12 @@ def test_omega_unsettled_union_member_is_inconclusive():
 def test_omega_membership_drop_raises():
     rule = lambda m: Explicit([EMPTY, NATS]) if m % 2 == 0 else Explicit([NATS])
     with pytest.raises(ValueError):
-        chain_completion_omega(OmegaChain(rule, Explicit([NATS])), [EMPTY], 4)
+        chain_completion_omega(rule, Explicit([NATS]), [EMPTY], 4)
 
 
 def test_omega_on_no_coordinates_is_inconclusive():
     stage, union, _ = initials_chain({"enum": EVENS.to_json()})
-    report = chain_completion_omega(OmegaChain(stage, union), [], 8)
+    report = chain_completion_omega(stage, union, [], 8)
     assert report.verdict == "inconclusive"
     assert report.witness == {"coordinates": 0}
 
@@ -463,7 +462,7 @@ def test_omega_on_no_coordinates_is_inconclusive():
 def test_omega_rejects_bound_zero():
     stage, union, _ = initials_chain({"enum": EVENS.to_json()})
     with pytest.raises(ValueError, match="at least one stage"):
-        chain_completion_omega(OmegaChain(stage, union), [ODDS], 0)
+        chain_completion_omega(stage, union, [ODDS], 0)
 
 
 # --------------------------------------------------------- missing joins

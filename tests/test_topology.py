@@ -42,10 +42,14 @@ def fam(universe, *masks):
     return Family.from_masks(universe, masks)
 
 
+def discrete(universe):
+    return Topology(Family(universe, 2 ** universe.num_subsets - 1))
+
+
 def as_frozensets(universe, family):
     n = universe.n
     return frozenset(
-        frozenset(p for p in range(n) if (m >> p) & 1) for m in family.member_masks()
+        frozenset(p for p in range(n) if (m >> p) & 1) for m in set_bits(family.word)
     )
 
 
@@ -62,14 +66,14 @@ def test_missing_empty_set():
 
 def test_powerset_is_discrete():
     assert is_topology(Family(U2, 15))
-    assert Topology.discrete(U2).family.word == 15
+    assert discrete(U2).family.word == 15
 
 
 def test_topology_wrapper_validates():
     with pytest.raises(ValueError):
         Topology(fam(U3, 0, 1, 2, 7))  # {0} | {1} = {0,1} missing
     # over two points the same pick happens to be all of P(X), hence fine
-    assert Topology(fam(U2, 0, 1, 2, 3)) == Topology.discrete(U2)
+    assert Topology(fam(U2, 0, 1, 2, 3)) == discrete(U2)
 
 
 @given(st.integers(0, 2**16 - 1))
@@ -87,17 +91,17 @@ def test_generate_from_nothing_is_trivial():
 
 def test_generate_single_point_open():
     t = top_generate(U2, [0b01])
-    assert sorted(t.open_masks()) == [0, 1, 3]
+    assert set_bits(t.family.word) == [0, 1, 3]
 
 
 def test_generate_all_singletons_is_discrete():
     subbase = [1 << i for i in range(3)]
-    assert top_generate(U3, subbase) == Topology.discrete(U3)
+    assert top_generate(U3, subbase) == discrete(U3)
 
 
 def test_generate_idempotent():
     t = top_generate(U3, [0b011, 0b101])
-    assert top_generate(U3, t.open_masks()) == t
+    assert top_generate(U3, set_bits(t.family.word)) == t
 
 
 def test_generated_words_pass_the_validator():
@@ -171,7 +175,7 @@ def test_topology_word_matches_per_word_validator(n):
 def test_all_topologies_lists_them():
     tops = all_topologies(U2)
     assert len(tops) == 4
-    assert Topology.trivial(U2) in tops and Topology.discrete(U2) in tops
+    assert Topology.trivial(U2) in tops and discrete(U2) in tops
 
 
 # ---------------------------------------------------------------- embedding
@@ -180,14 +184,14 @@ def test_all_topologies_lists_them():
 def test_inject_point_map_example():
     # the point map [1] inserts the new point at 0: each subset comes back
     # without and with it, so the trivial topology on one point becomes discrete
-    trivial, discrete = Topology.trivial(U1), Topology.discrete(U2)
-    assert add_point(trivial.family.word, 1, 0) == discrete.family.word
+    trivial, full = Topology.trivial(U1), discrete(U2)
+    assert add_point(trivial.family.word, 1, 0) == full.family.word
     assert inject(1, as_frozensets(U1, trivial.family), 2, [1]) == as_frozensets(
-        U2, discrete.family)
+        U2, full.family)
 
 
 def test_inject_identity_keeps_discrete():
-    assert inject_topology(Topology.discrete(U2), U2) == Topology.discrete(U2)
+    assert inject_topology(discrete(U2), U2) == discrete(U2)
 
 
 def test_inject_image_is_topology():
@@ -215,7 +219,7 @@ def test_inject_word_map_matches_the_point_loop(n):
 def test_inject_rejects_bad_maps():
     # no injection reaches a smaller ground set
     with pytest.raises(ValueError):
-        inject_topology(Topology.discrete(U2), U1)
+        inject_topology(discrete(U2), U1)
 
 
 def test_embedding_check_small():
@@ -283,7 +287,7 @@ def test_embedding_collision_names_both_sources(monkeypatch):
     monkeypatch.setattr(topology, "add_point", lambda _word, n, _x: (1 << (1 << (n + 1))) - 1)
     report = embedding_check(U2)
     assert report.verdict == "fail"
-    sources = [t.open_masks() for t in all_topologies(U2)]
+    sources = [set_bits(t.family.word) for t in all_topologies(U2)]
     assert report.witness == {"collision": sources[:2]}
 
 
@@ -299,7 +303,7 @@ def test_embedding_names_the_first_of_two_broken_images(monkeypatch, capsys):
     monkeypatch.setattr(topology, "add_point", drop_full_set)
     report = embedding_check(U3)
     assert report.verdict == "fail"
-    assert report.witness == {"not-a-topology": tops[k1].open_masks()}
+    assert report.witness == {"not-a-topology": set_bits(tops[k1].family.word)}
     assert main(["verify", "embedding", "--n", "3"]) == 1
     captured = capsys.readouterr()
     assert "not-a-topology" in captured.out
@@ -322,8 +326,8 @@ def test_embedding_names_the_pair_whose_inclusion_a_swap_breaks(monkeypatch):
     assert expected is not None
     report = embedding_check(U3)
     assert report.verdict == "fail"
-    assert report.witness == {"source": tops[expected[0]].open_masks(),
-                              "other": tops[expected[1]].open_masks()}
+    assert report.witness == {"source": set_bits(tops[expected[0]].family.word),
+                              "other": set_bits(tops[expected[1]].family.word)}
 
 
 def test_sweeps_build_no_topology_object(monkeypatch):

@@ -15,6 +15,12 @@ the code object of every call.  The tool then compiles each module of
 every function or lambda whose code the run never entered.  Comprehensions
 are left out: their enclosing function is listed when they are unreached.
 
+The never-entered functions come in two lists.  Those named in ``STAY``, a
+table of qualified name and reason, are kept on purpose; every other one is
+dead code, and the second list names it.  Before either, the tool prints
+the code lines of each module and their total: the lines that hold code,
+without docstrings, comments or blank lines (``code_lines``).
+
 Run from the root of a source checkout, with the standard library only:
 
     python tools/traffic.py
@@ -25,6 +31,7 @@ test suite.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import io
@@ -33,9 +40,87 @@ import os
 import sys
 import tempfile
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "topcube")
+
+_PROTOCOL = "FamExpr protocol, which the symbolic checks ask of any expression"
+_ORACLE = "oracles.py: the independent frozenset reference of a cross-check"
+_REPR = "repr of a value"
+_GUARD = "write guard of an immutable value"
+_TRACED = ("named in bench/tracing.py TARGETS, which tests/test_bench_hooks.py pins; "
+           "goes when the bench retargets it (ROADMAP item 1)")
+
+# (module.qualified name, reason) of every function kept although the
+# traffic may never enter it.  The symbolic checks (fam_is_topology_sym,
+# is_limit_point_sampled, limit_vs_union_check, ordinal_homeo_check) take
+# any expression, so every kind keeps the whole protocol; a partial one
+# would raise NotImplementedError on some kinds.
+STAY = (
+    ("certificates.SubbasicCond.__repr__", _REPR),
+    ("cube.Family.__setattr__", _GUARD),
+    ("cube.Family._member_points", _REPR),
+    ("cube.Family.__repr__", _REPR),
+    ("famexpr._Meets.union_below", _PROTOCOL),
+    ("famexpr._nudges", _PROTOCOL),
+    ("famexpr.FamExpr.contains", _PROTOCOL),
+    ("famexpr.FamExpr.union_below", _PROTOCOL),
+    ("famexpr.FamExpr.probe_sets", _PROTOCOL),
+    ("famexpr.FamExpr.to_json", _PROTOCOL),
+    ("famexpr.DownPow.probe_sets", _PROTOCOL),
+    ("famexpr.NearDown.probe_sets", _PROTOCOL),
+    ("famexpr.TopGen.union_below", _PROTOCOL),
+    ("famexpr.TopGen.probe_sets", _PROTOCOL),
+    ("famexpr.TopGen.to_json", _PROTOCOL),
+    ("famexpr.LatGen.union_below", _PROTOCOL),
+    ("famexpr.LatGen.probe_sets", _PROTOCOL),
+    ("famexpr.LatGen.to_json", _PROTOCOL),
+    ("famexpr.LatGenSing.union_below", _PROTOCOL),
+    ("famexpr.LatGenSing.probe_sets", _PROTOCOL),
+    ("famexpr.LatGenSing.to_json", _PROTOCOL),
+    ("famexpr.UnionFam.probe_sets", _PROTOCOL),
+    ("famexpr.ChainInitials.union_below", _PROTOCOL),
+    ("lattice.lat_generate", _TRACED),
+    ("lattice.relations_set", _TRACED),
+    ("oracles.generated_topology", _ORACLE),
+    ("oracles.principal_ultrafilter", _ORACLE),
+    ("oracles.trace", _ORACLE),
+    ("oracles.reconstruct", _ORACLE),
+    ("oracles.inject", _ORACLE),
+    ("oracles.is_complete_sublattice", _ORACLE),
+    ("oracles.join_escape_witness", _ORACLE),
+    ("oracles.chain_joins_meets", _ORACLE),
+    ("oracles.chain_completion", _ORACLE),
+    ("topology.Topology.__repr__", _REPR),
+    ("topology.inject_topology", _TRACED),
+    ("upsets.UPSet.__init__", _TRACED),
+    ("upsets.UPSet.__setattr__", _GUARD),
+    ("upsets.UPSet.__repr__", _REPR),
+)
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold code.
+
+    A line holds code when a token other than a comment or a line break
+    starts on it or runs across it, so every line of a multi-line string
+    counts, except the lines of a docstring: the string that opens a
+    module, class or function body.
+    """
+    docstrings: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
 
 
 def cli_argv(checks, demos, coords: str) -> list[list[str]]:
@@ -82,8 +167,15 @@ def run_traffic(scratch: str) -> list[str]:
     return problems
 
 
+def modules() -> list[str]:
+    """The path of every module of the package, in name order."""
+    return [os.path.join(PACKAGE, entry) for entry in sorted(os.listdir(PACKAGE))
+            if entry.endswith(".py")]
+
+
 def defined_functions() -> list[tuple[str, int, str, object]]:
-    """(file, first line, qualified name, code) of every function in the package."""
+    """(file, first line, module.qualified name, code) of every function in
+    the package."""
     found = []
 
     def walk(code, prefix: str, path: str) -> None:
@@ -96,11 +188,10 @@ def defined_functions() -> list[tuple[str, int, str, object]]:
                 found.append((path, const.co_firstlineno, qual, const))
             walk(const, f"{qual}.", path)
 
-    for entry in sorted(os.listdir(PACKAGE)):
-        if entry.endswith(".py"):
-            path = os.path.join(PACKAGE, entry)
-            with open(path, encoding="utf-8") as fh:
-                walk(compile(fh.read(), path, "exec"), "", path)
+    for path in modules():
+        with open(path, encoding="utf-8") as fh:
+            module = os.path.basename(path)[:-3]
+            walk(compile(fh.read(), path, "exec"), f"{module}.", path)
     return found
 
 
@@ -127,12 +218,29 @@ def main() -> int:
     functions = defined_functions()
     unreached = [(path, line, qual) for path, line, qual, code in functions
                  if (os.path.realpath(path), line, code.co_name) not in reached]
+    stay = dict(STAY)
+    src = os.path.join(ROOT, "src")
     for problem in problems:
         print(f"problem: {problem}")
+
+    print("code lines, without docstrings, comments or blank lines:")
+    total = 0
+    for path in modules():
+        with open(path, encoding="utf-8") as fh:
+            count = code_lines(fh.read())
+        total += count
+        print(f"  {os.path.relpath(path, src)} {count}")
+    print(f"  total {total}")
+
+    kept = [entry for entry in unreached if entry[2] in stay]
+    dead = [entry for entry in unreached if entry[2] not in stay]
     print(f"{len(unreached)} of {len(functions)} functions never entered "
-          f"({elapsed:.0f} s of traffic):")
-    for path, line, qual in unreached:
-        print(f"  {os.path.relpath(path, os.path.join(ROOT, 'src'))}:{line} {qual}")
+          f"({elapsed:.0f} s of traffic); {len(kept)} of them stay-listed:")
+    for path, line, qual in kept:
+        print(f"  {os.path.relpath(path, src)}:{line} {qual} -- {stay[qual]}")
+    print(f"{len(dead)} never entered and not stay-listed (dead):")
+    for path, line, qual in dead:
+        print(f"  {os.path.relpath(path, src)}:{line} {qual}")
     return 1 if problems else 0
 
 
