@@ -5,8 +5,8 @@ subbasic data of the cube of families; finite conjunctions of disjunctions
 of such conditions cut out clopen pieces.  This module builds certificates
 whose solution sets are, provably, small named collections (the trivial
 topology plus the one-step topologies; a pairwise-disjoint batch of
-topologies plus the trivial one), solves them over the whole cube as
-clopen words, checks the two evaluation routes
+topologies plus the trivial one), solves them as clopen words on the
+cylinder their unit clauses leave free, checks the two evaluation routes
 for order intervals against each other (the families above and below x as
 carry-free products, and as ANDs of projection words), and provides sampled
 limit-point and convergence probes for symbolic families.
@@ -18,14 +18,20 @@ sweep-and-compare routine serve both, on words: an atom is 1 | 2^m | 2^full,
 a topology's word is read once at the public edge, and its proper opens are
 the word's set bits, so no ``Topology`` is built and none is imported.
 
-A certificate is solved as the complement of its violations.  A clause
-fails exactly where every one of its conditions fails, that is on the AND
-of the opposite subbasic words: HAS[a] for "a is absent" and LACKS[a] for
-"a is a member" (``cube.projection_words``, ``cube.absence_words``).  The
-solutions are then cube_word ^ OR(violations): one AND per extra
-condition, one OR per clause and one XOR in all, with no complement built
-per condition.  The batch certificates draw their conditions from one
-cached constructor, so each (mask, present) pair is built once.
+A certificate is solved on the cylinder its unit clauses leave free, a
+basic clopen set of the cube: the units fix their coordinates, and the
+other clauses, less the literals the units decide, are swept over the k
+free coordinates on 2^k-bit words (``cube._literal_words``).  A clause
+fails exactly where every one of its literals fails, on the AND of the
+opposite words, HAS for "a is absent" and LACKS for "a is a member", and
+the solutions are the cylinder word with every violation cleared, lifted
+back to family words by shifting the free coordinates above each run of
+fixed ones into place.  A batch certificate at n = 4 fixes about 10 of
+its 16 coordinates, so it sweeps 64-bit words rather than 65,536-bit
+ones.  Each family off the cylinder fails a unit clause, so the whole
+cube is still decided, and a batch report's ``sweep_size`` stays
+2^(2^n).  The batch certificates draw their conditions from one cached
+constructor, so each (mask, present) pair is built once.
 
 The convergence and ladder checks take an omega chain as ``(stage, top)``, a
 stage rule and a declared top, as ``lattice.chain_completion_omega`` does.
@@ -44,11 +50,10 @@ from itertools import combinations
 from .cube import (
     ROUTE_CACHE_SIZE,
     GroundSet,
-    absence_words,
+    _literal_words,
     cube_word,
     family_word,
     interval_words,
-    projection_words,
     set_bits,
 )
 from .famexpr import FamExpr
@@ -100,20 +105,58 @@ class Certificate:
     def solve(self) -> list[int]:
         """Every family word in the full cube satisfying the certificate.
 
-        A clause is violated where all its conditions fail: the AND of each
-        condition's opposite word, LACKS[a] for a member condition and HAS[a]
-        for an absence.  The solutions are the set bits of the cube word with
-        every clause's violations cleared.
+        The unit clauses fix their coordinates, and the families they allow
+        form a cylinder: a copy of the cube on the k coordinates left free,
+        mentioned or not.  Conflicting units allow no family.  Every other
+        clause is read on the cylinder: one with a literal the units
+        satisfy holds there and is dropped, and the literals the units
+        falsify drop out of it, so a clause left with none fails
+        everywhere.  The residual clauses are then swept on 2^k-bit words:
+        a clause is violated where all its literals fail, the AND of each
+        literal's opposite word (``cube._literal_words``), and the
+        solutions are the set bits of the cylinder's word with every
+        violation cleared.  Each solution s is lifted back to a family word
+        by shifting the free coordinates above each run of fixed ones into
+        place, highest run first, and ORing in the fixed members; the lift
+        keeps the order, so the list is increasing.  Every family off the
+        cylinder fails a unit clause, so the whole cube is decided.
         """
-        has, lacks = projection_words(self.universe), absence_words(self.universe)
-        violated = 0
+        universe = self.universe
+        universe.require_sweepable()
+        members = absent = 0
+        longer = []
         for cl in self.clauses:
-            c = cl[0]
-            fails = lacks[c.mask] if c.present else has[c.mask]
-            for c in cl[1:]:
-                fails &= lacks[c.mask] if c.present else has[c.mask]
-            violated |= fails
-        return set_bits(cube_word(self.universe) ^ violated)
+            if len(cl) > 1:
+                longer.append(cl)
+            elif cl[0].present:
+                members |= 1 << cl[0].mask
+            else:
+                absent |= 1 << cl[0].mask
+        if members & absent:
+            return []
+        fixed = members | absent
+        free = [a for a in range(universe.num_subsets) if not (fixed >> a) & 1]
+        slot = {a: i for i, a in enumerate(free)}
+        has, lacks = _literal_words(len(free))
+        violated = 0
+        for cl in longer:
+            fails = -1  # a clause whose literals the units all falsify fails everywhere
+            for c in cl:
+                if not (fixed >> c.mask) & 1:
+                    fails &= lacks[slot[c.mask]] if c.present else has[slot[c.mask]]
+                elif (members >> c.mask) & 1 == c.present:
+                    break
+            else:
+                violated |= fails
+        full = (1 << (1 << len(free))) - 1
+        solutions = set_bits(full & ~violated)
+        bounds = [-1, *free]
+        for y in range(len(free) - 1, -1, -1):
+            gap = bounds[y + 1] - bounds[y] - 1
+            if gap:
+                low = (1 << y) - 1
+                solutions = [(s & low) | (s >> y) << (y + gap) for s in solutions]
+        return [members | s for s in solutions] if members else solutions
 
 
 def _chosen_atoms(universe: GroundSet, opens) -> tuple[list[int], list[int]]:

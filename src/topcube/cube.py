@@ -17,10 +17,13 @@ One level up, a set of families is a clopen word of the cube: a
 (n <= 4; at n = 5 a word would be 2^32 bits, so sweeps refuse it).  The
 projection words HAS[a] ("subset a is a member"), the same magic masks
 one level up, and their complements LACKS[a] ("subset a is absent") are
-the subbasis: both are built once per n and cached together, 128 KB at
-n = 4.  They generate these words under AND and OR, so a whole-cube sweep
-is a handful of big-integer operations, and its solutions are the word's
-set bits, read a 64-bit limb at a time with the zero limbs skipped.
+the subbasis.  One builder, ``_literal_words(k)``, makes both over any k
+coordinates, once per k: the cube is k = 2^n, 256 KB of words at n = 4,
+and a certificate solved on a cylinder (``certificates``) reads them at
+its k free coordinates.  They generate these words under AND and OR, so
+a whole-cube sweep is a handful of big-integer operations, and its
+solutions are the word's set bits, read a 64-bit limb at a time with the
+zero limbs skipped.
 """
 
 from __future__ import annotations
@@ -114,8 +117,13 @@ class Family:
 # -- clopen words: sets of families as 2^(2^n)-bit truth tables -----------------
 
 
+@cache
 def cube_word(universe: GroundSet) -> int:
-    """The whole cube as a clopen word: one set bit per family (n <= 4 only)."""
+    """The whole cube as a clopen word: one set bit per family (n <= 4 only).
+
+    Built once per ground set: at n = 4 each fresh 65,536-bit word costs
+    more than the memo lookup.
+    """
     universe.require_sweepable()
     return (1 << (1 << universe.num_subsets)) - 1
 
@@ -124,27 +132,25 @@ def projection_words(universe: GroundSet) -> tuple[int, ...]:
     """HAS[a] for every subset mask a (n <= 4 only).
 
     HAS[a] is the clopen word whose bit w is set exactly when family w
-    contains subset a: the subbasic clopen "a is a member".  Its absence
-    counterpart LACKS[a] = cube_word ^ HAS[a] is cached beside it (see
-    ``absence_words``), and any finite Boolean combination of subbasic
-    conditions is the same combination of these words.
+    contains subset a: the subbasic clopen "a is a member".  Any finite
+    Boolean combination of subbasic conditions is the same combination of
+    these words and their complements.
     """
     universe.require_sweepable()
-    return _projection_words(universe.n)[0]
-
-
-def absence_words(universe: GroundSet) -> tuple[int, ...]:
-    """LACKS[a] = cube_word ^ HAS[a] for every subset mask a (n <= 4 only):
-    the subbasic clopen "a is not a member", built once with HAS."""
-    universe.require_sweepable()
-    return _projection_words(universe.n)[1]
+    return _literal_words(universe.num_subsets)[0]
 
 
 @cache
-def _projection_words(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(HAS, LACKS) on n points, one word per subset mask each."""
-    full = (1 << (1 << (1 << n))) - 1
-    has = tuple(magic_mask(a, 1 << n) for a in range(1 << n))
+def _literal_words(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(HAS, LACKS) over k coordinates, one word per coordinate each.
+
+    HAS[i] is the 2^k-bit word whose bit s is bit i of s, and LACKS[i] is
+    its complement.  With k = 2^n these are the subbasic clopens of the
+    cube on n points; a certificate solved on a cylinder reads them at k
+    free coordinates.
+    """
+    full = (1 << (1 << k)) - 1
+    has = tuple(magic_mask(i, k) for i in range(k))
     return has, tuple(full ^ h for h in has)
 
 
@@ -206,7 +212,7 @@ def interval_words(n: int, x: int) -> tuple[int, int]:
     interval-identity check read the same pairs.
     """
     up = down = cube_word(GroundSet(n))
-    has, lacks = _projection_words(n)
+    has, lacks = _literal_words(1 << n)
     for a in range(1 << n):
         if (x >> a) & 1:
             up &= has[a]

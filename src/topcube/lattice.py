@@ -173,17 +173,19 @@ def _chain_joins_meets(universe: GroundSet, cs: list[int]) -> tuple[list[int], l
     the joins, then the meets.
 
     The part below b is a prefix, so its join is c_j exactly when b lies
-    strictly above c_j and not strictly above c_(j+1): the word
-    R & above*(c_j) & ~above*(c_(j+1)) is nonzero, where R is the relations
-    word, above*(c) the up-word of c without c's own bit, and c_k has no
-    second term.  The meets mirror this with the down-words.  O(k) word
-    operations; no comparable family is listed.
+    strictly above c_j and not strictly above c_(j+1), where above*(c) is
+    the up-word of c without c's own bit and c_k has no second term.  Along
+    the chain above*(c_(j+1)) is inside above*(c_j), so the prefix test
+    R & above*(c_j) & ~above*(c_(j+1)) != 0, R the relations word, is the
+    comparison R & above*(c_j) != R & above*(c_(j+1)): k ANDs and k
+    comparisons, and no complement of a whole-cube word.  The meets mirror
+    this with the down-words.  No comparable family is listed.
     """
     rel, intervals = _relations_word(universe, cs)
-    above = [up ^ (1 << c) for c, (up, _) in zip(cs, intervals)] + [0]
-    below = [0] + [down ^ (1 << c) for c, (_, down) in zip(cs, intervals)]
-    joins = [c for j, c in enumerate(cs) if rel & above[j] & ~above[j + 1]]
-    meets = [c for j, c in enumerate(cs) if rel & below[j + 1] & ~below[j]]
+    above = [(rel & up) ^ (1 << c) for c, (up, _) in zip(cs, intervals)] + [0]
+    below = [0] + [(rel & down) ^ (1 << c) for c, (_, down) in zip(cs, intervals)]
+    joins = [c for j, c in enumerate(cs) if above[j] != above[j + 1]]
+    meets = [c for j, c in enumerate(cs) if below[j + 1] != below[j]]
     return joins, meets
 
 

@@ -122,6 +122,18 @@ def _shaped_clauses(rng, universe, shape):
 
     if shape == "units":
         return [(cond(),) for _ in range(rng.randint(1, 6))]
+    if shape == "mixed":
+        # units fix a few coordinates; the longer clauses put literals on
+        # them, both ways round, beside literals on free coordinates
+        units = {rng.randrange(universe.num_subsets): rng.random() < 0.5
+                 for _ in range(rng.randint(1, universe.num_subsets // 2))}
+        clauses = [(SubbasicCond(a, p),) for a, p in units.items()]
+        for _ in range(rng.randint(2, 6)):
+            a = rng.choice(list(units))
+            on_fixed = SubbasicCond(a, units[a] == (rng.random() < 0.5))
+            clauses.append((on_fixed, *(cond() for _ in range(rng.randint(1, 2)))))
+        rng.shuffle(clauses)
+        return clauses
     make = {"tautology": tautology, "repeated": repeated, "positive": positive}[shape]
     clauses = [make() for _ in range(rng.randint(1, 3))]
     clauses += [tuple(cond() for _ in range(rng.randint(1, 2))) for _ in range(rng.randint(0, 2))]
@@ -129,12 +141,14 @@ def _shaped_clauses(rng, universe, shape):
     return clauses
 
 
-@pytest.mark.parametrize("shape", ["tautology", "repeated", "positive", "units"])
+@pytest.mark.parametrize("shape", ["tautology", "repeated", "positive", "units", "mixed"])
 @pytest.mark.parametrize("n, count", [(3, 15), (4, 1)])
 def test_solve_matches_per_word_evaluation_on_clause_shapes(n, count, shape):
     # a clause is violated on the AND of its conditions' opposite words; these
     # shapes make that AND empty (a tautology), idempotent (a repeated
-    # condition), a run of LACKS words (all members), or a bare word (units)
+    # condition), a run of LACKS words (all members), or a bare word (units);
+    # mixed clauses read literals on the coordinates the units fix, which
+    # either satisfy the clause there or drop out of it
     rng = random.Random(f"{shape}-{n}")
     universe = GroundSet(n)
     for _ in range(count):
@@ -147,6 +161,48 @@ def test_a_tautology_alone_cuts_out_the_whole_cube(n):
     universe = GroundSet(n)
     cert = Certificate(universe, [(SubbasicCond(1, True), SubbasicCond(1, False))])
     assert cert.solve() == list(range(1 << universe.num_subsets))
+
+
+def _solve_checked(universe, clauses):
+    cert = Certificate(universe, clauses)
+    solutions = cert.solve()
+    assert solutions == _per_word_solutions(cert), clauses
+    return solutions
+
+
+def test_conflicting_units_allow_no_family():
+    C = SubbasicCond
+    assert _solve_checked(U3, [(C(2, True),), (C(5, False),), (C(2, False),)]) == []
+    assert _solve_checked(GroundSet(4), [(C(9, False),), (C(9, True), C(3, True)),
+                                         (C(9, True),)]) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_units_on_every_coordinate_leave_one_family(n):
+    # k = 0: the cylinder is one point, the family the units spell out
+    universe = GroundSet(n)
+    word = random.Random(n).randrange(1 << universe.num_subsets)
+    clauses = [(SubbasicCond(a, bool((word >> a) & 1)),) for a in range(universe.num_subsets)]
+    clauses.append((SubbasicCond(0, True), SubbasicCond(0, False)))
+    assert _solve_checked(universe, clauses) == [word]
+
+
+def test_a_clause_the_units_falsify_allows_no_family():
+    C = SubbasicCond
+    clauses = [(C(1, True),), (C(6, False),), (C(1, False), C(6, True), C(1, False)),
+               (C(3, True), C(4, False))]
+    assert _solve_checked(U3, clauses) == []
+    # with one literal left free the clause asks "3 is absent", and then the
+    # last clause asks "4 is absent": 4 of the 6 free coordinates stay free
+    clauses[2] += (C(3, False),)
+    assert len(_solve_checked(U3, clauses)) == 16
+
+
+@pytest.mark.parametrize("mask, present", [(0, True), (5, False), (9, True), (15, False)])
+def test_a_single_unit_at_four_points_is_half_the_cube(mask, present):
+    solutions = _solve_checked(GroundSet(4), [(SubbasicCond(mask, present),)])
+    assert len(solutions) == 32_768
+    assert all(a < b for a, b in zip(solutions, solutions[1:]))
 
 
 def test_batch_conditions_equal_the_public_ones():

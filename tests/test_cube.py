@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import topcube
 from topcube import Family, GroundSet
-from topcube.cube import (absence_words, cube_word, family_word, interval_words, projection_words,
-                          set_bits)
+from topcube.cube import (_literal_words, cube_word, family_word, interval_words, magic_mask,
+                          projection_words, set_bits)
 from topcube.topology import topology_word
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -83,11 +83,21 @@ def test_absence_words_complement_the_projection_words(n):
     universe = GroundSet(n)
     size = 1 << universe.num_subsets
     full = cube_word(universe)
-    lacks = absence_words(universe)
-    assert lacks == tuple(full ^ h for h in projection_words(universe))
+    has, lacks = _literal_words(universe.num_subsets)
+    assert has is projection_words(universe)
+    assert lacks == tuple(full ^ h for h in has)
     for a, word in enumerate(lacks):
         assert set_bits(word) == [w for w in range(size) if not (w >> a) & 1]
-    assert absence_words(universe) is lacks  # built once per n
+    assert _literal_words(universe.num_subsets)[1] is lacks  # built once per n
+    assert cube_word(universe) is full
+
+
+def test_literal_words_are_the_magic_masks():
+    for k in range(17):
+        full = (1 << (1 << k)) - 1
+        has, lacks = _literal_words(k)
+        assert has == tuple(magic_mask(i, k) for i in range(k)), k
+        assert lacks == tuple(full ^ magic_mask(i, k) for i in range(k)), k
 
 
 def test_interval_words_at_four_points_are_their_definitions():
@@ -177,8 +187,8 @@ def _run_python(script: str) -> subprocess.CompletedProcess:
 def test_import_builds_no_clopen_words():
     out = _run_python("""
         import topcube, topcube.cli
-        from topcube.cube import _projection_words
-        print(_projection_words.cache_info().currsize)
+        from topcube.cube import _literal_words
+        print(_literal_words.cache_info().currsize)
     """)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "0"

@@ -262,10 +262,16 @@ def _all_chains(universe, max_len):
 
 def test_word_recipe_matches_the_per_family_oracle():
     # every chain at two points (a chain has at most 2^2 + 1 members), and
-    # seeded chains at three
+    # seeded chains at three and four; at four, one chain starts at the
+    # empty family and one ends at the full one, the two ends where no
+    # comparable family lies strictly below or above
     chains = [(U2, c) for c in _all_chains(U2, 5)]
     rng = random.Random(11)
     chains += [(U3, [f.word for f in random_chain(U3, rng, 6)]) for _ in range(40)]
+    U4, full, rng = GroundSet(4), (1 << 16) - 1, random.Random(9)
+    low, high, plain = ([f.word for f in random_chain(U4, rng, 4)] for _ in range(3))
+    assert 0 < low[0] and high[-1] < full
+    chains += [(U4, [0, *low]), (U4, [*high, full]), (U4, plain), (U4, [0, plain[0], full])]
     assert len(chains) > 300
     for universe, words in chains:
         joins, meets = lattice._chain_joins_meets(universe, words)

@@ -29,7 +29,6 @@ from topcube.oracles import (
     family_is_topology,
     generated_topology,
     inject,
-    powerset,
 )
 from topcube.topology import is_topology_word, topology_word
 
