@@ -12,6 +12,10 @@ The argument parser is built once per process, on the first call to
 checks, and argparse keeps no state between parses.  A packaged fixture's
 text is likewise read once per process, and parsed afresh on every call,
 so each caller gets a dict of its own to write into.
+
+A ``--json`` report is the text of ``json.dump(..., indent=2)``, built by
+``_json_text`` and written at once: the standard library's indenting
+encoder is a cycle of closures that every dump leaves to the collector.
 """
 
 from __future__ import annotations
@@ -267,6 +271,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, for a value whose closing bracket
+    goes after ``pad``, the line break and the indent of its own level.
+
+    Nonempty dicts, lists and tuples are laid out here, and strings and
+    ints written as JSON writes them; every other value goes through the C
+    encoder, which builds no cycle.  A key that is not a string is written
+    as JSON writes it, then quoted.
+    """
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [_quote(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -278,8 +309,7 @@ def main(argv=None) -> int:
             report = run_demo(args)
         if args.json_out:
             with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(report.to_json(), fh, indent=2)
-                fh.write("\n")
+                fh.write(_json_text(report.to_json()) + "\n")
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

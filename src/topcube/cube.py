@@ -9,8 +9,9 @@ word equality is extensional equality.  The principal ultrafilter at point
 y is the magic mask mu_y (bit m set when y is in m); ``remove_point`` and
 ``add_point`` move a family word to one point fewer (the trace) or one
 more (the preimage), with blocks of 2^x bits as the only unit of work.
-``meet_closure`` grows a set of words closed under AND: ``lattice`` and
-``famexpr`` both build the meets of their generated families with it.
+``meet_closure`` grows a set of words closed under AND: ``lattice`` builds
+the meets of four or more generators with it, and ``famexpr`` the meets of
+its generated families.
 
 One level up, a set of families is a clopen word of the cube: a
 2^(2^n)-bit integer whose bit w says whether family w belongs to the set

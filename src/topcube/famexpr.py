@@ -28,9 +28,9 @@ meet pool stays enumerable.
 The generated variants decide membership on one window.  Their meets are
 plain integers on the generators' window (the longest preperiod plus the lcm
 of the period lengths), ANDed once at construction by ``cube.meet_closure``,
-the routine that also builds the meet half of ``lattice.close_words``.  A
-query re-windows them to the candidate's window with the generators (the
-longer preperiod plus the lcm of both periods): each meet keeps its
+the routine that also builds the meets of ``lattice.close_words`` on four or
+more words.  A query re-windows them to the candidate's window with the
+generators (the longer preperiod plus the lcm of both periods): each meet keeps its
 preperiod bits and has its period block repeated by ``upsets._repeat``, the
 one routine that repeats blocks.  It then ORs the meets below the candidate
 and compares one word.  Both windows are capped at MAX_WINDOW_BITS:

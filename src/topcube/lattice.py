@@ -11,11 +11,13 @@ the join of the chain part below some comparable family and which is the
 meet of the part above one.
 
 ``close_words`` is the one routine closing a set of words under AND and
-OR; topology generation runs through it too, and its meet half is
-``cube.meet_closure``, which ``famexpr`` shares.  An omega chain is given
-as a stage rule and a declared top, ``(stage, top)``: ``stage(m)`` is the
-m-th stage, and the chain is increasing by definition, so its completion
-point is coordinatewise eventual membership.  Every sampled omega-chain
+OR; topology generation runs through it too.  At most three distinct words
+are closed by the 18 terms of the free distributive lattice on three
+generators, evaluated once each; more are closed incrementally, meets first
+by ``cube.meet_closure``, which ``famexpr`` shares, then joins.  An omega
+chain is given as a stage rule and a declared top, ``(stage, top)``:
+``stage(m)`` is the m-th stage, and the chain is increasing by definition,
+so its completion point is coordinatewise eventual membership.  Every sampled omega-chain
 check (here and in ``certificates``) reads its coordinates through one
 walker, ``_entry_stages``: given the stage list a check builds once, it
 returns each coordinate's first stage, raises when a later stage drops a
@@ -44,12 +46,27 @@ def close_words(words) -> frozenset[int]:
     Words under AND and OR form a distributive lattice, so the sublattice
     generated by G is the set of joins of meets of G: by distributivity the
     meet of two such joins is the join of the pairwise meets of their
-    parts, again a join of meets.  Adding one word g to a set M closed under
-    an operation o keeps it closed once the words g o m (m in M) join it,
-    so the meets are built one generator at a time (``cube.meet_closure``),
-    then their joins the same way.
+    parts, again a join of meets.
+
+    At most three distinct words a, b, c (one or two are repeated to fill
+    the three places) generate an image of the free distributive lattice on
+    three generators, so the closure is its 18 elements' normal forms
+    evaluated on the words: a, b, c; ab, ac, bc, abc; a|b, a|c, b|c, a|b|c;
+    a|bc, b|ac, c|ab; ab|ac, ab|bc, ac|bc, ab|ac|bc, where ab is a & b.
+    The branch depends only on the count of distinct words.  Four or more
+    distinct words are closed
+    incrementally: adding one word g to a set M closed under an operation
+    o keeps it closed once the words g o m (m in M) join it, so the meets
+    are built one generator at a time (``cube.meet_closure``), then their
+    joins the same way.
     """
-    meets = meet_closure(set(), words)
+    distinct = set(words)
+    if 0 < len(distinct) <= 3:
+        a, b, c = (*distinct, *distinct, *distinct)[:3]
+        ab, ac, bc = a & b, a & c, b & c
+        return frozenset((a, b, c, ab, ac, bc, ab & c, a | b, a | c, b | c, a | b | c,
+                          a | bc, b | ac, c | ab, ab | ac, ab | bc, ac | bc, ab | ac | bc))
+    meets = meet_closure(set(), distinct)
     joins: set[int] = set()
     for g in meets:
         if g not in joins:

@@ -75,25 +75,27 @@ def test_window_counter_reads_the_operands():
         ]
 
 
-def test_cli_default_argv_leave_no_reference_cycles(monkeypatch):
+def test_cli_default_argv_leave_no_reference_cycles(monkeypatch, tmp_path):
     """Every ``cli-default`` argv, run in process with the collector off,
-    frees all it builds by reference counting.
+    frees all it builds by reference counting, its ``--json`` report
+    included.
 
     Garbage left in cycles waits for a collection, and what survives into
-    the oldest generation raises the benchmark's peak RSS.  They run
-    without their ``--json PATH``: the standard library's indenting JSON
-    encoder is a cycle of closures, 33 objects a dump, on every report.
+    the oldest generation raises the benchmark's peak RSS.  The standard
+    library's indenting JSON encoder is a cycle of closures, 33 objects a
+    dump, so the CLI writes its reports without it.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
-    jobs = workloads.build("cli-default", 1, "REPORT").jobs
+    path = str(tmp_path / "report.json")
+    jobs = workloads.build("cli-default", 1, path).jobs
     argvs = [job.call.args[0] for job in jobs]
-    assert all(argv[-2:] == ["--json", "REPORT"] for argv in argvs)
+    assert all(argv[-2:] == ["--json", path] for argv in argvs)
 
     def round_():
         for argv in argvs:
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv[:-2]) == 0, argv
+                assert cli.main(argv) == 0, argv
 
     round_()  # fills the process-wide caches: the parser, the packaged fixtures
     gc.collect()

@@ -376,25 +376,40 @@ def test_interval_routes_match_their_definitions(n):
 
 @pytest.mark.parametrize(
     "route, side",
-    [("_order_route", "up"), ("_cond_route", "down")],
+    [("_order_route", "up"), ("_cond_route", "down"), ("_order_route", "both")],
 )
 def test_interval_identity_fails_when_a_route_drops_a_bit(monkeypatch, route, side):
     real = getattr(certificates, route)
 
     def dropped(n, x):
         up, down = real(n, x)
-        if side == "up":
-            return up & ~(1 << x), down
-        return up, down & ~(1 << x)
+        if side != "down":
+            up &= ~(1 << x)
+        if side != "up":
+            down &= ~(1 << x)
+        return up, down
 
     monkeypatch.setattr(certificates, route, dropped)
     report = interval_identity_all(U2, [9, 11, 13, 15])
     assert report.verdict == "fail"
+    side = "up" if side == "both" else side  # both sides differ: up is named
     assert report.witness == {"element": 9, "side": side, "difference_words": [9]}
     report = interval_identity_sweep(U2)
     assert report.verdict == "fail"
     assert report.witness == {
         "element": 0, "side": side, "difference_words": [0], "scope": "whole cube",
+    }
+
+
+def test_interval_identity_reads_route_differences_on_members_only(monkeypatch):
+    # family 0 lies below every family and outside the sublattice {9, 11, 13, 15}
+    real = certificates._cond_route
+    monkeypatch.setattr(certificates, "_cond_route", lambda n, x: (real(n, x)[0],
+                                                                   real(n, x)[1] & ~1))
+    assert interval_identity_all(U2, [9, 11, 13, 15]).passed
+    report = interval_identity_sweep(U2)
+    assert report.witness == {
+        "element": 0, "side": "down", "difference_words": [0], "scope": "whole cube",
     }
 
 

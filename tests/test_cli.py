@@ -428,11 +428,28 @@ def test_inconclusive_exits_three(monkeypatch, capsys):
 def test_json_report_file(tmp_path):
     out = tmp_path / "report.json"
     assert main(["count", "--n", "3", "--quiet", "--json", str(out)]) == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
+    text = out.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
     assert payload["schema_version"] == 1
     assert payload["check"] == "count"
     assert payload["verdict"] == "pass"
     assert payload["elapsed_ms"] >= 0
+
+
+@pytest.mark.parametrize("value", [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}, ()], "d": None},
+    {"witness": {"element": 9, "side": "up", "difference_words": [9, 11]}},
+    {1: "int key", 2.5: True, True: False, None: [1.0, -0.0, 1e300]},
+    ["\u00e9t\u00e9", "tab\t", 'quote"', ("tuple", (1, 2)), [[[3]]]],
+    "plain",
+    12,
+])
+def test_json_text_matches_the_indenting_encoder(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 # `python -I -m topcube ARGV`, with this source tree first on the path

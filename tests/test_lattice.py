@@ -131,6 +131,20 @@ def test_close_words_matches_a_naive_fixpoint(n):
     closed = sorted(_naive_closure(cases[3]))
     cases.append(closed)  # already closed, in any order
     cases.append(closed[::-1])
+    if n == 2:
+        # every 1-, 2- and 3-subset of the 16 families: 16 + 120 + 560 tuples
+        cases += [list(c) for r in (1, 2, 3) for c in combinations(range(size), r)]
+    if n >= 3:
+        # three distinct words; at most three, repeated among 4-6 words in any
+        # order; and 4-6 distinct words.  The median ab|ac|bc differs from the
+        # other 17 terms only on six bit patterns of (a, b, c), more than the
+        # 4-bit words at n = 2 hold.
+        for _ in range(60 if n == 3 else 15):
+            triple = rng.sample(range(size), 3)
+            few = rng.sample(triple, rng.randint(1, 3))
+            padded = few + rng.choices(few, k=rng.randint(4, 6) - len(few))
+            rng.shuffle(padded)
+            cases += [triple, padded, rng.sample(range(size), rng.randint(4, 6))]
     for words in cases:
         assert close_words(words) == _naive_closure(words), words
 
