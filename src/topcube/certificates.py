@@ -288,8 +288,8 @@ def _order_route(n: int, x: int) -> tuple[int, int]:
 
 # (up, down): the same two words, by the subbasic conditions.  Up is
 # "contains every set in x", the AND of HAS[a] over a in x; down is "omits
-# every set outside x", the AND of LACKS[a] over the rest.  It is the memo
-# that chain completion reads too.
+# every set outside x", the AND of LACKS[a] over the rest, memoised in
+# ``cube.interval_words``.
 _cond_route = interval_words
 
 

@@ -209,8 +209,9 @@ def interval_words(n: int, x: int) -> tuple[int, int]:
 
     A family is above x when it contains every set in x: the AND over a in x
     of HAS[a].  It is below x when it omits every set outside x: the AND over
-    a not in x of LACKS[a].  Memoised on (n, x): chain completion and the
-    interval-identity check read the same pairs.
+    a not in x of LACKS[a].  Memoised on (n, x): the interval-identity
+    check reads each pair once per sublattice it lies in, and
+    ``lattice.relations_set`` reads it too.
     """
     up = down = cube_word(GroundSet(n))
     has, lacks = _literal_words(1 << n)

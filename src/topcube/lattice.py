@@ -4,11 +4,10 @@ A family of subsets of a finite ground set is one point of the Boolean
 lattice of all families; collections of families are subsets of that
 lattice.  This module builds the sublattice generated by a collection,
 enumerates the families comparable with everything in a collection, and
-completes a finite chain c_1 < ... < c_k on clopen words: one relations
-word R (the families comparable with the whole chain) and each member's
-strict up- and down-words decide, in O(k) word operations, which c_j is
-the join of the chain part below some comparable family and which is the
-meet of the part above one.
+completes a finite chain c_1 < ... < c_k by its closed form: every c_j
+below the top is the join of the chain part below some comparable family,
+and c_k is one unless it is the full family; the meets mirror this with
+c_1 and the empty family.  No family of the cube is listed or swept.
 
 ``close_words`` is the one routine closing a set of words under AND and
 OR; topology generation runs through it too.  At most three distinct words
@@ -88,34 +87,24 @@ def _generated(words: list[int]) -> frozenset[int]:
     return close_words(words)
 
 
-def _relations_word(universe: GroundSet, words) -> tuple[int, list[tuple[int, int]]]:
-    """The families comparable with every word, as a clopen word, and each
-    word's (up, down) interval words in the order given.
+def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
+    """All families comparable with every member of the collection.
 
     The families above w are those containing every set in w, the families
-    below w those omitting every set outside it, and the relations word is
-    the AND over w of those two words ORed.  Whole-cube words, so the
+    below w those omitting every set outside it, and the comparable ones
+    are the AND over w of those two words ORed.  Whole-cube words, so the
     ground set is capped at sweep size; each pair comes from the memo of
     ``cube.interval_words``.
     """
-    rel = cube_word(universe)
-    n = universe.n
-    intervals = []
-    for w in words:
-        up, down = interval_words(n, w)
-        rel &= up | down
-        intervals.append((up, down))
-    return rel, intervals
-
-
-def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
-    """All families comparable with every member of the collection."""
     fams = list(collection)
     if not fams:
         raise ValueError("comparability needs a nonempty collection")
     if any(f.universe != universe for f in fams):
         raise ValueError(f"every family must live on the n={universe.n} ground set")
-    rel, _ = _relations_word(universe, {f.word for f in fams})
+    rel = cube_word(universe)
+    for w in {f.word for f in fams}:
+        up, down = interval_words(universe.n, w)
+        rel &= up | down
     return frozenset(Family(universe, g) for g in set_bits(rel))
 
 
@@ -168,10 +157,10 @@ def chain_completion_finite(universe: GroundSet, chain) -> frozenset[Family]:
     """Complete a finite chain of families inside the cube.
 
     The distinct members, sorted, are c_1 < ... < c_k; the meet and join of
-    the whole chain are c_1 and c_k.  The rest of the completion comes from
-    the relations word R and each member's strict up- and down-words in
-    O(k) word operations (``_chain_joins_meets``), with no comparable
-    family listed.  The result contains the input and is again a chain.
+    the whole chain are c_1 and c_k, and the rest of the completion is the
+    closed form of ``_chain_joins_meets``.  No word of the cube is built,
+    so any ground set will do.  The result contains the input and is again
+    a chain.
     """
     words = [family_word(universe, f) for f in chain]
     if not words:
@@ -189,20 +178,16 @@ def _chain_joins_meets(universe: GroundSet, cs: list[int]) -> tuple[list[int], l
     part strictly above, some family b comparable with the whole chain:
     the joins, then the meets.
 
-    The part below b is a prefix, so its join is c_j exactly when b lies
-    strictly above c_j and not strictly above c_(j+1), where above*(c) is
-    the up-word of c without c's own bit and c_k has no second term.  Along
-    the chain above*(c_(j+1)) is inside above*(c_j), so the prefix test
-    R & above*(c_j) & ~above*(c_(j+1)) != 0, R the relations word, is the
-    comparison R & above*(c_j) != R & above*(c_(j+1)): k ANDs and k
-    comparisons, and no complement of a whole-cube word.  The meets mirror
-    this with the down-words.  No comparable family is listed.
+    For j < k, b = c_(j+1) is comparable with the whole chain and lies
+    strictly above exactly c_1, ..., c_j, so c_j is a join; c_k is one
+    when some family lies strictly above it, that is unless c_k is the
+    full family, and no other join exists, since the part below any b is
+    a prefix.  The meets mirror this: c_2, ..., c_k, and c_1 unless it is
+    the empty family.
     """
-    rel, intervals = _relations_word(universe, cs)
-    above = [(rel & up) ^ (1 << c) for c, (up, _) in zip(cs, intervals)] + [0]
-    below = [0] + [(rel & down) ^ (1 << c) for c, (_, down) in zip(cs, intervals)]
-    joins = [c for j, c in enumerate(cs) if above[j] != above[j + 1]]
-    meets = [c for j, c in enumerate(cs) if below[j + 1] != below[j]]
+    full = (1 << universe.num_subsets) - 1
+    joins = cs[:-1] if cs[-1] == full else cs
+    meets = cs[1:] if cs[0] == 0 else cs
     return joins, meets
 
 
@@ -243,15 +228,18 @@ def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4)
     increasing runs.  Each completion must equal its input chain; a failure
     names the words it adds and the ones it misses.  A chain of distinct
     families has at most 2^n + 1 members, so the exhaustive sweep stops
-    there whatever ``max_len`` says.
+    there whatever ``max_len`` says; a ``max_len`` below 1 would examine no
+    chain and raises ValueError.
 
     A finite chain's completion is the chain by construction: every word
-    the recipe adjoins (c_1, c_k and each c_j that ``_chain_joins_meets``
-    picks) is a member already.  So this check catches only a recipe that
-    adjoins a non-member, whatever the relations word says;
-    ``test_word_recipe_matches_the_per_family_oracle`` tests the joins and
+    the closed form adjoins (c_1, c_k and the joins and meets of
+    ``_chain_joins_meets``) is a member already.  So this check catches
+    only a recipe that adjoins a non-member;
+    ``test_closed_form_matches_the_per_family_oracle`` tests the joins and
     meets themselves.
     """
+    if max_len < 1:
+        raise ValueError(f"chain-completion needs max_len >= 1, got {max_len}")
     timer = Stopwatch("chain-completion", {"n": universe.n, "max_len": max_len})
     if universe.n <= 2:
         size = 1 << universe.num_subsets

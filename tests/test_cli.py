@@ -362,6 +362,14 @@ def test_whole_cube_checks_run_at_four_points(tmp_path, name):
     assert (payload["params"]["n"], payload["verdict"]) == (4, "pass")
 
 
+def test_chain_completion_runs_at_five_points(tmp_path):
+    # the closed form builds no word of the cube, so no sweep limit applies
+    out = tmp_path / "report.json"
+    assert main(["verify", "chain-completion", "--n", "5", "--quiet", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert (payload["params"]["n"], payload["verdict"]) == (5, "pass")
+
+
 def test_interval_identity_refuses_four_points(capsys):
     assert main(["verify", "interval-identity", "--n", "4", "--quiet"]) == 2
     assert "n <= 3" in capsys.readouterr().err

@@ -22,7 +22,7 @@ from topcube import (
 )
 from topcube import lattice
 from topcube.cli import main
-from topcube.cube import set_bits
+from topcube.cube import cube_word, interval_words, set_bits
 from topcube.demos import growing_core_chain, initials_chain
 from topcube.lattice import close_words, random_chain
 from topcube.oracles import (
@@ -274,18 +274,26 @@ def _all_chains(universe, max_len):
                 yield list(combo)
 
 
-def test_word_recipe_matches_the_per_family_oracle():
-    # every chain at two points (a chain has at most 2^2 + 1 members), and
-    # seeded chains at three and four; at four, one chain starts at the
-    # empty family and one ends at the full one, the two ends where no
-    # comparable family lies strictly below or above
-    chains = [(U2, c) for c in _all_chains(U2, 5)]
-    rng = random.Random(11)
-    chains += [(U3, [f.word for f in random_chain(U3, rng, 6)]) for _ in range(40)]
+def _four_point_chains():
+    # seeded chains at four points: one starts at the empty family and one
+    # ends at the full one, the two ends where no comparable family lies
+    # strictly below or above
     U4, full, rng = GroundSet(4), (1 << 16) - 1, random.Random(9)
     low, high, plain = ([f.word for f in random_chain(U4, rng, 4)] for _ in range(3))
     assert 0 < low[0] and high[-1] < full
-    chains += [(U4, [0, *low]), (U4, [*high, full]), (U4, plain), (U4, [0, plain[0], full])]
+    return [(U4, [0, *low]), (U4, [*high, full]), (U4, plain), (U4, [0, plain[0], full])]
+
+
+def test_closed_form_matches_the_per_family_oracle():
+    # every chain at two points (a chain has at most 2^2 + 1 members), and
+    # seeded chains at three and four.  The completion is the chain whatever
+    # the joins and meets are, so only their comparison with the oracle
+    # notices a closed form that keeps the full family as a join or the
+    # empty one as a meet, or swaps the two ends
+    chains = [(U2, c) for c in _all_chains(U2, 5)]
+    rng = random.Random(11)
+    chains += [(U3, [f.word for f in random_chain(U3, rng, 6)]) for _ in range(40)]
+    chains += _four_point_chains()
     assert len(chains) > 300
     for universe, words in chains:
         joins, meets = lattice._chain_joins_meets(universe, words)
@@ -297,6 +305,16 @@ def test_word_recipe_matches_the_per_family_oracle():
         assert frozenset(as_sets(universe, *(f.word for f in done))) == chain_completion(
             universe.n, chain
         ), words
+
+
+def test_completion_reads_no_word_of_the_cube():
+    # A relations word over the chain reads every member's interval pair:
+    # 192 memo misses for the verb alone at four points.
+    before = cube_word.cache_info(), interval_words.cache_info()
+    for universe, words in _four_point_chains():
+        chain_completion_finite(universe, words)
+    assert main(["verify", "chain-completion", "--n", "4", "--quiet"]) == 0
+    assert (cube_word.cache_info(), interval_words.cache_info()) == before
 
 
 def test_completion_builds_no_family_per_comparable_family(monkeypatch):
@@ -328,6 +346,13 @@ def test_random_chains_are_chains():
 def test_completion_check_passes():
     assert chain_completion_check(U2, max_len=4).passed
     assert chain_completion_check(U3, seed=3).passed
+
+
+@pytest.mark.parametrize("n, max_len", [(1, -3), (2, 0), (3, 0)])
+def test_completion_check_refuses_a_length_below_one(n, max_len):
+    # exhaustive at n <= 2, sampled at n = 3: either would examine no chain
+    with pytest.raises(ValueError, match=f"max_len >= 1, got {max_len}"):
+        chain_completion_check(GroundSet(n), max_len=max_len)
 
 
 @pytest.mark.parametrize("n", [2, 3])
