@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .cube import (
     ROUTE_CACHE_SIZE,
@@ -370,10 +370,8 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3) -> Report:
 
     materialized = 0
     for r in range(1, max_gens + 1):
-        thin = r == max_gens and size > 64
-        for i, combo in enumerate(combinations(range(size), r)):
-            if thin and i % INTERVAL_SWEEP_STRIDE:
-                continue
+        step = INTERVAL_SWEEP_STRIDE if r == max_gens and size > 64 else 1
+        for combo in islice(combinations(range(size), r), 0, None, step):
             if _sublattice_mismatch(universe.n, combo)[1]:
                 return interval_identity_all(universe, combo)
             materialized += 1

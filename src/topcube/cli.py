@@ -9,19 +9,26 @@ that found nothing to examine), 2 a usage problem.
 
 The argument parser is built once per process, on the first call to
 `main`, and reused by every later call: building it costs more than most
-checks, and argparse keeps no state between parses.  A packaged fixture's
-text is likewise read once per process, and parsed afresh on every call,
-so each caller gets a dict of its own to write into.
+checks, and argparse keeps no state between parses.  A command line that
+opens with a verb is parsed by that verb's parser alone; the root parser
+would only hand it the same words.  The root parser runs when the first
+word is no verb or words are left over, so usage, help and error text are
+always its own.  A packaged fixture's text is likewise read once per
+process, and parsed afresh on every call, so each caller gets a dict of
+its own to write into.
 
 A ``--json`` report is the text of ``json.dump(..., indent=2)``, built by
-``_json_text`` and written at once: the standard library's indenting
-encoder is a cycle of closures that every dump leaves to the collector.
+``_json_text``, encoded once and written with ``os.write`` on a bare file
+descriptor, with no file object around it: the standard library's
+indenting encoder is a cycle of closures that every dump leaves to the
+collector, and a text file builds two buffers for one write.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from functools import cache
@@ -224,9 +231,14 @@ def run_demo(args: argparse.Namespace) -> Report:
     return fn(fix)
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process; callers must not add to it."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser, built once per process, and its verb parsers by name."""
     parser = argparse.ArgumentParser(
         prog="topcube",
         description="workbench for families of sets, finite topologies, and "
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_count, p_verify, p_demo):
         p.add_argument("--json", dest="json_out", help="write the report as JSON")
         p.add_argument("--quiet", action="store_true", help="suppress the rendering")
-    return parser
+    return parser, sub.choices
 
 
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
@@ -298,8 +310,34 @@ def _json_text(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by the verb's own parser when
+    ``argv`` opens with a verb and that parser leaves no word over."""
+    if argv is None:
+        argv = sys.argv[1:]
+    verbs = _parsers()[1]
+    if argv and argv[0] in verbs:
+        args, rest = verbs[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
+def _write_report(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as ``open(path, "w")`` would, with one
+    system call per chunk and no file object around it."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         if args.verb == "count":
             report = run_count(args.n)
@@ -308,8 +346,7 @@ def main(argv=None) -> int:
         else:
             report = run_demo(args)
         if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(_json_text(report.to_json()) + "\n")
+            _write_report(args.json_out, _json_text(report.to_json()) + "\n")
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

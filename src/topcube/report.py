@@ -65,8 +65,13 @@ class Report:
         return "\n".join(lines)
 
 
+# ``json.dumps(value, default=str)`` builds a new encoder for every call, so
+# a report's rendering binds one at import; the text is the same.
+_encode = json.JSONEncoder(default=str).encode
+
+
 def _short(value, limit: int = 200) -> str:
-    text = json.dumps(value, default=str) if not isinstance(value, str) else value
+    text = _encode(value) if not isinstance(value, str) else value
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

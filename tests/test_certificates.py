@@ -354,6 +354,23 @@ def test_interval_identity_sweep_work_at_three_points():
     assert report.notes[1] == "88167 generated sublattices re-checked literally"
 
 
+def test_interval_identity_sweep_thins_its_top_layer_from_the_first_triple(monkeypatch):
+    # the count above also holds for a layer thinned from its second triple
+    seen = []
+    mismatch = certificates._sublattice_mismatch
+
+    def recorded(n, words):
+        seen.append(words)
+        return mismatch(n, words)
+
+    monkeypatch.setattr(certificates, "_sublattice_mismatch", recorded)
+    assert interval_identity_sweep(U3).passed
+    triples = [words for words in seen if len(words) == 3]
+    assert len(triples) == 55271  # every 50th of C(256, 3)
+    assert triples[:3] == [(0, 1, 2), (0, 1, 52), (0, 1, 102)]
+    assert triples[-1] == (250, 251, 252)
+
+
 def _word(fams):
     return sum(1 << f for f in fams)
 

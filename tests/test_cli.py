@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -445,6 +446,31 @@ def test_json_report_file(tmp_path):
     assert payload["elapsed_ms"] >= 0
 
 
+def test_json_report_replaces_a_longer_file(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("x" * 10_000, encoding="utf-8")
+    assert main(["count", "--n", "1", "--quiet", "--json", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_json_report_gets_the_mode_of_an_opened_file(tmp_path):
+    mask = os.umask(0o002)
+    try:
+        assert main(["count", "--n", "1", "--quiet", "--json", str(tmp_path / "r.json")]) == 0
+        open(tmp_path / "w.json", "w").close()
+    finally:
+        os.umask(mask)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("r.json", "w.json")}
+    assert modes == {0o664}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_json_report_on_a_full_device_exits_two(capsys):
+    assert main(["count", "--n", "1", "--quiet", "--json", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("value", [
     {},
     [],
@@ -532,6 +558,56 @@ def test_one_process_parses_like_fresh_ones(tmp_path):
     assert here == fresh
     assert [code for code, _ in here] == [code for _, code in _SEQUENCE]
     assert [report is None for _, report in here] == [code == 2 for _, code in _SEQUENCE]
+
+
+class _Parsed(Exception):
+    """Carries the namespace that `main` would act on out of `main`."""
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        got = ("namespace", vars(parse(list(argv))))
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    except _Parsed as parsed:
+        got = ("namespace", vars(parsed.args[0]))
+    return got, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["count"], "namespace"),
+    (["count", "--n=2", "--quiet"], "namespace"),
+    (["count", "--js", "out.json"], "namespace"),
+    (["verify", "chain-completion", "--n", "2", "--seed", "5", "--bound", "3"], "namespace"),
+    (["verify", "--n", "2", "--fixture", "all-atoms-n3", "atom-closure"], "namespace"),
+    (["demo", "join-gap"], "namespace"),
+    (["demo", "--coords", "c.json", "initials-chain", "--bound", "2"], "namespace"),
+    (["count", "--n", "1", "--n", "2"], "namespace"),
+    (["count", "--", "--n"], None),
+    (["count", "--n", "1", "junk"], "exit"),
+    (["count", "--n", "x"], "exit"),
+    (["verify", "nope"], "exit"),
+    (["verify"], "exit"),
+    (["cou", "--n", "1"], "exit"),
+    (["--n", "1", "count"], "exit"),
+    ([], "exit"),
+    (["--help"], "exit"),
+    (["count", "--help"], "exit"),
+])
+def test_main_parses_as_the_root_parser_does(monkeypatch, capsys, argv, kind):
+    # the verb's own parser stands in for the root parser: same namespace,
+    # and the same exit, usage, error and help text
+    monkeypatch.setenv("COLUMNS", "80")
+    parse = cli._parse
+
+    def caught(argv):
+        raise _Parsed(parse(argv))
+
+    monkeypatch.setattr(cli, "_parse", caught)
+    here = _parse_outcome(main, argv, capsys)
+    root = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert here == root
+    assert kind in (None, root[0][0])
 
 
 def test_help_lists_the_three_verbs(monkeypatch, capsys):

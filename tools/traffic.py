@@ -2,10 +2,12 @@
 
 The traffic is what the project promises to keep working:
 
-- 83 CLI argv: ``count --n 1..4``; every ``verify`` check at ``--n 1..4``,
-  with and without ``--seed 7``; both fixtured checks; every demo; and
-  ``demo initials-chain --coords FILE``, FILE holding the packaged fixture's
-  completion coordinates;
+- 83 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
+  ``verify`` check at ``--n 1..4``, with and without ``--seed 7``; both
+  fixtured checks; every demo; and ``demo initials-chain --coords FILE``,
+  FILE holding the packaged fixture's completion coordinates;
+- 11 CLI argv that argparse ends: the root's and each verb's ``--help``,
+  and seven command lines it refuses;
 - one round of each workload in ``bench/workloads.py`` (seed 1);
 - every test function of ``tests/test_acceptance.py``.
 
@@ -19,7 +21,11 @@ The never-entered functions come in two lists.  Those named in ``STAY``, a
 table of qualified name and reason, are kept on purpose; every other one is
 dead code, and the second list names it.  Before either, the tool prints
 the code lines of each module and their total: the lines that hold code,
-without docstrings, comments or blank lines (``code_lines``).
+without docstrings, comments or blank lines (``code_lines``).  Before
+those, it prints one digest of every CLI call's outcome: its exit code,
+stdout, stderr and ``--json`` bytes, with the times a report carries
+zeroed, the scratch directory masked and ``COLUMNS=80``.  Two checkouts
+whose CLI behaves byte for byte alike print the same digest line.
 
 Run from the root of a source checkout, with the standard library only:
 
@@ -33,10 +39,12 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -136,8 +144,35 @@ def cli_argv(checks, demos, coords: str) -> list[list[str]]:
     return argv
 
 
-def run_traffic(scratch: str) -> list[str]:
-    """Run the traffic once; return a line per workload job that came out wrong."""
+# the root's and each verb's help, and command lines that argparse refuses
+ENDED_BY_ARGPARSE = (["--help"], ["count", "--help"], ["verify", "--help"], ["demo", "--help"],
+                     ["count", "--n", "1", "junk"], ["count", "--n", "x"], ["verify", "nope"],
+                     ["verify"], ["cou", "--n", "1"], ["--n", "1", "count"], [])
+
+_RENDERED_MS = re.compile(r"\(\d+\.\d ms\)")
+_REPORTED_MS = re.compile(r'"elapsed_ms": [-+.e\d]+')
+
+
+def cli_outcome(main, argv: list[str], report: str) -> list:
+    """The exit code, stdout, stderr and report text of one CLI call, with
+    the rendered and reported times zeroed; the report file is removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = None
+    if os.path.exists(report):
+        with open(report, encoding="utf-8") as fh:
+            written = _REPORTED_MS.sub('"elapsed_ms": 0', fh.read())
+        os.remove(report)
+    return [argv, code, _RENDERED_MS.sub("(0 ms)", out.getvalue()), err.getvalue(), written]
+
+
+def run_traffic(scratch: str) -> tuple[list[str], str]:
+    """Run the traffic once; return a line per workload job that came out
+    wrong, and the digest line of the CLI outcomes."""
     from topcube import cli
 
     problems = []
@@ -145,9 +180,12 @@ def run_traffic(scratch: str) -> list[str]:
     coords = os.path.join(scratch, "coords.json")
     with open(coords, "w", encoding="utf-8") as fh:
         json.dump(cli.load_fixture("initials-chain")["completion_coords"], fh)
-    for argv in cli_argv(cli.CHECKS, cli.DEMOS, coords):
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            cli.main(argv + ["--json", os.path.join(scratch, "report.json")])
+    report = os.path.join(scratch, "report.json")
+    argvs = [argv + ["--json", report] for argv in cli_argv(cli.CHECKS, cli.DEMOS, coords)]
+    argvs += [list(argv) for argv in ENDED_BY_ARGPARSE]
+    outcomes = json.dumps([cli_outcome(cli.main, argv, report) for argv in argvs])
+    digest = hashlib.sha256(outcomes.replace(scratch, "SCRATCH").encode()).hexdigest()
+    digest_line = f"CLI outcomes of {len(argvs)} argv: sha256 {digest[:16]}"
 
     import workloads
 
@@ -164,7 +202,7 @@ def run_traffic(scratch: str) -> list[str]:
         if name.startswith("test_"):
             with contextlib.redirect_stdout(sink):
                 getattr(acceptance, name)()  # a failing criterion raises
-    return problems
+    return problems, digest_line
 
 
 def modules() -> list[str]:
@@ -205,11 +243,12 @@ def main() -> int:
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno, code.co_name))
 
+    os.environ["COLUMNS"] = "80"  # the help text wraps at the terminal width
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
         sys.settrace(hook)
         try:
-            problems = run_traffic(scratch)
+            problems, digest_line = run_traffic(scratch)
         finally:
             sys.settrace(None)
     elapsed = time.perf_counter() - start
@@ -223,6 +262,7 @@ def main() -> int:
     for problem in problems:
         print(f"problem: {problem}")
 
+    print(digest_line)
     print("code lines, without docstrings, comments or blank lines:")
     total = 0
     for path in modules():
