@@ -35,10 +35,11 @@ constructor, so each (mask, present) pair is built once.
 
 The convergence and ladder checks take an omega chain as ``(stage, top)``, a
 stage rule and a declared top, as ``lattice.chain_completion_omega`` does.
-They read its stages through the one walker in ``lattice``
-(``_entry_stages``): each check builds its stage list once, takes every
-coordinate's entry stage from it, and raises ValueError on a dropped
-coordinate or an empty stage list (depth below 1).
+They read their verdicts from the one walker in ``lattice``, ``_settle``:
+each check builds its stage list once and gets back every coordinate's
+entry stage, the coordinates locked off the top and those the top holds
+but no stage reaches; it raises ValueError on a dropped coordinate or an
+empty stage list (depth below 1).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .cube import (
     set_bits,
 )
 from .famexpr import FamExpr
-from .lattice import _entry_stages, _generated
+from .lattice import _generated, _settle
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 
 MAX_PATTERN_COORDS = 10
@@ -473,19 +474,14 @@ def sequence_convergence_check(
         {"coords": len(coords), "depth": depth, "increasing": assume_increasing},
     )
     steps = range(depth) if assume_increasing else range(depth)[-1:]
-    entries = _entry_stages([stage(i) for i in steps], coords)
+    _, locked, unreached = _settle([stage(i) for i in steps], limit, coords)
     if not coords:
         return timer.report(INCONCLUSIVE, {"coords": 0})
-    unsettled = []
-    for w, entry in zip(coords, entries):
-        inside = entry is not None
-        want = limit.contains(w)
-        if assume_increasing and inside and not want:
-            return timer.report(
-                FAIL, {"coordinate": w.describe(), "locked": True, "limit_has": want}
-            )
-        if inside != want:
-            unsettled.append(w.describe())
+    if assume_increasing and locked:
+        return timer.report(
+            FAIL, {"coordinate": locked[0].describe(), "locked": True, "limit_has": False}
+        )
+    unsettled = [w.describe() for w in coords if w in locked or w in unreached]
     if unsettled:
         return timer.report(INCONCLUSIVE, {"coordinates_not_settled": unsettled})
     return timer.report(PASS, notes=[
@@ -538,7 +534,7 @@ def ordinal_homeo_check(stage, top: FamExpr, coords=(), depth: int = 16) -> Repo
     """
     coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
     timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth})
-    entries = _entry_stages([stage(i) for i in range(depth)], coords)
+    entries, locked, unreached = _settle([stage(i) for i in range(depth)], top, coords)
     if not coords:
         return timer.report(INCONCLUSIVE, {"coords": 0})
 
@@ -547,23 +543,11 @@ def ordinal_homeo_check(stage, top: FamExpr, coords=(), depth: int = 16) -> Repo
             return timer.report(
                 INCONCLUSIVE, {"step": i, "reason": "no gained coordinate found in pool"}
             )
-
-    locked_wrong = [
-        w.describe()
-        for w, entry in zip(coords, entries)
-        if entry is not None and not top.contains(w)
-    ]
-    if locked_wrong:
-        return timer.report(FAIL, {"coordinates_locked_off_top": locked_wrong})
-    unsettled = [
-        w.describe()
-        for w, entry in zip(coords, entries)
-        if entry is None and top.contains(w)
-    ]
-    if unsettled:
-        return timer.report(
-            INCONCLUSIVE, {"coordinates_not_reached_within_depth": unsettled}
-        )
+    if locked:
+        return timer.report(FAIL, {"coordinates_locked_off_top": [w.describe() for w in locked]})
+    if unreached:
+        witness = {"coordinates_not_reached_within_depth": [w.describe() for w in unreached]}
+        return timer.report(INCONCLUSIVE, witness)
     return timer.report(
         PASS,
         notes=[

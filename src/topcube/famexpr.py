@@ -33,19 +33,18 @@ more words.  A query re-windows them to the candidate's window with the
 generators (the longer preperiod plus the lcm of both periods): each meet keeps its
 preperiod bits and has its period block repeated by ``upsets._repeat``, the
 one routine that repeats blocks.  It then ORs the meets below the candidate
-and compares one word.  Both windows are capped at MAX_WINDOW_BITS:
-generators whose joint window is wider are refused with ValueError at
-construction, and so is a candidate whose window with the generators is
-wider, at the query.
+and compares one word.  Both windows come from ``upsets._window``, the one
+statement of the window and of its MAX_WINDOW_BITS cap, which aligns two
+UPSets too: generators whose joint window is wider are refused with
+ValueError at construction, and so is a candidate whose window with the
+generators is wider, at the query.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .cube import meet_closure
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
-from .upsets import MAX_WINDOW_BITS, UPSet, _repeat
+from .upsets import MAX_WINDOW_BITS, UPSet, _repeat, _window
 
 GENERATOR_CAP = 16
 
@@ -60,14 +59,6 @@ def _union(sets) -> UPSet:
     return out
 
 
-def _window_width(start: int, period: int) -> int:
-    width = start + period
-    if width > MAX_WINDOW_BITS:
-        raise ValueError(f"a window of {start} preperiod bits and a {period}-bit period "
-                         f"is {width} bits, beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
-    return width
-
-
 class _Meets:
     """The meets of a generator list as integers on the generators' window.
 
@@ -77,9 +68,10 @@ class _Meets:
     """
 
     def __init__(self, gens: tuple[UPSet, ...], *, bounds: bool = False):
-        self.start = max((g._pre_len for g in gens), default=0)
-        self.period = lcm(*(g._per_len for g in gens))
-        width = _window_width(self.start, self.period)
+        start, period, width = 0, 1, 1  # the window of no generator
+        for g in gens:
+            start, period, width = _window(start, period, g._pre_len, g._per_len)
+        self.start, self.period = start, period
         pool = {0, (1 << width) - 1} if bounds else set()
         self.words = tuple(meet_closure(pool, [g._word(width) for g in gens]))
 
@@ -89,11 +81,9 @@ class _Meets:
         All on one window where a and every meet are periodic: the longer
         preperiod, then the lcm of the two periods.
         """
-        start = max(self.start, a._pre_len)
-        period = lcm(self.period, a._per_len)
-        width = _window_width(start, period)
+        start, period, width = _window(self.start, self.period, a._pre_len, a._per_len)
         words = self.words
-        if width != self.start + self.period:
+        if (start, period) != (self.start, self.period):
             # each meet: its preperiod bits, then its period block repeated
             ms, mp = self.start, self.period
             pre_mask = (1 << ms) - 1

@@ -16,12 +16,14 @@ generators, evaluated once each; more are closed incrementally, meets first
 by ``cube.meet_closure``, which ``famexpr`` shares, then joins.  An omega
 chain is given as a stage rule and a declared top, ``(stage, top)``:
 ``stage(m)`` is the m-th stage, and the chain is increasing by definition,
-so its completion point is coordinatewise eventual membership.  Every sampled omega-chain
-check (here and in ``certificates``) reads its coordinates through one
-walker, ``_entry_stages``: given the stage list a check builds once, it
-returns each coordinate's first stage, raises when a later stage drops a
-coordinate, and rejects an empty stage list, so a depth or bound below 1
-is a ValueError rather than a vacuous verdict.
+so its completion point is coordinatewise eventual membership.  Every
+sampled omega-chain check (here and in ``certificates``) reads its verdict
+from one walker, ``_settle``: given the stage list a check builds once and
+the declared top, it returns each coordinate's first stage, the
+coordinates locked off the top and those the top holds but no stage
+reaches.  It raises when a later stage drops a coordinate and rejects an
+empty stage list, so a depth or bound below 1 is a ValueError rather than
+a vacuous verdict.
 """
 
 from __future__ import annotations
@@ -265,12 +267,16 @@ def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4)
     return timer.report(PASS, notes=[note])
 
 
-def _entry_stages(stages: list[FamExpr], coords) -> list[int | None]:
-    """Each coordinate's first stage index, or None where no stage holds it.
+def _settle(stages: list[FamExpr], top: FamExpr, coords: list) -> tuple[list, list, list]:
+    """Read an omega chain's probed coordinates against its declared top.
 
-    The one walker over omega-chain stages.  The list must be nonempty (a
-    check that looked at no stage has nothing to say), and membership must
-    never drop once gained: either raises ValueError.
+    The one walker over omega-chain stages.  It returns each coordinate's
+    first stage index (None where no stage holds it), the coordinates some
+    stage holds but the top does not (locked off the top: a refutation),
+    and those the top holds but no stage reaches (undecided), each list in
+    coordinate order.  The stage list must be nonempty (a check that looked
+    at no stage has nothing to say), and membership must never drop once
+    gained: either raises ValueError, before the top is asked anything.
     """
     if not stages:
         raise ValueError("an omega-chain check needs at least one stage")
@@ -286,7 +292,11 @@ def _entry_stages(stages: list[FamExpr], coords) -> list[int | None]:
                     f"stage {i} dropped {w.describe()}: sequence is not increasing"
                 )
         entries.append(entry)
-    return entries
+    locked, unreached = [], []
+    for w, entry in zip(coords, entries):
+        if top.contains(w) != (entry is not None):
+            (unreached if entry is None else locked).append(w)
+    return entries, locked, unreached
 
 
 def chain_completion_omega(stage, union: FamExpr, coords, bound: int = 64) -> Report:
@@ -305,27 +315,19 @@ def chain_completion_omega(stage, union: FamExpr, coords, bound: int = 64) -> Re
     """
     coords = list(coords)
     timer = Stopwatch("omega-completion", {"bound": bound, "coordinates": len(coords)})
-    entries = _entry_stages([stage(i) for i in range(bound)], coords)
+    entries, locked, unreached = _settle([stage(i) for i in range(bound)], union, coords)
     if not coords:
         return timer.report(INCONCLUSIVE, {"coordinates": 0})
     notes = [f"declared union: {union!r}"]
-    pending: list[str] = []
-    for w, entered_at in zip(coords, entries):
-        in_union = union.contains(w)
-        if entered_at is not None and not in_union:
-            return timer.report(
-                FAIL,
-                {"coordinate": w.to_json(), "entered_at_stage": entered_at, "in_union": False},
-                notes=notes,
-            )
-        if entered_at is not None:
-            notes.append(f"{w.describe()} stabilizes true at stage {entered_at}")
-        elif in_union:
-            pending.append(w.describe())
-        else:
+    for w, entry in zip(coords, entries):
+        if locked and w == locked[0]:  # the notes run up to the first refutation
+            witness = {"coordinate": w.to_json(), "entered_at_stage": entry, "in_union": False}
+            return timer.report(FAIL, witness, notes=notes)
+        if entry is not None:
+            notes.append(f"{w.describe()} stabilizes true at stage {entry}")
+        elif w not in unreached:
             notes.append(f"{w.describe()} stays false through stage {bound - 1}")
-    if pending:
-        return timer.report(
-            INCONCLUSIVE, {"in_union_but_settled_by_no_stage": pending}, notes=notes
-        )
+    if unreached:
+        witness = {"in_union_but_settled_by_no_stage": [w.describe() for w in unreached]}
+        return timer.report(INCONCLUSIVE, witness, notes=notes)
     return timer.report(PASS, notes=notes)

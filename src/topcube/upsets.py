@@ -10,17 +10,18 @@ for constructors, ``repr`` and JSON.
 
 This class of sets is closed under complement, union, intersection and
 difference, so it forms a Boolean algebra with a decision procedure.  Two
-sets are aligned on one window: it starts after the longer preperiod and
-holds one period of the lcm of their period lengths, and on it each set is
-a single integer, its period block repeated above its preperiod.  A block
-is repeated by doubling: OR the word with itself shifted by its current
-length until it is wide enough, then cut it to the window, so a k-bit block
-fills w bits in about log2(w/k) shifts and no division.  An intersection,
-union or difference is then one integer operation on the two words, and
-``a <= b`` is ``a & ~b == 0``.  The window is capped at
-``MAX_WINDOW_BITS``: aligning two sets whose window would be wider, or
-building a finite set reaching a point at or beyond the cap, raises
-``ValueError`` before any such word is built.
+sets are aligned on one window, stated once by ``_window``: it starts after
+the longer preperiod and holds one period of the lcm of their period
+lengths, and on it each set is a single integer, its period block repeated
+above its preperiod.  A block is repeated by doubling: OR the word with
+itself shifted by its current length until it is wide enough, then cut it
+to the window, so a k-bit block fills w bits in about log2(w/k) shifts and
+no division.  An intersection, union or difference is then one integer
+operation on the two words, and ``a <= b`` is ``a & ~b == 0``.
+``_window`` caps the window at ``MAX_WINDOW_BITS``: aligning two sets
+whose window would be wider, or building a finite set reaching a point at
+or beyond the cap, raises ``ValueError`` before any such word is built.
+``famexpr`` windows its generator meets through the same routine.
 
 Every value is kept in canonical form, so structural equality of UPSet
 values is extensional equality.  Canonical form means the period is
@@ -58,6 +59,23 @@ def _repeat(block: int, length: int, width: int) -> int:
         block |= block << length
         length <<= 1
     return block & ((1 << width) - 1)
+
+
+def _window(start: int, period: int, pre_len: int, per_len: int) -> tuple[int, int, int]:
+    """(start, period, width) of the window shared by a word periodic from
+    `start` with period `period` and a set with the given segment lengths.
+
+    It starts after the longer preperiod and holds one period of the lcm of
+    the two periods.  The one statement of the cap: a window wider than
+    MAX_WINDOW_BITS raises ValueError, before any word of it is built.
+    """
+    # a conditional, not max(): every aligned operation and query pays for this line
+    start, period = start if start >= pre_len else pre_len, lcm(period, per_len)
+    width = start + period
+    if width > MAX_WINDOW_BITS:
+        raise ValueError(f"a window of {start} preperiod bits and a {period}-bit period "
+                         f"is {width} bits, beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
+    return start, period, width
 
 
 def _rotate(bits: int, length: int, shift: int) -> int:
@@ -126,6 +144,8 @@ class UPSet:
             if not _BITS.issuperset(word):
                 raise ValueError(f"bit words may only contain 0 and 1: {word!r}")
         self._store(*_canonical(len(pre), _str_word(pre), len(period), _str_word(period)))
+        if self.is_finite:
+            _window(self._pre_len, 0, 0, 0)  # a finite set's word is its preperiod alone
 
     def _store(self, pre_len: int, pre: int, per_len: int, per: int) -> None:
         object.__setattr__(self, "_pre_len", pre_len)
@@ -246,14 +266,8 @@ class UPSet:
 
     def _aligned(self, other: "UPSet") -> tuple[int, int, int, int]:
         """(start, period, word of self, word of other) on their common window."""
-        start = max(self._pre_len, other._pre_len)
-        period = lcm(self._per_len, other._per_len)
-        width = start + period
-        if width > MAX_WINDOW_BITS:
-            raise ValueError(
-                f"aligning periods of {self._per_len} and {other._per_len} bits needs a "
-                f"{width}-bit window, beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}"
-            )
+        start, period, width = _window(self._pre_len, self._per_len,
+                                       other._pre_len, other._per_len)
         return start, period, self._word(width), other._word(width)
 
     def __and__(self, other: "UPSet") -> "UPSet":

@@ -13,9 +13,11 @@ from topcube import (
     NearDown,
     SubbasicCond,
     Topology,
+    UnionFam,
     UPSet,
     atom_closure_certificate,
     atom_closure_expression,
+    chain_completion_omega,
     disjoint_closure_certificate,
     disjoint_closure_expression,
     fam_is_topology_sym,
@@ -27,6 +29,7 @@ from topcube import (
     sequence_convergence_check,
 )
 from topcube import certificates
+from topcube.lattice import _settle
 from topcube.demos import initials_chain, growing_core_chain, nested_initial_chain
 
 U2 = GroundSet(2)
@@ -750,3 +753,54 @@ def test_ladder_raises_on_a_drop_after_a_step_that_gained_nothing():
     rule = lambda m: Explicit([NATS]) if m < 2 else Explicit([])
     with pytest.raises(ValueError, match="dropped"):
         ordinal_homeo_check(rule, Explicit([NATS]), [NATS], depth=4)
+
+
+# ------------------------------------------------------- one omega walker
+
+
+def _initials(top_kind):
+    stage, union, top = initials_chain({"enum": EVENS.to_json()})
+    tops = {"union": union, "top": top, "explicit": Explicit([EMPTY, EVENS, NATS])}
+    segments = [UPSet.from_ints(range(0, 2 * m + 1, 2)) for m in range(4)]
+    return stage, tops[top_kind], [*segments, ODDS, EVENS]
+
+
+def _growing_core(top_kind):
+    # stage m is the powerset of the evens with 1, 3, ..., 2m - 1, and the space
+    stage, union = growing_core_chain({"core": EVENS.to_json()})
+    tops = {"union": union,
+            "unreached": UnionFam(NearDown(EVENS), Explicit([NATS, ODDS])),
+            "explicit": UnionFam(DownPow(EVENS), Explicit([NATS, ODDS]))}
+    grown = [EVENS | UPSet.from_ints(range(1, 2 * m, 2)) for m in range(1, 4)]
+    return stage, tops[top_kind], [*grown, UPSet.singleton(1), ODDS]
+
+
+@pytest.mark.parametrize("chain, top_kind, locked, unreached, verdict", [
+    (_initials, "union", 0, 0, "pass"),
+    (_initials, "top", 0, 1, "inconclusive"),
+    (_initials, "explicit", 4, 1, "fail"),
+    (_growing_core, "union", 0, 0, "pass"),
+    (_growing_core, "unreached", 0, 1, "inconclusive"),
+    (_growing_core, "explicit", 4, 1, "fail"),
+])
+def test_the_omega_checks_read_one_walk(chain, top_kind, locked, unreached, verdict):
+    """The three omega-chain checks, fed the same chain, top, coordinates
+    and depth, agree with each other and with ``lattice._settle``."""
+    stage, top, coords = chain(top_kind)
+    depth = 4
+    walked = _settle([stage(i) for i in range(depth)], top, coords)
+    assert (len(walked[1]), len(walked[2])) == (locked, unreached)
+    omega = chain_completion_omega(stage, top, coords, depth)
+    converged = sequence_convergence_check(stage, top, coords, depth, assume_increasing=True)
+    assert omega.verdict == converged.verdict == verdict
+
+    pool = list(dict.fromkeys(coords + top.probe_sets(depth)))
+    _, locked_off, not_reached = _settle([stage(i) for i in range(depth)], top, pool)
+    ladder = ordinal_homeo_check(stage, top, coords, depth)
+    assert ladder.verdict == verdict
+    if locked_off:
+        assert ladder.witness == {
+            "coordinates_locked_off_top": [w.describe() for w in locked_off]}
+    elif not_reached:
+        assert ladder.witness == {
+            "coordinates_not_reached_within_depth": [w.describe() for w in not_reached]}

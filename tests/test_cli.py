@@ -17,6 +17,7 @@ from topcube import GroundSet, cli, subbase_correspondence_check
 from topcube.cli import CHECKS, DEMOS, load_fixture, main
 from topcube.demos import MAX_STAGES
 from topcube.report import INCONCLUSIVE, Stopwatch
+from topcube.upsets import MAX_WINDOW_BITS
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -328,6 +329,16 @@ def test_join_gap_beyond_the_window_cap_exits_two(tmp_path, capsys, fixture):
     path = _write(tmp_path, "wide.json", fixture)
     assert main(["demo", "join-gap", "--fixture", path, "--quiet"]) == 2
     assert "MAX_WINDOW_BITS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(cli._COORDS_KEYS))
+def test_finite_coordinate_past_the_window_cap_exits_two(tmp_path, capsys, name):
+    # one point past the last that a finite set may reach
+    far = {"pre": "0" * MAX_WINDOW_BITS + "1", "period": "0"}
+    path = _write(tmp_path, "coords.json", [far])
+    assert main(["demo", name, "--coords", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "MAX_WINDOW_BITS" in err
 
 
 def _join_gap_exit(tmp_path, candidate, points) -> int:

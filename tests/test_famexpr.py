@@ -365,6 +365,20 @@ def test_candidate_beyond_the_window_cap_is_refused_at_the_query(kind):
             e.union_below(_period(7))
 
 
+def test_every_window_past_the_cap_is_refused_with_one_message():
+    # coprime periods of 1031 and 1033 bits share a 1,065,023-bit window,
+    # whether two sets are aligned, generators are windowed together, or a
+    # candidate is windowed with the generators
+    a, b = _period(1031), _period(1033)
+    refusals = []
+    for refused in (lambda: a & b, lambda: TopGen([a, b]), lambda: LatGen([a]).contains(b)):
+        with pytest.raises(ValueError) as exc:
+            refused()
+        refusals.append(str(exc.value))
+    assert refusals == [f"a window of 0 preperiod bits and a 1065023-bit period is "
+                        f"1065023 bits, beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}"] * 3
+
+
 def test_generated_queries_canonicalise_no_meet(monkeypatch):
     gens = [EVENS | up(1), UPSet("01", "110"), UPSet("", "1100")]
     candidates = [~gens[0], gens[1] | gens[2], NATS, UPSet("1", "01101")]

@@ -280,6 +280,21 @@ def test_window_cap_refuses_far_points():
     assert UPSet.singleton(MAX_WINDOW_BITS - 1).members(MAX_WINDOW_BITS) == [MAX_WINDOW_BITS - 1]
 
 
+def test_finite_sets_past_the_cap_are_refused_by_every_constructor():
+    # the canonical preperiod decides: a long run of zeros before a
+    # periodic tail is no finite set, and the widest finite set allowed is
+    # the one from_ints builds from the last point below the cap
+    far = {"pre": "0" * MAX_WINDOW_BITS + "1", "period": "0"}
+    for make in (lambda: UPSet(far["pre"], far["period"]), lambda: UPSet.from_json(far)):
+        with pytest.raises(ValueError, match="MAX_WINDOW_BITS"):
+            make()
+    last = UPSet.from_json({"pre": "0" * (MAX_WINDOW_BITS - 1) + "1", "period": "0"})
+    assert last == UPSet.singleton(MAX_WINDOW_BITS - 1)
+    # infinite sets as wide stay allowed
+    assert len(UPSet("0" * MAX_WINDOW_BITS + "1", "1").pre) == MAX_WINDOW_BITS
+    assert len(UPSet("1", "0" * MAX_WINDOW_BITS + "1").period) == MAX_WINDOW_BITS + 1
+
+
 def _repeat_reference(block: int, length: int, width: int) -> int:
     return sum(1 << i for i in range(width) if block >> (i % length) & 1)
 

@@ -19,7 +19,9 @@ are left out: their enclosing function is listed when they are unreached.
 
 The never-entered functions come in two lists.  Those named in ``STAY``, a
 table of qualified name and reason, are kept on purpose; every other one is
-dead code, and the second list names it.  Before either, the tool prints
+dead code, and the second list names it.  A third list names every
+``STAY`` entry whose function the traffic does enter, so a stale entry
+shows.  Before the lists, the tool prints
 the code lines of each module and their total: the lines that hold code,
 without docstrings, comments or blank lines (``code_lines``).  Before
 those, it prints one digest of every CLI call's outcome: its exit code,
@@ -58,7 +60,7 @@ _ORACLE = "oracles.py: the independent frozenset reference of a cross-check"
 _REPR = "repr of a value"
 _GUARD = "write guard of an immutable value"
 _TRACED = ("named in bench/tracing.py TARGETS, which tests/test_bench_hooks.py pins; "
-           "goes when the bench retargets it (ROADMAP item 1)")
+           "goes when the bench retargets it (ROADMAP item 9)")
 
 # (module.qualified name, reason) of every function kept although the
 # traffic may never enter it.  The symbolic checks (fam_is_topology_sym,
@@ -101,8 +103,6 @@ STAY = (
     ("oracles.chain_joins_meets", _ORACLE),
     ("oracles.chain_completion", _ORACLE),
     ("topology.Topology.__repr__", _REPR),
-    ("topology.inject_topology", _TRACED),
-    ("upsets.UPSet.__init__", _TRACED),
     ("upsets.UPSet.__setattr__", _GUARD),
     ("upsets.UPSet.__repr__", _REPR),
 )
@@ -258,6 +258,8 @@ def main() -> int:
     unreached = [(path, line, qual) for path, line, qual, code in functions
                  if (os.path.realpath(path), line, code.co_name) not in reached]
     stay = dict(STAY)
+    stale = [(path, line, qual) for path, line, qual, _ in functions
+             if qual in stay and (path, line, qual) not in unreached]
     src = os.path.join(ROOT, "src")
     for problem in problems:
         print(f"problem: {problem}")
@@ -280,6 +282,9 @@ def main() -> int:
         print(f"  {os.path.relpath(path, src)}:{line} {qual} -- {stay[qual]}")
     print(f"{len(dead)} never entered and not stay-listed (dead):")
     for path, line, qual in dead:
+        print(f"  {os.path.relpath(path, src)}:{line} {qual}")
+    print(f"{len(stale)} stay-listed but entered (the STAY entry can go):")
+    for path, line, qual in stale:
         print(f"  {os.path.relpath(path, src)}:{line} {qual}")
     return 1 if problems else 0
 
