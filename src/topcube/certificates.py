@@ -16,7 +16,10 @@ batch in which each topology has one proper open, so the atom certificate
 is the disjoint certificate of its atoms: one clause builder and one
 sweep-and-compare routine serve both, on words: an atom is 1 | 2^m | 2^full,
 a topology's word is read once at the public edge, and its proper opens are
-the word's set bits, so no ``Topology`` is built and none is imported.
+the word cut to bits 1 .. full - 1, so no ``Topology`` is built and none is
+imported.  The batch is pairwise disjoint exactly when no cut word meets the
+OR of those before it, so one running OR word checks it, and a pair is
+named only when a batch is refused.
 
 A certificate is solved on the cylinder its unit clauses leave free, a
 basic clopen set of the cube: the units fix their coordinates, and the
@@ -26,9 +29,10 @@ fails exactly where every one of its literals fails, on the AND of the
 opposite words, HAS for "a is absent" and LACKS for "a is a member", and
 the solutions are the cylinder word with every violation cleared, lifted
 back to family words by shifting the free coordinates above each run of
-fixed ones into place.  A batch certificate at n = 4 fixes about 10 of
-its 16 coordinates, so it sweeps 64-bit words rather than 65,536-bit
-ones.  Each family off the cylinder fails a unit clause, so the whole
+fixed ones into place.  A batch certificate at n = 4 leaves free only the
+proper opens of its topologies, often 6 or fewer of its 16 coordinates,
+so it sweeps words of at most a few thousand bits rather than 65,536,
+and a 64-bit one is read as one limb (``cube.set_bits``).  Each family off the cylinder fails a unit clause, so the whole
 cube is still decided, and a batch report's ``sweep_size`` stays
 2^(2^n).  The batch certificates draw their conditions from one cached
 constructor, so each (mask, present) pair is built once.
@@ -90,7 +94,7 @@ class Certificate:
 
     def __init__(self, universe: GroundSet, clauses):
         self.universe = universe
-        self.clauses = tuple(tuple(cl) for cl in clauses)
+        self.clauses = tuple(map(tuple, clauses))
         full = universe.full_mask
         for cl in self.clauses:
             if not cl:
@@ -114,7 +118,8 @@ class Certificate:
         falsify drop out of it, so a clause left with none fails
         everywhere.  The residual clauses are then swept on 2^k-bit words:
         a clause is violated where all its literals fail, the AND of each
-        literal's opposite word (``cube._literal_words``), and the
+        literal's opposite word (``cube._literal_words``, looked up by the
+        literal's mask, and None at a fixed coordinate), and the
         solutions are the set bits of the cylinder's word with every
         violation cleared.  Each solution s is lifted back to a family word
         by shifting the free coordinates above each run of fixed ones into
@@ -136,15 +141,22 @@ class Certificate:
         if members & absent:
             return []
         fixed = members | absent
-        free = [a for a in range(universe.num_subsets) if not (fixed >> a) & 1]
-        slot = {a: i for i, a in enumerate(free)}
+        nsub = universe.num_subsets
+        free = [a for a in range(nsub) if not (fixed >> a) & 1]
         has, lacks = _literal_words(len(free))
+        # Where each literal fails, by mask: "a is absent" fails on HAS and
+        # "a is a member" on LACKS at a free coordinate; None at a fixed one.
+        fails_at = ([None] * nsub, [None] * nsub)  # indexed by c.present
+        for i, a in enumerate(free):
+            fails_at[0][a] = has[i]
+            fails_at[1][a] = lacks[i]
         violated = 0
         for cl in longer:
             fails = -1  # a clause whose literals the units all falsify fails everywhere
             for c in cl:
-                if not (fixed >> c.mask) & 1:
-                    fails &= lacks[slot[c.mask]] if c.present else has[slot[c.mask]]
+                word = fails_at[c.present][c.mask]
+                if word is not None:
+                    fails &= word
                 elif (members >> c.mask) & 1 == c.present:
                     break
             else:
@@ -189,18 +201,23 @@ def atom_closure_certificate(universe: GroundSet, opens) -> Report:
     return _sweep_batch(timer, universe, atoms)
 
 
-def _proper_opens_of(universe: GroundSet, words: list[int]) -> list[list[int]]:
-    full = universe.full_mask
-    proper = []
-    for w in words:
-        opens = [m for m in set_bits(w) if 0 < m < full]
-        if not opens:
-            raise ValueError("the trivial topology cannot appear in the batch")
-        proper.append(opens)
-    for (i, pi), (j, pj) in combinations(enumerate(proper), 2):
-        if set(pi) & set(pj):
-            raise ValueError(f"topologies {i} and {j} share a proper open")
-    return proper
+def _proper_opens_of(universe: GroundSet, words: list[int]) -> tuple[list[int], int]:
+    """Each word cut to its proper opens, the bits 1 .. full - 1, and their union.
+
+    A trivial topology is refused first.  An overlap is then found by one
+    running OR, and named by the first pair in ``combinations`` order.
+    """
+    proper = [w & ((1 << universe.full_mask) - 2) for w in words]
+    if not all(proper):
+        raise ValueError("the trivial topology cannot appear in the batch")
+    covered = 0
+    for p in proper:
+        if covered & p:
+            for (i, pi), (j, pj) in combinations(enumerate(proper), 2):
+                if pi & pj:
+                    raise ValueError(f"topologies {i} and {j} share a proper open")
+        covered |= p
+    return proper, covered
 
 
 def disjoint_closure_expression(universe: GroundSet, tops) -> Certificate:
@@ -215,23 +232,21 @@ def disjoint_closure_expression(universe: GroundSet, tops) -> Certificate:
 
 def _batch_expression(universe: GroundSet, words: list[int]) -> Certificate:
     """``disjoint_closure_expression`` on the topologies' words."""
-    proper = _proper_opens_of(universe, words)
+    proper, covered = _proper_opens_of(universe, words)
     full = universe.full_mask
-    covered = set().union(*proper) if proper else set()
+    opens = [set_bits(p) for p in proper]
+    absent = [_cond(d, False) for d in range(full + 1)]
     clauses = [
         (_cond(0, True),),
         (_cond(full, True),),
     ]
-    clauses += [(_cond(d, False),) for d in range(1, full) if d not in covered]
-    for pi, pj in combinations(proper, 2):
-        clauses += [(_cond(a, False), _cond(b, False)) for a in pi for b in pj]
-    for pi in proper:
-        clauses += [
-            (_cond(a, True), _cond(b, False))
-            for a in pi
-            for b in pi
-            if a != b
-        ]
+    clauses += [(absent[d],) for d in set_bits(((1 << full) - 2) ^ covered)]
+    for pi, pj in combinations(opens, 2):
+        clauses += [(absent[a], absent[b]) for a in pi for b in pj]
+    for pi in opens:
+        for a in pi:
+            member = _cond(a, True)
+            clauses += [(member, absent[b]) for b in pi if b != a]
     return Certificate(universe, clauses)
 
 

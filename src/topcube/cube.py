@@ -23,8 +23,9 @@ coordinates, once per k: the cube is k = 2^n, 256 KB of words at n = 4,
 and a certificate solved on a cylinder (``certificates``) reads them at
 its k free coordinates.  They generate these words under AND and OR, so
 a whole-cube sweep is a handful of big-integer operations, and its
-solutions are the word's set bits, read a 64-bit limb at a time with the
-zero limbs skipped.
+solutions are the word's set bits: a word of at most 64 bits (a batch
+certificate's cylinder at n = 4, or a family word) is read directly, a
+wider one a 64-bit limb at a time with the zero limbs skipped.
 """
 
 from __future__ import annotations
@@ -245,17 +246,24 @@ def family_word(universe: GroundSet, member) -> int:
 def set_bits(word: int) -> list[int]:
     """The positions of the set bits of a nonnegative word, increasing.
 
-    The word is read as 64-bit limbs, and ``compress`` skips the zero limbs
-    in C, so a sparse solution word of a sweep costs one pass over its bytes
-    and a few steps per set bit.  Each nonzero limb gives up its set bits
-    lowest first.
+    A word that fits one 64-bit limb is read directly.  A wider one is read
+    as 64-bit limbs, and ``compress`` skips the zero limbs in C, so a sparse
+    solution word of a sweep costs one pass over its bytes and a few steps
+    per set bit.  Each limb gives up its set bits lowest first (Knuth,
+    TAOCP 4A, 7.1.3: x & -x is the lowest set bit of x).
     """
+    out = []
+    append = out.append
+    if word.bit_length() <= 64:
+        while word:
+            low = word & -word
+            append(low.bit_length() - 1)
+            word ^= low
+        return out
     count = (word.bit_length() + 63) >> 6
     limbs = array("Q", word.to_bytes(count << 3, "little"))
     if _BIG_ENDIAN:
         limbs.byteswap()
-    out = []
-    append = out.append
     for i in compress(range(count), limbs):
         limb = limbs[i]
         base = (i << 6) - 1

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from .cube import meet_closure
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
-from .upsets import MAX_WINDOW_BITS, UPSet, _repeat, _window
+from .upsets import UPSet, _repeat, _require_point, _window
 
 GENERATOR_CAP = 16
 
@@ -327,10 +327,11 @@ class ChainInitials(FamExpr):
         segments = self._segments
         while len(segments) <= m:
             k = next(self._points)
-            if k >= MAX_WINDOW_BITS:
+            try:
+                _require_point(k)
+            except ValueError as err:
                 # members only grow, so every longer segment reaches past it too
-                raise ValueError(f"initial segment {len(segments)} reaches a point at or "
-                                 f"beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
+                raise ValueError(f"initial segment {len(segments)}: {err}") from None
             word = segments[-1]._pre if segments else 0
             segments.append(UPSet._finite(word | 1 << k))
         return segments[m]

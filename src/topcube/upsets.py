@@ -19,9 +19,12 @@ to the window, so a k-bit block fills w bits in about log2(w/k) shifts and
 no division.  An intersection, union or difference is then one integer
 operation on the two words, and ``a <= b`` is ``a & ~b == 0``.
 ``_window`` caps the window at ``MAX_WINDOW_BITS``: aligning two sets
-whose window would be wider, or building a finite set reaching a point at
-or beyond the cap, raises ``ValueError`` before any such word is built.
-``famexpr`` windows its generator meets through the same routine.
+whose window would be wider raises ``ValueError`` before any such word is
+built.  ``famexpr`` windows its generator meets through the same routine.
+A finite set is its preperiod word alone, so ``_require_point`` states its
+rule once: no member at or beyond the cap, with one text for every
+constructor.  A listing (``describe``, ``iter_members``) reads the
+segments themselves and builds no wider word.
 
 Every value is kept in canonical form, so structural equality of UPSet
 values is extensional equality.  Canonical form means the period is
@@ -33,7 +36,7 @@ in its place).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, takewhile
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -45,8 +48,7 @@ from .cube import set_bits
 MAX_WINDOW_BITS = 1 << 20
 
 _BITS = frozenset("01")
-_CHUNK_BITS = 1024
-_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+_CHUNK_BYTES = 128  # iter_members reads a preperiod 1,024 bits at a time
 
 
 def _repeat(block: int, length: int, width: int) -> int:
@@ -76,6 +78,12 @@ def _window(start: int, period: int, pre_len: int, per_len: int) -> tuple[int, i
         raise ValueError(f"a window of {start} preperiod bits and a {period}-bit period "
                          f"is {width} bits, beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
     return start, period, width
+
+
+def _require_point(point: int) -> None:
+    """Refuse a finite set reaching `point`: its word has point + 1 bits."""
+    if point >= MAX_WINDOW_BITS:
+        raise ValueError(f"point {point} is at or beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
 
 
 def _rotate(bits: int, length: int, shift: int) -> int:
@@ -145,7 +153,7 @@ class UPSet:
                 raise ValueError(f"bit words may only contain 0 and 1: {word!r}")
         self._store(*_canonical(len(pre), _str_word(pre), len(period), _str_word(period)))
         if self.is_finite:
-            _window(self._pre_len, 0, 0, 0)  # a finite set's word is its preperiod alone
+            _require_point(self._pre_len - 1)  # canonical: the top preperiod bit is set
 
     def _store(self, pre_len: int, pre: int, per_len: int, per: int) -> None:
         object.__setattr__(self, "_pre_len", pre_len)
@@ -205,8 +213,7 @@ class UPSet:
         if min(got, default=0) < 0:
             raise ValueError("naturals only")
         top = max(got, default=-1)
-        if top >= MAX_WINDOW_BITS:
-            raise ValueError(f"point {top} is at or beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
+        _require_point(top)
         word = bytearray(b"0" * (top + 1))  # character top - k is point k
         for k in got:
             word[top - k] = 49  # ord("1")
@@ -222,14 +229,20 @@ class UPSet:
         return bool((self._per >> ((i - self._pre_len) % self._per_len)) & 1)
 
     def members(self, below: int) -> list[int]:
-        """All members strictly below `below`."""
+        """All members strictly below `below`, which is at most MAX_WINDOW_BITS."""
+        if below > MAX_WINDOW_BITS:
+            raise ValueError(f"members below {below} need a {below}-bit word, "
+                             f"beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
         return set_bits(self._word(max(below, 0)))
 
     def iter_members(self) -> Iterator[int]:
-        # the preperiod a chunk at a time, so a long one is never listed whole
-        for start in range(0, self._pre_len, _CHUNK_BITS):
-            for j in set_bits((self._pre >> start) & _CHUNK_MASK):
-                yield start + j
+        # the preperiod a chunk at a time from its bytes, so a long one is
+        # never listed whole and each chunk costs its own length
+        pre = self._pre.to_bytes((self._pre_len + 7) >> 3, "little")
+        for start in range(0, len(pre), _CHUNK_BYTES):
+            base = start << 3
+            for j in set_bits(int.from_bytes(pre[start:start + _CHUNK_BYTES], "little")):
+                yield base + j
         offsets = set_bits(self._per)
         start = self._pre_len
         while offsets:
@@ -313,13 +326,17 @@ class UPSet:
         return f"UPSet({self.pre!r}, {self.period!r})"
 
     def describe(self, limit: int = 8) -> str:
-        """Human-readable listing, e.g. '{1, 3, 5, ...}'."""
-        if self.is_empty:
-            return "{}"
-        shown = self.members(self._pre_len + self._per_len * 4)
+        """Human-readable listing, e.g. '{1, 3, 5, ...}'.
+
+        A finite set lists every member, all below its preperiod's end.
+        An infinite one lists its first `limit` members below the end of its
+        fourth period, read lazily from ``iter_members``.
+        """
         if self.is_finite:
-            return "{" + ", ".join(map(str, shown)) + "}"
-        return "{" + ", ".join(map(str, shown[:limit])) + ", ...}"
+            return "{" + ", ".join(map(str, self.members(self._pre_len))) + "}"
+        bound = self._pre_len + self._per_len * 4
+        shown = islice(takewhile(bound.__gt__, self.iter_members()), limit)
+        return "{" + ", ".join(map(str, shown)) + ", ...}"
 
     # -- JSON ----------------------------------------------------------------
 

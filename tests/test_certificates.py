@@ -321,6 +321,59 @@ def test_disjoint_certificate_validation():
         disjoint_closure_expression(U3, [Topology.trivial(U3), Topology(fam(U3, 0, 1, 7))])
 
 
+def test_a_trivial_topology_is_refused_before_any_overlap():
+    # the first two overlap, and the trivial topology comes last
+    tops = [Topology(fam(U3, 0, 1, 7)), Topology(fam(U3, 0, 1, 3, 7)), Topology.trivial(U3)]
+    for build in (disjoint_closure_certificate, disjoint_closure_expression):
+        with pytest.raises(ValueError, match="^the trivial topology cannot appear in the batch$"):
+            build(U3, tops)
+
+
+def test_an_overlap_is_named_by_the_first_pair_in_combinations_order():
+    # 0 and 3 share {0}, 1 and 2 share {1}: the running OR meets the
+    # overlap at topology 2, but (0, 3) comes first among the pairs
+    U4 = GroundSet(4)
+    tops = [Topology(fam(U4, 0, 1, 15)), Topology(fam(U4, 0, 2, 15)),
+            Topology(fam(U4, 0, 2, 3, 15)), Topology(fam(U4, 0, 1, 5, 15))]
+    for build in (disjoint_closure_certificate, disjoint_closure_expression):
+        with pytest.raises(ValueError, match="^topologies 0 and 3 share a proper open$"):
+            build(U4, tops)
+    with pytest.raises(ValueError, match="^topologies 0 and 1 share a proper open$"):
+        disjoint_closure_expression(U4, tops[1:3])
+
+
+def _clause_text(cert) -> str:
+    return " ".join("|".join(map(repr, cl)) for cl in cert.clauses)
+
+
+def test_batch_clauses_in_order_at_three_and_four_points():
+    # the bounds; every unchosen proper subset absent, increasing; for each
+    # pair of topologies in order, no two of their opens together; within
+    # each topology, each open forcing every other one
+    U4 = GroundSet(4)
+    assert _clause_text(atom_closure_expression(U3, [4, 1, 6])) == (
+        "[0]+ [7]+ [2]- [3]- [5]- [1]-|[4]- [1]-|[6]- [4]-|[6]-")
+    two_chains = [Topology(fam(U3, 0, 1, 3, 7)), Topology(fam(U3, 0, 4, 6, 7))]
+    assert _clause_text(disjoint_closure_expression(U3, two_chains)) == (
+        "[0]+ [7]+ [2]- [5]- [1]-|[4]- [1]-|[6]- [3]-|[4]- [3]-|[6]- "
+        "[1]+|[3]- [3]+|[1]- [4]+|[6]- [6]+|[4]-")
+    assert _clause_text(atom_closure_expression(U4, [12, 3, 5])) == (
+        "[0]+ [15]+ [1]- [2]- [4]- [6]- [7]- [8]- [9]- [10]- [11]- [13]- [14]- "
+        "[3]-|[5]- [3]-|[12]- [5]-|[12]-")
+    three = [Topology(fam(U4, 0, 1, 3, 15)), Topology(fam(U4, 0, 4, 8, 12, 15)),
+             Topology(fam(U4, 0, 2, 15))]
+    cert = disjoint_closure_expression(U4, three)
+    assert _clause_text(cert) == (
+        "[0]+ [15]+ [5]- [6]- [7]- [9]- [10]- [11]- [13]- [14]- "
+        "[1]-|[4]- [1]-|[8]- [1]-|[12]- [3]-|[4]- [3]-|[8]- [3]-|[12]- "
+        "[1]-|[2]- [3]-|[2]- [4]-|[2]- [8]-|[2]- [12]-|[2]- "
+        "[1]+|[3]- [3]+|[1]- [4]+|[8]- [4]+|[12]- [8]+|[4]- [8]+|[12]- "
+        "[12]+|[4]- [12]+|[8]-")
+    assert cert.conjunct_count == 29
+    trivial = 1 | 1 << 15
+    assert cert.solve() == sorted([trivial] + [trivial | t.family.word for t in three])
+
+
 # --------------------------------------------------------- interval identity
 
 

@@ -331,6 +331,15 @@ def test_join_gap_beyond_the_window_cap_exits_two(tmp_path, capsys, fixture):
     assert "MAX_WINDOW_BITS" in capsys.readouterr().err
 
 
+def test_overlapping_fixture_from_a_path_exits_two(tmp_path, capsys):
+    # a fixture read from a path, not a packaged name
+    path = _write(tmp_path, "overlap.json", {"n": 3, "topologies": [[0, 1, 7], [0, 1, 3, 7]]})
+    assert main(["verify", "disjoint-closure", "--fixture", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: topologies 0 and 1 share a proper open\n"
+
+
 @pytest.mark.parametrize("name", sorted(cli._COORDS_KEYS))
 def test_finite_coordinate_past_the_window_cap_exits_two(tmp_path, capsys, name):
     # one point past the last that a finite set may reach

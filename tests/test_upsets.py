@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topcube import DownPow, UPSet
+from topcube import ChainInitials, DownPow, UPSet
 from topcube.cube import set_bits
 from topcube.upsets import MAX_WINDOW_BITS, _repeat
 
@@ -194,6 +194,74 @@ def test_describe():
     assert UPSet.from_ints([1, 2]).describe() == "{1, 2}"
     text = UPSet("", "10").describe(limit=3)
     assert text.startswith("{0, 2, 4") and text.endswith("...}")
+
+
+def _described_by_the_old_listing(s, limit=8):
+    """describe's text as it was first written: every member below the end
+    of the fourth period, by membership, cut to `limit` if the set is infinite."""
+    if s.is_empty:
+        return "{}"
+    shown = [i for i in range(len(s.pre) + 4 * len(s.period)) if i in s]
+    if s.is_finite:
+        return "{" + ", ".join(map(str, shown)) + "}"
+    return "{" + ", ".join(map(str, shown[:limit])) + ", ...}"
+
+
+def test_describe_matches_the_old_listing_on_a_seeded_sample():
+    rng = random.Random(27)
+    finite = 0
+    for _ in range(600):
+        density = rng.choice([0.05, 0.5, 0.9])
+        bits = lambda k: "".join("1" if rng.random() < density else "0" for _ in range(k))
+        pre = bits(rng.randint(0, 20))
+        period = "0" if rng.random() < 0.25 else bits(rng.randint(1, 40))
+        s = UPSet(pre, period)
+        finite += s.is_finite
+        for limit in (0, 1, 3, 8, 100):
+            assert s.describe(limit) == _described_by_the_old_listing(s, limit), (pre, period)
+    assert 100 < finite < 500
+
+
+def test_describe_builds_no_word_wider_than_the_segments(monkeypatch):
+    built = []
+    word = UPSet._word
+
+    def spy(self, width):
+        built.append((width, self._pre_len, self._per_len))
+        return word(self, width)
+
+    monkeypatch.setattr(UPSet, "_word", spy)
+    far = UPSet("1", "0" * 2 ** 22 + "1")  # the old listing built a 2^24-bit word
+    assert far.describe() == "{0, 4194305, 8388610, 12582915, ...}"
+    for s in (UPSet("0" * (2 ** 20 - 2) + "1", "0"), UPSet("0" * 5000 + "1", "01"),
+              UPSet("", "10"), UPSet.from_ints([1, 2]), UPSet.empty()):
+        s.describe()
+    assert built and all(width <= max(pre, per) for width, pre, per in built)
+
+
+def test_members_refuses_a_bound_past_the_cap():
+    assert UPSet.singleton(5).members(MAX_WINDOW_BITS) == [5]
+    with pytest.raises(ValueError, match=f"^members below {MAX_WINDOW_BITS + 1} need a "
+                                         f"{MAX_WINDOW_BITS + 1}-bit word, beyond "
+                                         f"MAX_WINDOW_BITS = {MAX_WINDOW_BITS}$"):
+        UPSet.singleton(5).members(MAX_WINDOW_BITS + 1)
+
+
+def test_finite_sets_past_the_cap_share_one_refusal():
+    far = {"pre": "0" * 2 ** 20 + "1", "period": "0"}
+    texts = set()
+    for make in (lambda: UPSet(far["pre"], far["period"]), lambda: UPSet.from_json(far),
+                 lambda: UPSet.from_ints([2 ** 20]), lambda: UPSet.singleton(2 ** 20)):
+        with pytest.raises(ValueError) as err:
+            make()
+        texts.add(str(err.value))
+    rule = f"point {2 ** 20} is at or beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}"
+    assert texts == {rule}
+    # a chain of initial segments names the segment in front of the same rule
+    segments = ChainInitials(UPSet("1", "0" * (2 ** 20 - 1) + "1"))
+    with pytest.raises(ValueError) as err:
+        segments.initial_segment(1)
+    assert str(err.value) == "initial segment 1: " + rule
 
 
 # -- a per-bit reference over 0/1 strings, independent of the integer code --
