@@ -45,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cube-n4", "sublattice-n3", "cli-default", "upset-long-period")
+WARM_UP_S = 2.0  # at most: long enough to fill the tree's bytecode cache
 
 sys.path.insert(0, str(ROOT / "tools"))
 from traffic import code_lines  # noqa: E402  (one definition of a code line)
@@ -64,10 +65,9 @@ def describe_commit(commit: str) -> dict:
 
 
 def extract(commit: str, into: Path) -> None:
-    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait() != 0:
+    with subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE) as archive:
+        subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    if archive.returncode != 0:
         raise RuntimeError(f"git archive {commit} failed")
 
 
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
             trees[label] = Path(scratch) / label
             trees[label].mkdir()
             extract(commit, trees[label])
-            bench_run(trees[label], workloads[0], args.seed, min(args.seconds, 2.0))
+            bench_run(trees[label], workloads[0], args.seed, min(args.seconds, WARM_UP_S))
         runs: dict[str, dict[str, list]] = {label: {w: [] for w in workloads} for label in labels}
         order = list(labels)
         for workload in workloads:
