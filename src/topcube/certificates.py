@@ -32,10 +32,11 @@ back to family words by shifting the free coordinates above each run of
 fixed ones into place.  A batch certificate at n = 4 leaves free only the
 proper opens of its topologies, often 6 or fewer of its 16 coordinates,
 so it sweeps words of at most a few thousand bits rather than 65,536,
-and a 64-bit one is read as one limb (``cube.set_bits``).  Each family off the cylinder fails a unit clause, so the whole
-cube is still decided, and a batch report's ``sweep_size`` stays
-2^(2^n).  The batch certificates draw their conditions from one cached
-constructor, so each (mask, present) pair is built once.
+and a 64-bit one is read as one limb (``cube.set_bits``).  Each family
+off the cylinder fails a unit clause, so the whole cube is still
+decided, and a batch report's ``sweep_size`` stays 2^(2^n).  The batch
+certificates draw their conditions from one cached constructor, so each
+(mask, present) pair is built once.
 
 The convergence and ladder checks take an omega chain as ``(stage, top)``, a
 stage rule and a declared top, as ``lattice.chain_completion_omega`` does.

@@ -87,7 +87,8 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def line_counts(tree: Path) -> tuple[int, int]:
     """(code lines, raw lines) of the tree's src/topcube/*.py."""
-    sources = [p.read_text(encoding="utf-8") for p in sorted((tree / "src" / "topcube").glob("*.py"))]
+    paths = sorted((tree / "src" / "topcube").glob("*.py"))
+    sources = [p.read_text(encoding="utf-8") for p in paths]
     return sum(map(code_lines, sources)), sum(len(s.splitlines()) for s in sources)
 
 
