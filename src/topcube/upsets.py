@@ -21,10 +21,12 @@ operation on the two words, and ``a <= b`` is ``a & ~b == 0``.
 ``_window`` caps the window at ``MAX_WINDOW_BITS``: aligning two sets
 whose window would be wider raises ``ValueError`` before any such word is
 built.  ``famexpr`` windows its generator meets through the same routine.
-A finite set is its preperiod word alone, so ``_require_point`` states its
-rule once: no member at or beyond the cap, with one text for every
-constructor.  A listing (``describe``, ``iter_members``) reads the
-segments themselves and builds no wider word.
+A finite set is its preperiod word alone, so ``_require_point`` states the
+constructors' rule once: no member at or beyond the cap, with one text for
+every constructor.  A complement is no constructor: ``~`` of an infinite set
+with a long preperiod is a finite set that may reach past the cap.  So a
+listing (``describe``, ``iter_members``) reads the segments themselves and
+builds no wider word.
 
 Every value is kept in canonical form, so structural equality of UPSet
 values is extensional equality.  Canonical form means the period is
@@ -229,8 +231,12 @@ class UPSet:
         return bool((self._per >> ((i - self._pre_len) % self._per_len)) & 1)
 
     def members(self, below: int) -> list[int]:
-        """All members strictly below `below`, which is at most MAX_WINDOW_BITS."""
-        if below > MAX_WINDOW_BITS:
+        """All members strictly below `below`.
+
+        A bound within the preperiod only cuts its word; a wider one builds
+        a `below`-bit word, so it must be at most MAX_WINDOW_BITS.
+        """
+        if below > max(MAX_WINDOW_BITS, self._pre_len):
             raise ValueError(f"members below {below} need a {below}-bit word, "
                              f"beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
         return set_bits(self._word(max(below, 0)))

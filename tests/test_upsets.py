@@ -233,6 +233,10 @@ def test_describe_builds_no_word_wider_than_the_segments(monkeypatch):
     monkeypatch.setattr(UPSet, "_word", spy)
     far = UPSet("1", "0" * 2 ** 22 + "1")  # the old listing built a 2^24-bit word
     assert far.describe() == "{0, 4194305, 8388610, 12582915, ...}"
+    # no constructor makes a finite set reaching the cap, but ~ of an
+    # infinite set with a long preperiod does, and it still has a listing
+    past = ~UPSet("0" * (2 ** 20 + 1), "1")
+    assert past.is_finite and past.describe().endswith(", 1048575, 1048576}")
     for s in (UPSet("0" * (2 ** 20 - 2) + "1", "0"), UPSet("0" * 5000 + "1", "01"),
               UPSet("", "10"), UPSet.from_ints([1, 2]), UPSet.empty()):
         s.describe()

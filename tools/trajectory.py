@@ -1,7 +1,7 @@
 """Write one ``BENCH_<label>.json`` per commit from one alternating bench session.
 
-    python tools/trajectory.py [--workload W ...] [--seed S] [--seconds T]
-                               [--runs R] [--out DIR] LABEL=COMMIT [LABEL=COMMIT ...]
+    python tools/trajectory.py [--workload W ...] [--seed S] [--out DIR]
+                               LABEL=COMMIT [LABEL=COMMIT ...]
 
 For each commit the tool extracts the tree with ``git archive C | tar -x``
 into a temporary directory and runs that tree's own ``bench/run.py``.  Each
@@ -10,9 +10,11 @@ is filled before any figure is kept: the first run in a fresh checkout reads
 a higher ``peak_rss_mb`` than every later one.  Then, for each workload, the
 trees take turns run by run, and the side that runs first alternates from
 one round of runs to the next, so that run i of one file and run i of
-another form a pair taken side by side.  Each run is
+another form a pair taken side by side.  Each workload gets ``RUNS`` runs
+per tree, each of ``SECONDS`` seconds, the protocol every file so far was
+made under:
 
-    bench/run.py --workload W --seed S --seconds T --trace 0
+    bench/run.py --workload W --seed S --seconds 25 --trace 0
 
 and the tool keeps the JSON object on its last line and its ``digest`` line.
 
@@ -45,7 +47,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cube-n4", "sublattice-n3", "cli-default", "upset-long-period")
-WARM_UP_S = 2.0  # at most: long enough to fill the tree's bytecode cache
+SECONDS = 25.0  # each timed run
+RUNS = 10  # timed runs per tree and workload
+WARM_UP_S = 2.0  # long enough to fill the tree's bytecode cache
 
 sys.path.insert(0, str(ROOT / "tools"))
 from traffic import code_lines  # noqa: E402  (one definition of a code line)
@@ -124,14 +128,10 @@ def main(argv=None) -> int:
     parser.add_argument("pairs", nargs="+", metavar="LABEL=COMMIT")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     if any("=" not in pair for pair in args.pairs):
         parser.error("each commit is given as LABEL=COMMIT")
-    if args.runs < 1 or args.seconds <= 0:
-        parser.error("--runs and --seconds must be positive")
     labels = dict(pair.split("=", 1) for pair in args.pairs)
     workloads = args.workload or list(WORKLOADS)
     host = {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -145,22 +145,22 @@ def main(argv=None) -> int:
             trees[label] = Path(scratch) / label
             trees[label].mkdir()
             extract(commit, trees[label])
-            bench_run(trees[label], workloads[0], args.seed, min(args.seconds, WARM_UP_S))
+            bench_run(trees[label], workloads[0], args.seed, WARM_UP_S)
         runs: dict[str, dict[str, list]] = {label: {w: [] for w in workloads} for label in labels}
         order = list(labels)
         for workload in workloads:
-            for i in range(args.runs):
+            for i in range(RUNS):
                 for label in order if i % 2 == 0 else order[::-1]:
-                    result = bench_run(trees[label], workload, args.seed, args.seconds)
+                    result = bench_run(trees[label], workload, args.seed, SECONDS)
                     runs[label][workload].append(result)
                     value = result["metrics"]["job_ms_p50"]["value"]
-                    print(f"{workload} run {i + 1}/{args.runs} {label}: job_ms_p50 "
+                    print(f"{workload} run {i + 1}/{RUNS} {label}: job_ms_p50 "
                           f"{value:.4f} ms, digest {result['digest']}", flush=True)
         for label, commit in labels.items():
             code, raw = line_counts(trees[label])
             record = {
                 "label": label, **describe_commit(commit),
-                "seed": args.seed, "seconds": args.seconds, "runs": args.runs,
+                "seed": args.seed, "seconds": SECONDS, "runs": RUNS,
                 "session": session, "host": host,
                 "workloads": {w: workload_record(runs[label][w]) for w in workloads},
                 "code_lines": code, "raw_lines": raw, "tests": count_tests(trees[label]),
