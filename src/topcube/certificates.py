@@ -412,8 +412,8 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     the coordinates.  A neighbourhood whose in-pool candidates all coincide
     with x (no separating coordinate found in the shared probe pool) is a
     refutation relative to the pool; a neighbourhood missed by the whole
-    pool, or no coordinate to cut a neighbourhood with, leaves the question
-    open.
+    pool leaves the question open.  Its work count is ``coords`` (the
+    vacuous-pass rule of ``report.Stopwatch``).
 
     A candidate c counts as distinct from x when some set in the pool
     separates them: x contains it and c does not, or the other way round.
@@ -426,7 +426,8 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     if len(coords) > MAX_PATTERN_COORDS:
         raise ValueError(f"at most {MAX_PATTERN_COORDS} pattern coordinates")
     candidates = list(candidates)
-    timer = Stopwatch("limit-point", {"coords": len(coords), "candidates": len(candidates)})
+    timer = Stopwatch("limit-point", {"coords": len(coords), "candidates": len(candidates)},
+                      work="coords")
 
     reference = {w: x.contains(w) for w in coords}
     # with no candidate, nothing is compared with x and its probes are not asked for
@@ -449,9 +450,8 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     open_question = False
     for r in range(len(coords) + 1):
         for subset in combinations(coords, r):
-            inside = [
-                i for i, c in enumerate(candidates) if _pattern_agrees(c, reference, subset)
-            ]
+            inside = [i for i, c in enumerate(candidates)
+                      if _pattern_agrees(c, reference, subset)]
             if not inside:
                 open_question = True
                 continue
@@ -461,11 +461,8 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
                     "pool_members_inside": len(inside),
                 })
     if open_question:
-        return timer.report(
-            INCONCLUSIVE, {"reason": "some neighbourhood misses the whole candidate pool"}
-        )
-    if not coords:
-        return timer.report(INCONCLUSIVE, {"coords": 0})
+        reason = "some neighbourhood misses the whole candidate pool"
+        return timer.report(INCONCLUSIVE, {"reason": reason})
     return timer.report(PASS, notes=[
         f"all {2 ** len(coords)} sign patterns met the pool away from the base point"
     ])
@@ -482,17 +479,14 @@ def sequence_convergence_check(
     can never fall back, so all stages are walked: a coordinate locked at a
     value different from the limit's is a genuine refutation, and bits
     observed to decrease raise instead.  Otherwise only the last stage is
-    read.  No coordinate to examine is inconclusive; a depth below 1 raises.
+    read.  A depth below 1 raises.  Its work count is ``coords`` (the
+    vacuous-pass rule of ``report.Stopwatch``).
     """
     coords = list(coords)
-    timer = Stopwatch(
-        "convergence",
-        {"coords": len(coords), "depth": depth, "increasing": assume_increasing},
-    )
+    timer = Stopwatch("convergence", {"coords": len(coords), "depth": depth,
+                                      "increasing": assume_increasing}, work="coords")
     steps = range(depth) if assume_increasing else range(depth)[-1:]
     _, locked, unreached = _settle([stage(i) for i in steps], limit, coords)
-    if not coords:
-        return timer.report(INCONCLUSIVE, {"coords": 0})
     if assume_increasing and locked:
         return timer.report(
             FAIL, {"coordinate": locked[0].describe(), "locked": True, "limit_has": False}
@@ -511,13 +505,12 @@ def limit_vs_union_check(limit: FamExpr, union: FamExpr, coords) -> Report:
     The pool is the given coordinates plus both expressions' structural
     probes.  Agreement everywhere is a pass; any disagreement is reported
     coordinate by coordinate, which is how a limit picking up a set that no
-    finite stage reaches gets surfaced.  An empty pool is inconclusive.
+    finite stage reaches gets surfaced.  Its work count is the pool's size,
+    ``coords`` (the vacuous-pass rule of ``report.Stopwatch``).
     """
-    timer = Stopwatch("limit-vs-union", {})
+    timer = Stopwatch("limit-vs-union", {}, work="coords")
     pool = list(dict.fromkeys(list(coords) + limit.probe_sets() + union.probe_sets()))
     timer.params["coords"] = len(pool)
-    if not pool:
-        return timer.report(INCONCLUSIVE, {"coords": 0})
     differing = [w for w in pool if limit.contains(w) != union.contains(w)]
     if differing:
         return timer.report(
@@ -544,30 +537,23 @@ def ordinal_homeo_check(stage, top: FamExpr, coords=(), depth: int = 16) -> Repo
     Entry witnesses double as isolation certificates: the coordinate gained
     at step i is absent from all earlier stages and present in all later
     ones.  The stages are walked before any verdict, so a coordinate dropped
-    anywhere within the depth raises, as does a depth below 1; an empty
-    pool is then inconclusive.  Whether the top is the plain union of its
+    anywhere within the depth raises, as does a depth below 1.  Its work
+    count is the pool's size, ``coords`` (the vacuous-pass rule of
+    ``report.Stopwatch``).  Whether the top is the plain union of its
     stages is ``limit_vs_union_check``'s question.
     """
     coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
-    timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth})
+    timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth}, work="coords")
     entries, locked, unreached = _settle([stage(i) for i in range(depth)], top, coords)
-    if not coords:
-        return timer.report(INCONCLUSIVE, {"coords": 0})
 
     for i in range(depth - 1):
         if i + 1 not in entries:
-            return timer.report(
-                INCONCLUSIVE, {"step": i, "reason": "no gained coordinate found in pool"}
-            )
+            reason = "no gained coordinate found in pool"
+            return timer.report(INCONCLUSIVE, {"step": i, "reason": reason})
     if locked:
         return timer.report(FAIL, {"coordinates_locked_off_top": [w.describe() for w in locked]})
     if unreached:
         witness = {"coordinates_not_reached_within_depth": [w.describe() for w in unreached]}
         return timer.report(INCONCLUSIVE, witness)
-    return timer.report(
-        PASS,
-        notes=[
-            f"{depth - 1} strict steps with entry witnesses",
-            "every pooled coordinate settles to the top's value",
-        ],
-    )
+    return timer.report(PASS, notes=[f"{depth - 1} strict steps with entry witnesses",
+                                     "every pooled coordinate settles to the top's value"])

@@ -43,7 +43,7 @@ generators is wider, at the query.
 from __future__ import annotations
 
 from .cube import meet_closure
-from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
+from .report import FAIL, PASS, Report, Stopwatch
 from .upsets import UPSet, _repeat, _require_point, _window
 
 GENERATOR_CAP = 16
@@ -375,12 +375,12 @@ def fam_is_topology_sym(e: FamExpr, probes) -> Report:
     finite unions that miss an infinite one: the union of members below the
     missing set reconstructs it exactly.  Each distinct set's membership is
     decided once per call, and each distinct component's union below it
-    once.  A pass means no refutation was found, not a proof; with no probe
-    pair there is nothing past the empty set and the space to look at, and
-    the verdict is inconclusive.
+    once.  A pass means no refutation was found, not a proof; its work count
+    is ``probe_pairs`` (the vacuous-pass rule of ``report.Stopwatch``).
     """
     probes = list(probes)
-    timer = Stopwatch("topology-probe", {"expr": e.to_json(), "probe_pairs": len(probes)})
+    timer = Stopwatch("topology-probe", {"expr": e.to_json(), "probe_pairs": len(probes)},
+                      work="probe_pairs")
 
     def fail(kind: str, sets: list[UPSet]) -> Report:
         witness = {"kind": kind, "sets": [s.to_json() for s in sets],
@@ -399,8 +399,6 @@ def fam_is_topology_sym(e: FamExpr, probes) -> Report:
         return fail("missing-empty-set", [_EMPTY])
     if not member(_NATS):
         return fail("missing-whole-space", [_NATS])
-    if not probes:
-        return timer.report(INCONCLUSIVE, {"probe_pairs": 0})
 
     acc = _EMPTY
     seen: set[UPSet] = set()

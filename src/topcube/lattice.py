@@ -310,14 +310,14 @@ def chain_completion_omega(stage, union: FamExpr, coords, bound: int = 64) -> Re
     value must agree with the declared union.  A
     coordinate the union claims but no stage reaches before the bound is
     undecidable here: the stages may pick it up later or never, so the
-    check comes back inconclusive rather than failed, and so does a run
-    given no coordinate to examine.  A bound below 1 raises.
+    check comes back inconclusive rather than failed.  A bound below 1
+    raises.  Its work count is ``coordinates`` (the vacuous-pass rule of
+    ``report.Stopwatch``).
     """
     coords = list(coords)
-    timer = Stopwatch("omega-completion", {"bound": bound, "coordinates": len(coords)})
+    timer = Stopwatch("omega-completion", {"bound": bound, "coordinates": len(coords)},
+                      work="coordinates")
     entries, locked, unreached = _settle([stage(i) for i in range(bound)], union, coords)
-    if not coords:
-        return timer.report(INCONCLUSIVE, {"coordinates": 0})
     notes = [f"declared union: {union!r}"]
     for w, entry in zip(coords, entries):
         if locked and w == locked[0]:  # the notes run up to the first refutation

@@ -3,8 +3,10 @@
 A report carries the check name, the parameters it ran with, a three-valued
 verdict (pass / fail / inconclusive), an optional witness payload, optional
 informational notes, and elapsed wall time.  Failing reports always carry a
-witness; inconclusive ones always carry the bound that was exhausted.  The
-JSON form is versioned and pinned by golden-file tests.
+witness; inconclusive ones always carry the bound that was exhausted.  A
+check never says pass after examining nothing: ``Stopwatch.report`` states
+that rule once, for every check that declares its work count.  The JSON
+form is versioned and pinned by golden-file tests.
 """
 
 from __future__ import annotations
@@ -80,14 +82,20 @@ class Stopwatch:
 
     The clock starts at construction.  Parameters known only after the heavy
     step are added to ``params`` in place; every exit then builds its report
-    from the verdict alone.
+    from the verdict alone.  ``work`` names the ``params`` key counting what
+    the check examined: at 0, a pass or inconclusive report becomes
+    inconclusive with witness ``{work: 0}`` and no notes.  A fail, which
+    needs no work, stays.
     """
 
-    def __init__(self, check: str, params: dict):
+    def __init__(self, check: str, params: dict, work: str | None = None):
         self.check = check
         self.params = params
+        self.work = work
         self._start = time.perf_counter()
 
     def report(self, verdict: str, witness=None, notes: list[str] | None = None) -> Report:
         elapsed = round((time.perf_counter() - self._start) * 1000, 3)
+        if self.work is not None and verdict != FAIL and not self.params[self.work]:
+            verdict, witness, notes = INCONCLUSIVE, {self.work: 0}, None
         return Report(self.check, self.params, verdict, witness, list(notes or []), elapsed)

@@ -50,7 +50,7 @@ from .cube import set_bits
 MAX_WINDOW_BITS = 1 << 20
 
 _BITS = frozenset("01")
-_CHUNK_BYTES = 128  # iter_members reads a preperiod 1,024 bits at a time
+_CHUNK_BYTES = 128  # _lazy_bits' first chunk
 
 
 def _repeat(block: int, length: int, width: int) -> int:
@@ -63,6 +63,17 @@ def _repeat(block: int, length: int, width: int) -> int:
         block |= block << length
         length <<= 1
     return block & ((1 << width) - 1)
+
+
+def _lazy_bits(bits: int, length: int) -> Iterable[int]:
+    """The set bits of a `length`-bit word, increasing: at once up to 1,024
+    bits, else lazily, in chunks of 1,024 bits and then each twice the last."""
+    if length <= _CHUNK_BYTES << 3:
+        return set_bits(bits)
+    data = bits.to_bytes((length + 7) >> 3, "little")
+    ends = [_CHUNK_BYTES * ((2 << k) - 1) for k in range(len(data).bit_length())]
+    return ((start << 3) + j for start, end in zip([0] + ends, ends)
+            for j in set_bits(int.from_bytes(data[start:end], "little")))
 
 
 def _window(start: int, period: int, pre_len: int, per_len: int) -> tuple[int, int, int]:
@@ -242,19 +253,15 @@ class UPSet:
         return set_bits(self._word(max(below, 0)))
 
     def iter_members(self) -> Iterator[int]:
-        # the preperiod a chunk at a time from its bytes, so a long one is
-        # never listed whole and each chunk costs its own length
-        pre = self._pre.to_bytes((self._pre_len + 7) >> 3, "little")
-        for start in range(0, len(pre), _CHUNK_BYTES):
-            base = start << 3
-            for j in set_bits(int.from_bytes(pre[start:start + _CHUNK_BYTES], "little")):
-                yield base + j
-        offsets = set_bits(self._per)
-        start = self._pre_len
+        yield from _lazy_bits(self._pre, self._pre_len)
+        start, offsets = self._pre_len, []
+        for j in _lazy_bits(self._per, self._per_len):
+            offsets.append(j)
+            yield start + j
         while offsets:
+            start += self._per_len
             for j in offsets:
                 yield start + j
-            start += self._per_len
 
     def first_members(self, k: int) -> list[int]:
         """The k smallest members, in increasing order."""

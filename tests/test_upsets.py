@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topcube import ChainInitials, DownPow, UPSet
+from topcube import ChainInitials, DownPow, UPSet, upsets
 from topcube.cube import set_bits
 from topcube.upsets import MAX_WINDOW_BITS, _repeat
 
@@ -165,6 +165,34 @@ def test_long_preperiod_members_come_lazily():
         if s.is_finite:
             k = min(k, s._pre.bit_count())
         assert s.first_members(k) == _members_listed_whole(s, k)
+
+
+def test_long_period_members_come_lazily():
+    # across the reader's chunk boundaries and on into later periods
+    rng = random.Random(28)
+    for per_len in (1025, 3000, 5000):
+        period = "".join(rng.choice("01") for _ in range(per_len - 1)) + "1"
+        for pre in ("", "1", "0" * 700 + "1"):
+            s = UPSet(pre, period)
+            k = s._pre.bit_count() + 2 * s._per.bit_count() + 5
+            assert s.first_members(k) == _members_listed_whole(s, k)
+    sparse = UPSet("", "0" * 4000 + "1" + "0" * 3000 + "1")
+    assert sparse.first_members(5) == [4000, 7001, 11002, 14003, 18004]
+
+
+def test_first_members_of_a_dense_long_period_list_only_a_prefix(monkeypatch):
+    listed = []
+
+    def spy(word):
+        listed.append(word.bit_length())
+        return set_bits(word)
+
+    rng = random.Random(22)
+    dense = UPSet("", format(rng.getrandbits(2 ** 22) | 1 << (2 ** 22 - 1), "b"))
+    assert dense._per_len == 2 ** 22 and dense._per.bit_count() > 2 ** 20
+    monkeypatch.setattr(upsets, "set_bits", spy)
+    assert dense.first_members(3) == _members_listed_whole(dense, 3)
+    assert 0 < sum(listed) < 4096
 
 
 def test_complement_roundtrip():

@@ -1,27 +1,37 @@
-"""List the functions of topcube that the verified traffic never enters.
+"""List the functions and lines of topcube that the verified traffic never runs.
 
 The traffic is what the project promises to keep working:
 
-- 83 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
+- 87 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
   ``verify`` check at ``--n 1..4``, with and without ``--seed 7``; both
-  fixtured checks; every demo; and ``demo initials-chain --coords FILE``,
-  FILE holding the packaged fixture's completion coordinates;
+  fixtured checks; every demo; ``demo initials-chain --coords FILE``, FILE
+  holding the packaged fixture's completion coordinates; and four that do
+  not pass: ``demo initials-chain`` and ``demo powerset-chain`` given an
+  empty coordinate list, ``demo initials-chain --bound 2`` (each exit 3),
+  and ``demo join-gap`` on a tampered fixture given by path (exit 1);
 - 11 CLI argv that argparse ends: the root's and each verb's ``--help``,
   and seven command lines it refuses;
 - one round of each workload in ``bench/workloads.py`` (seed 1);
 - every test function of ``tests/test_acceptance.py``.
 
 All of it runs in this process under one ``sys.settrace`` hook that notes
-the code object of every call.  The tool then compiles each module of
-``src/topcube`` and prints, one per line as ``file:line qualified.name``,
-every function or lambda whose code the run never entered.  Comprehensions
-are left out: their enclosing function is listed when they are unreached.
+the code object of every call and, in every module of ``src/topcube`` but
+``oracles.py``, the line of every line event; whether a code object's lines
+are traced is decided once per code object.  The tool then compiles each
+module of ``src/topcube`` and prints, one per line as ``file:line
+qualified.name``, every function or lambda whose code the run never
+entered.  Comprehensions are left out: their enclosing function is listed
+when they are unreached.
 
 The never-entered functions come in two lists.  Those named in ``STAY``, a
 table of qualified name and reason, are kept on purpose; every other one is
 dead code, and the second list names it.  A third list names every
 ``STAY`` entry whose function the traffic does enter, so a stale entry
-shows.  Before the lists, the tool prints
+shows.  Last comes the line pass: every line of a code object that no line
+event reached, outside ``oracles.py`` and the stay-listed functions, as
+``file:line text`` in three groups (``line_groups``): refusals (``raise``),
+verdict branches (statements that build a fail or inconclusive report), and
+the rest.  Before the lists, the tool prints
 the code lines of each module and their total: the lines that hold code,
 without docstrings, comments or blank lines (``code_lines``).  Before
 those, it prints one digest of every CLI call's outcome: its exit code,
@@ -54,6 +64,12 @@ import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "topcube")
+ORACLES = os.path.realpath(os.path.join(PACKAGE, "oracles.py"))
+
+# the groups of the line pass
+REFUSALS = "refusals (raise)"
+VERDICTS = "verdict branches (a fail or inconclusive report)"
+REST = "the rest"
 
 _PROTOCOL = "FamExpr protocol, which the symbolic checks ask of any expression"
 _ORACLE = "oracles.py: the independent frozenset reference of a cross-check"
@@ -131,7 +147,17 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def cli_argv(checks, demos, coords: str) -> list[list[str]]:
+# the join-gap fixture of tests/test_cli.py::test_failing_demo_exits_one: its
+# candidate is one of its generators, so the demo fails
+TAMPERED_JOIN_GAP = {"gens": [{"pre": "0", "period": "1"}],
+                     "candidate": {"pre": "0", "period": "1"}, "sample_points": [1, 2]}
+
+
+def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
+    """The CLI argv of the traffic, without ``--json``; the files they name
+    are those ``run_traffic`` writes into `scratch`."""
+    coords, empty, tampered = (os.path.join(scratch, name)
+                               for name in ("coords.json", "empty.json", "tampered.json"))
     argv = [["count", "--n", str(n)] for n in range(1, 5)]
     for name in checks:
         for n in range(1, 5):
@@ -141,6 +167,11 @@ def cli_argv(checks, demos, coords: str) -> list[list[str]]:
     argv.append(["verify", "disjoint-closure", "--fixture", "disjoint-pair"])
     argv += [["demo", name] for name in sorted(demos)]
     argv.append(["demo", "initials-chain", "--coords", coords])
+    # inconclusive (exit 3) three ways, then a refutation (exit 1)
+    argv += [["demo", "initials-chain", "--coords", empty],
+             ["demo", "powerset-chain", "--coords", empty],
+             ["demo", "initials-chain", "--bound", "2"],
+             ["demo", "join-gap", "--fixture", tampered]]
     return argv
 
 
@@ -177,11 +208,13 @@ def run_traffic(scratch: str) -> tuple[list[str], str]:
 
     problems = []
     sink = io.StringIO()
-    coords = os.path.join(scratch, "coords.json")
-    with open(coords, "w", encoding="utf-8") as fh:
-        json.dump(cli.load_fixture("initials-chain")["completion_coords"], fh)
+    files = {"coords.json": cli.load_fixture("initials-chain")["completion_coords"],
+             "empty.json": [], "tampered.json": TAMPERED_JOIN_GAP}
+    for name, value in files.items():
+        with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
     report = os.path.join(scratch, "report.json")
-    argvs = [argv + ["--json", report] for argv in cli_argv(cli.CHECKS, cli.DEMOS, coords)]
+    argvs = [argv + ["--json", report] for argv in cli_argv(cli.CHECKS, cli.DEMOS, scratch)]
     argvs += [list(argv) for argv in ENDED_BY_ARGPARSE]
     outcomes = json.dumps([cli_outcome(cli.main, argv, report) for argv in argvs])
     digest = hashlib.sha256(outcomes.replace(scratch, "SCRATCH").encode()).hexdigest()
@@ -211,20 +244,17 @@ def modules() -> list[str]:
             if entry.endswith(".py")]
 
 
-def defined_functions() -> list[tuple[str, int, str, object]]:
-    """(file, first line, module.qualified name, code) of every function in
-    the package."""
+def code_objects() -> list[tuple[str, str, object]]:
+    """(file, module.qualified name, code) of every code object nested in a
+    module of the package, comprehensions included."""
     found = []
 
     def walk(code, prefix: str, path: str) -> None:
         for const in code.co_consts:
-            if not hasattr(const, "co_consts"):
-                continue
-            name = const.co_name
-            qual = f"{prefix}{name}"
-            if not (name.startswith("<") and name != "<lambda>"):
-                found.append((path, const.co_firstlineno, qual, const))
-            walk(const, f"{qual}.", path)
+            if hasattr(const, "co_consts"):
+                qual = f"{prefix}{const.co_name}"
+                found.append((path, qual, const))
+                walk(const, f"{qual}.", path)
 
     for path in modules():
         with open(path, encoding="utf-8") as fh:
@@ -233,15 +263,118 @@ def defined_functions() -> list[tuple[str, int, str, object]]:
     return found
 
 
+def defined_functions() -> list[tuple[str, int, str, object]]:
+    """(file, first line, module.qualified name, code) of every function in
+    the package."""
+    return [(path, code.co_firstlineno, qual, code) for path, qual, code in code_objects()
+            if not (code.co_name.startswith("<") and code.co_name != "<lambda>")]
+
+
+def _key(code) -> tuple[str, int, str]:
+    return os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name
+
+
+def _own_nodes(stmt: ast.stmt):
+    """The nodes of a statement, without the statements nested in it."""
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [child for child in ast.iter_child_nodes(node)
+                  if not isinstance(child, (ast.stmt, ast.excepthandler))]
+
+
+def _exit_group(stmt: ast.stmt, builders: set[str]) -> str | None:
+    if isinstance(stmt, ast.Raise):
+        return REFUSALS
+    if any(isinstance(node, ast.Name) and node.id in builders for node in _own_nodes(stmt)):
+        return VERDICTS
+    return None
+
+
+def line_groups(source: str) -> dict[int, str]:
+    """The group of every line a statement of `source` spans, by its
+    innermost statement: a ``raise`` is a refusal; a statement naming
+    ``FAIL``, ``INCONCLUSIVE`` or a function every return of which names
+    one of them (such as a check's local ``fail``) is a verdict branch; a
+    simple statement in a block that ends in either goes with that end; the
+    rest is the rest."""
+    tree = ast.parse(source)
+    builders = {"FAIL", "INCONCLUSIVE"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            returns = [n for n in ast.walk(node) if isinstance(n, ast.Return)]
+            if returns and all(_exit_group(r, builders) for r in returns):
+                builders.add(node.name)
+    groups: dict[int, str] = {}
+    for node in ast.walk(tree):  # outer statements first
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not (isinstance(block, list) and block and isinstance(block[0], ast.stmt)):
+                continue
+            for stmt in block:
+                group = _exit_group(stmt, builders)
+                if group is None and not hasattr(stmt, "body"):
+                    group = _exit_group(block[-1], builders)
+                for line in range(stmt.lineno, stmt.end_lineno + 1):
+                    groups[line] = group or REST
+    return groups
+
+
+def never_executed(executed: dict, stay: dict) -> dict[str, list[tuple[str, int, str]]]:
+    """(file, line, text) of every line of the package's code objects that
+    no line event reached, by group, outside oracles.py and the stay-listed
+    functions.  A code object's first line is left out: it is its ``def``
+    (or decorator), which no line event of its own reaches."""
+    lines: dict[str, set[int]] = {}
+    ran: dict[str, set[int]] = {}
+    for path, qual, code in code_objects():
+        ran.setdefault(path, set()).update(executed.get(_key(code), ()))
+        if path == ORACLES or any(qual == s or qual.startswith(s + ".") for s in stay):
+            continue
+        lines.setdefault(path, set()).update(
+            line for _, _, line in code.co_lines()
+            if line is not None and line != code.co_firstlineno)
+    out: dict[str, list[tuple[str, int, str]]] = {REFUSALS: [], VERDICTS: [], REST: []}
+    for path in sorted(lines):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().splitlines()
+        groups = line_groups("\n".join(text))
+        for line in sorted(lines[path] - ran[path]):
+            out[groups.get(line, REST)].append((path, line, text[line - 1].strip()))
+    return out
+
+
 def main() -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench"),
                     os.path.join(ROOT, "tests")]
     entered: set[tuple[str, int, str]] = set()
+    executed: dict[tuple[str, int, str], set[int]] = {}
+    tracers: dict = {}  # code -> its line tracer, or None outside the line pass
+    traced = {os.path.realpath(path) for path in modules()} - {ORACLES}
+
+    def tracer_for(code):
+        key = _key(code)
+        if key[0] not in traced:
+            return None
+        lines = executed.setdefault(key, set())
+
+        def local(frame, event, _arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return local
+        return local
 
     def hook(frame, event, _arg):
         if event == "call":
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+            try:
+                return tracers[code]
+            except KeyError:
+                tracer = tracers[code] = tracer_for(code)
+                return tracer
+        return None
 
     os.environ["COLUMNS"] = "80"  # the help text wraps at the terminal width
     start = time.perf_counter()
@@ -286,6 +419,13 @@ def main() -> int:
     print(f"{len(stale)} stay-listed but entered (the STAY entry can go):")
     for path, line, qual in stale:
         print(f"  {os.path.relpath(path, src)}:{line} {qual}")
+    unexecuted = never_executed(executed, stay)
+    print(f"{sum(map(len, unexecuted.values()))} code lines never executed, "
+          "outside oracles.py and the stay-listed functions:")
+    for group, found in unexecuted.items():
+        print(f"  {len(found)} {group}:")
+        for path, line, text in found:
+            print(f"    {os.path.relpath(path, src)}:{line} {text}")
     return 1 if problems else 0
 
 
