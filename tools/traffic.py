@@ -369,12 +369,9 @@ def main() -> int:
         if event == "call":
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno, code.co_name))
-            try:
-                return tracers[code]
-            except KeyError:
-                tracer = tracers[code] = tracer_for(code)
-                return tracer
-        return None
+            if code not in tracers:
+                tracers[code] = tracer_for(code)
+            return tracers[code]
 
     os.environ["COLUMNS"] = "80"  # the help text wraps at the terminal width
     start = time.perf_counter()
