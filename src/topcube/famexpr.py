@@ -64,7 +64,9 @@ class _Meets:
 
     Every generator is periodic from `start` with a period dividing `period`,
     so each meet is one integer of start + period bits.  With `bounds` the
-    words 0 and all-ones stand in for the empty set and the naturals.
+    words 0 and all-ones stand in for the empty set and the naturals.  They
+    join after the generators are closed: 0 absorbs every AND and all-ones
+    leaves it unchanged, so the closure never ANDs a generator with them.
     """
 
     def __init__(self, gens: tuple[UPSet, ...], *, bounds: bool = False):
@@ -72,8 +74,10 @@ class _Meets:
         for g in gens:
             start, period, width = _window(start, period, g._pre_len, g._per_len)
         self.start, self.period = start, period
-        pool = {0, (1 << width) - 1} if bounds else set()
-        self.words = tuple(meet_closure(pool, [g._word(width) for g in gens]))
+        words = meet_closure(set(), [g._word(width) for g in gens])
+        if bounds:
+            words |= {0, (1 << width) - 1}
+        self.words = tuple(words)
 
     def below(self, a: UPSet) -> tuple[int, int, int, int, bool]:
         """(start, period, word of a, union of the meets below a, whether any is).
@@ -91,7 +95,7 @@ class _Meets:
         x = a._word(width)
         union, hit = 0, False
         for m in words:
-            if m & ~x == 0:
+            if m & x == m:
                 union |= m
                 hit = True
         return start, period, x, union, hit
@@ -201,7 +205,7 @@ class NearDown(FamExpr):
     def contains(self, a: UPSet) -> bool:
         # the part of a outside core is finite when the aligned period is clear
         start, _, x, y = a._aligned(self.core)
-        return (x & ~y) >> start == 0
+        return (x ^ (x & y)) >> start == 0
 
     def union_below(self, w: UPSet) -> UPSet:
         # every singleton drawn from w is a member, so the union is w itself
@@ -272,7 +276,7 @@ class LatGenSing(FamExpr):
         if a.is_empty:
             return False
         start, _, x, union, _ = self._meets.below(a)
-        return (x & ~union) >> start == 0
+        return (x ^ union) >> start == 0  # union is inside x
 
     def union_below(self, w: UPSet) -> UPSet:
         return w
@@ -347,7 +351,7 @@ class ChainInitials(FamExpr):
         # the segments below w are those ending before the first member of
         # enum that w misses, so their union is enum cut at that member
         _, _, x, y = self.enum._aligned(w)
-        missed = x & ~y
+        missed = x ^ (x & y)
         if not missed:
             return out | self.enum
         return out | UPSet._finite(x & ((missed & -missed) - 1))

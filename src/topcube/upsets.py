@@ -16,8 +16,10 @@ lengths, and on it each set is a single integer, its period block repeated
 above its preperiod.  A block is repeated by doubling: OR the word with
 itself shifted by its current length until it is wide enough, then cut it
 to the window, so a k-bit block fills w bits in about log2(w/k) shifts and
-no division.  An intersection, union or difference is then one integer
-operation on the two words, and ``a <= b`` is ``a & ~b == 0``.
+no division.  On the two words x and y, an intersection or union is then
+one integer operation, a difference is ``x ^ (x & y)`` and ``a <= b`` is
+``x & y == x``: neither builds ``~y``, which for a Python integer is a
+negative one as wide as the word, so ``x & ~y`` costs about twice as much.
 ``_window`` caps the window at ``MAX_WINDOW_BITS``: aligning two sets
 whose window would be wider raises ``ValueError`` before any such word is
 built.  ``famexpr`` windows its generator meets through the same routine.
@@ -127,17 +129,25 @@ def _canonical(pre_len: int, pre: int, per_len: int, per: int) -> tuple[int, int
         # The rotations fixing the period form a subgroup of Z_per_len,
         # generated by its shortest period d, which divides per_len; so
         # dividing per_len by each prime factor while the quotient still
-        # fixes the word ends at d.
+        # fixes the word ends at d.  For s dividing the length L, rotating
+        # by s fixes the word exactly when the word shifted down by s equals
+        # its low L - s bits, a test that builds no rotated word.
         length = per_len
         for p in _prime_factors(length):
-            while per_len % p == 0 and _rotate(per, length, per_len // p) == per:
-                per_len //= p
+            while per_len % p == 0 and (per >> (s := per_len // p)
+                                        == per & ((1 << (length - s)) - 1)):
+                per_len = s
         per &= (1 << per_len) - 1
     if pre_len:
         # The preperiod's top bits that agree with the period continued
         # backwards are redundant: drop them and rotate the period to start
-        # where the shorter preperiod now ends.
-        behind = _repeat(_rotate(per, per_len, pre_len), per_len, pre_len)
+        # where the shorter preperiod now ends.  Continued backwards over a
+        # preperiod no longer than the period, the period is its own top
+        # pre_len bits; a longer preperiod needs the rotated period repeated.
+        if pre_len <= per_len:
+            behind = per >> (per_len - pre_len)
+        else:
+            behind = _repeat(_rotate(per, per_len, pre_len), per_len, pre_len)
         keep = (pre ^ behind).bit_length()
         if keep < pre_len:
             per = _rotate(per, per_len, pre_len - keep)
@@ -169,16 +179,21 @@ class UPSet:
             _require_point(self._pre_len - 1)  # canonical: the top preperiod bit is set
 
     def _store(self, pre_len: int, pre: int, per_len: int, per: int) -> None:
-        object.__setattr__(self, "_pre_len", pre_len)
-        object.__setattr__(self, "_pre", pre)
-        object.__setattr__(self, "_per_len", per_len)
-        object.__setattr__(self, "_per", per)
+        # the slots' own setters, which __setattr__ does not intercept: about
+        # half the cost of object.__setattr__ looking each slot up by name
+        _set_pre_len(self, pre_len)
+        _set_pre(self, pre)
+        _set_per_len(self, per_len)
+        _set_per(self, per)
 
     @classmethod
     def _raw(cls, pre_len: int, pre: int, per_len: int, per: int) -> "UPSet":
         """The value with these segments, which must already be canonical."""
         out = object.__new__(cls)
-        out._store(pre_len, pre, per_len, per)
+        _set_pre_len(out, pre_len)  # as in _store, without a method call
+        _set_pre(out, pre)
+        _set_per_len(out, per_len)
+        _set_per(out, per)
         return out
 
     @classmethod
@@ -306,7 +321,7 @@ class UPSet:
 
     def __sub__(self, other: "UPSet") -> "UPSet":
         start, period, x, y = self._aligned(other)
-        return UPSet._split(start, period, x & ~y)
+        return UPSet._split(start, period, x ^ (x & y))
 
     def __invert__(self) -> "UPSet":
         # flipping every bit keeps the period primitive and the last
@@ -316,7 +331,7 @@ class UPSet:
 
     def __le__(self, other: "UPSet") -> bool:
         _, _, x, y = self._aligned(other)
-        return (x & ~y) == 0
+        return x & y == x
 
     # -- value semantics -----------------------------------------------------
 
@@ -332,7 +347,7 @@ class UPSet:
             return self._hash
         except AttributeError:
             h = hash((self._pre_len, self._pre, self._per_len, self._per))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
     def __repr__(self) -> str:
@@ -365,3 +380,10 @@ class UPSet:
         ):
             raise ValueError(f"expected {{'pre':…,'period':…}} bit strings, got {data!r}")
         return cls(data["pre"], data["period"])
+
+
+# the slots' own descriptor setters, bound once: the only writers of a
+# value's slots, which UPSet.__setattr__ refuses to all else
+_set_pre_len, _set_pre = UPSet._pre_len.__set__, UPSet._pre.__set__
+_set_per_len, _set_per = UPSet._per_len.__set__, UPSet._per.__set__
+_set_hash = UPSet._hash.__set__

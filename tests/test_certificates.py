@@ -746,7 +746,12 @@ def test_limit_vs_union_disagrees_at_the_new_set():
 
 def test_limit_vs_union_agreement():
     _, union, _ = initials_chain({"enum": EVENS.to_json()})
-    assert limit_vs_union_check(union, union, [ODDS, NATS]).passed
+    report = limit_vs_union_check(union, union, [ODDS, NATS])
+    assert report.passed and report.witness is None
+    assert report.notes == ["limit and union agree on the whole probe pool"]
+    # ODDS and NATS, then the union's probes less NATS again: EVENS, the
+    # empty set and the first eight initial segments
+    assert report.params == {"coords": 12}
 
 
 def test_limit_vs_union_on_an_empty_pool_is_inconclusive():

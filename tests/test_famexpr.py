@@ -430,6 +430,27 @@ def test_meets_rewindow_like_the_word_of_each_meet():
     assert rewindowed == 4  # a preperiod past 2 bits, or a period not dividing 3600
 
 
+def test_bounds_join_the_meets_after_the_closure():
+    rng = random.Random(29)
+    word = lambda n: "".join(rng.choice("01") for _ in range(n))  # noqa: E731
+    for count in range(1, 6):
+        gens = tuple(dict.fromkeys(UPSet(word(rng.randint(0, 4)), word(rng.randint(1, 12)))
+                                   for _ in range(count)))
+        gens += (NATS,) if count == 3 else ()
+        meets = _Meets(gens, bounds=True)
+        width = meets.start + meets.period
+        # every meet of a nonempty subcollection, by brute force
+        subset_meets = set()
+        for r in range(1, len(gens) + 1):
+            for combo in combinations(gens, r):
+                m = (1 << width) - 1
+                for g in combo:
+                    m &= g._word(width)
+                subset_meets.add(m)
+        assert set(_Meets(gens).words) == subset_meets
+        assert set(meets.words) == subset_meets | {0, (1 << width) - 1}
+
+
 def test_near_down_matches_the_finite_difference():
     rng = random.Random(18)
     word = lambda n: "".join(rng.choice("01") for _ in range(n))  # noqa: E731

@@ -361,6 +361,59 @@ def test_long_periods_match_the_per_bit_reference(seed):
         assert (s <= t) == (meet == _ref_canonical(*x))
 
 
+def _continued_backwards(period: str, t: int) -> str:
+    """The t bits just before the period's start, were it continued backwards."""
+    return "".join(period[(i - t) % len(period)] for i in range(t))
+
+
+def _repeated_block_spellings(k: int):
+    """Periods that are a block repeated k times: a short block, a power of a
+    shorter word, and a 32-bit block (36 bits at k = 100, so 864 and 3,600
+    bits occur).  Each period comes after a preperiod shorter than it and
+    after one longer than it, each ending in a run that the period continued
+    backwards repeats, which canonical form folds away."""
+    rng = random.Random(k)
+    word = lambda n: "".join(rng.choice("01") for _ in range(n))  # noqa: E731
+    blocks = (word(rng.choice((1, 3, 5, 7))), word(rng.randint(2, 6)) * rng.choice((2, 3, 4)),
+              word(36 if k == 100 else 32))
+    for block in blocks:
+        period = block * k
+        for pre_len in (rng.randint(0, len(period) - 1), len(period) + rng.randint(1, 40)):
+            t = rng.randint(0, pre_len)
+            yield word(pre_len - t) + _continued_backwards(period, t), period
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 9, 27, 32, 100])
+def test_repeated_block_periods_match_the_per_bit_reference(k):
+    ops = (
+        (operator.and_, lambda a, b: a and b),
+        (operator.or_, lambda a, b: a or b),
+        (operator.sub, lambda a, b: a and not b),
+    )
+    rng = random.Random(-k)
+    sides = set()  # whether the preperiod is longer than the period
+    for x in _repeated_block_spellings(k):
+        s = UPSet(*x)
+        assert (s.pre, s.period) == _ref_canonical(*x), x
+        sides.add(len(x[0]) > len(x[1]))
+        # partners on the same window: another block of the period's length
+        # repeated as often, and s's own period with one block replaced, so
+        # results fold back to short periods or stay long
+        block_len = len(x[1]) // k
+        other = "".join(rng.choice("01") for _ in range(block_len))
+        cut = rng.randrange(k) * block_len
+        for y in ((x[0][: len(x[0]) // 2], other * k),
+                  (x[0], x[1][:cut] + other + x[1][cut + block_len:])):
+            t = UPSet(*y)
+            for op, bit_op in ops:
+                got = op(s, t)
+                assert (got.pre, got.period) == _ref_combine(x, y, bit_op), (x, y, op)
+            for a, b, u, v in ((x, y, s, t), (y, x, t, s)):
+                assert (u <= v) == (_ref_combine(a, b, lambda p, q: p and q)
+                                    == _ref_canonical(*a))
+    assert sides == {False, True}
+
+
 def test_window_cap_refuses_wide_alignments():
     # coprime periods of 1031 and 1033 bits align on 1,065,023 bits
     a = UPSet("", "1" + "0" * 1030)

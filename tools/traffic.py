@@ -2,13 +2,15 @@
 
 The traffic is what the project promises to keep working:
 
-- 87 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
+- 88 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
   ``verify`` check at ``--n 1..4``, with and without ``--seed 7``; both
   fixtured checks; every demo; ``demo initials-chain --coords FILE``, FILE
-  holding the packaged fixture's completion coordinates; and four that do
-  not pass: ``demo initials-chain`` and ``demo powerset-chain`` given an
-  empty coordinate list, ``demo initials-chain --bound 2`` (each exit 3),
-  and ``demo join-gap`` on a tampered fixture given by path (exit 1);
+  holding the packaged fixture's completion coordinates; ``demo
+  initials-chain --fixture FILE`` on a set whose preperiod is 1,140 bits
+  long (exit 0); and four that do not pass: ``demo initials-chain`` and
+  ``demo powerset-chain`` given an empty coordinate list, ``demo
+  initials-chain --bound 2`` (each exit 3), and ``demo join-gap`` on a
+  tampered fixture given by path (exit 1);
 - 11 CLI argv that argparse ends: the root's and each verb's ``--help``,
   and seven command lines it refuses;
 - one round of each workload in ``bench/workloads.py`` (seed 1);
@@ -39,16 +41,23 @@ stdout, stderr and ``--json`` bytes, with the times a report carries
 zeroed, the scratch directory masked and ``COLUMNS=80``.  Two checkouts
 whose CLI behaves byte for byte alike print the same digest line.
 
+The same outcomes, one entry per CLI argv, are pinned in
+``tests/golden/cli_outcomes.json``, which ``tests/test_cli_outcomes.py``
+compares field by field (``cli_outcomes``).  A change that alters an
+outcome on purpose rewrites the golden with ``--write-golden``, which runs
+the CLI argv alone, writes the file, prints the digest line and exits.
+
 Run from the root of a source checkout, with the standard library only:
 
-    python tools/traffic.py
+    python tools/traffic.py [--write-golden]
 
-It takes about half a minute on a 2-vCPU host, and it is not part of the
-test suite.
+The whole traffic takes about half a minute on a 2-vCPU host, and it is
+not part of the test suite.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -65,6 +74,7 @@ import tokenize
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "topcube")
 ORACLES = os.path.realpath(os.path.join(PACKAGE, "oracles.py"))
+GOLDEN = os.path.join(ROOT, "tests", "golden", "cli_outcomes.json")
 
 # the groups of the line pass
 REFUSALS = "refusals (raise)"
@@ -153,11 +163,26 @@ TAMPERED_JOIN_GAP = {"gens": [{"pre": "0", "period": "1"}],
                      "candidate": {"pre": "0", "period": "1"}, "sample_points": [1, 2]}
 
 
+# an initials-chain fixture whose enumerated set has a 1,140-bit preperiod
+# (members 0-7 and 1,139, then every second point), so that building its 64
+# stages lists that preperiod past its first 1,024 bits; its coordinates are
+# segments and sets the stages settle, so the demo passes (exit 0)
+_LONG_PRE = "1" * 8 + "0" * 1131 + "1"
+_C0, _C3, _C5 = ({"pre": "1" * (m + 1), "period": "0"} for m in (0, 3, 5))  # segments
+_ODDS, _NATS = {"pre": "", "period": "01"}, {"pre": "", "period": "1"}
+LONG_PREPERIOD_CHAIN = {
+    "builder": "initials", "enum": {"pre": _LONG_PRE, "period": "10"},
+    "convergence_coords": [_C0, _C5, _ODDS], "limit_point_coords": [_C3, _ODDS, _NATS],
+    "completion_coords": [_C5, _ODDS, _NATS],
+    "expected_unresolved": [{"pre": _LONG_PRE, "period": "10"}], "depth": 16, "bound": 64}
+
+
 def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
     """The CLI argv of the traffic, without ``--json``; the files they name
-    are those ``run_traffic`` writes into `scratch`."""
-    coords, empty, tampered = (os.path.join(scratch, name)
-                               for name in ("coords.json", "empty.json", "tampered.json"))
+    are those ``cli_outcomes`` writes into `scratch`."""
+    coords, empty, tampered, long_pre = (
+        os.path.join(scratch, name)
+        for name in ("coords.json", "empty.json", "tampered.json", "long-preperiod.json"))
     argv = [["count", "--n", str(n)] for n in range(1, 5)]
     for name in checks:
         for n in range(1, 5):
@@ -167,6 +192,7 @@ def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
     argv.append(["verify", "disjoint-closure", "--fixture", "disjoint-pair"])
     argv += [["demo", name] for name in sorted(demos)]
     argv.append(["demo", "initials-chain", "--coords", coords])
+    argv.append(["demo", "initials-chain", "--fixture", long_pre])
     # inconclusive (exit 3) three ways, then a refutation (exit 1)
     argv += [["demo", "initials-chain", "--coords", empty],
              ["demo", "powerset-chain", "--coords", empty],
@@ -201,24 +227,39 @@ def cli_outcome(main, argv: list[str], report: str) -> list:
     return [argv, code, _RENDERED_MS.sub("(0 ms)", out.getvalue()), err.getvalue(), written]
 
 
-def run_traffic(scratch: str) -> tuple[list[str], str]:
-    """Run the traffic once; return a line per workload job that came out
-    wrong, and the digest line of the CLI outcomes."""
+# the fields of a golden entry, in cli_outcome's order
+FIELDS = ("argv", "exit", "stdout", "stderr", "report")
+
+
+def cli_outcomes(scratch: str) -> tuple[list[dict], str]:
+    """Run every CLI argv of the traffic, with the files they name written
+    into `scratch`; return each outcome as a dict of ``FIELDS`` with
+    `scratch` masked as ``SCRATCH``, and the digest line of them all.  The
+    help text wraps at the terminal width, so the caller sets ``COLUMNS``."""
     from topcube import cli
 
-    problems = []
-    sink = io.StringIO()
     files = {"coords.json": cli.load_fixture("initials-chain")["completion_coords"],
-             "empty.json": [], "tampered.json": TAMPERED_JOIN_GAP}
+             "empty.json": [], "tampered.json": TAMPERED_JOIN_GAP,
+             "long-preperiod.json": LONG_PREPERIOD_CHAIN}
     for name, value in files.items():
         with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
             json.dump(value, fh)
     report = os.path.join(scratch, "report.json")
     argvs = [argv + ["--json", report] for argv in cli_argv(cli.CHECKS, cli.DEMOS, scratch)]
     argvs += [list(argv) for argv in ENDED_BY_ARGPARSE]
-    outcomes = json.dumps([cli_outcome(cli.main, argv, report) for argv in argvs])
-    digest = hashlib.sha256(outcomes.replace(scratch, "SCRATCH").encode()).hexdigest()
-    digest_line = f"CLI outcomes of {len(argvs)} argv: sha256 {digest[:16]}"
+    masked = json.dumps([cli_outcome(cli.main, argv, report) for argv in argvs]).replace(
+        scratch, "SCRATCH")
+    digest = hashlib.sha256(masked.encode()).hexdigest()
+    return ([dict(zip(FIELDS, outcome)) for outcome in json.loads(masked)],
+            f"CLI outcomes of {len(argvs)} argv: sha256 {digest[:16]}")
+
+
+def run_traffic(scratch: str) -> tuple[list[str], str]:
+    """Run the traffic once; return a line per workload job that came out
+    wrong, and the digest line of the CLI outcomes."""
+    problems = []
+    sink = io.StringIO()
+    _, digest_line = cli_outcomes(scratch)
 
     import workloads
 
@@ -345,9 +386,23 @@ def never_executed(executed: dict, stay: dict) -> dict[str, list[tuple[str, int,
     return out
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write-golden", action="store_true",
+                        help=f"rewrite {os.path.relpath(GOLDEN, ROOT)} from this checkout's "
+                             "CLI, print the digest line and exit")
+    args = parser.parse_args(argv)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench"),
                     os.path.join(ROOT, "tests")]
+    os.environ["COLUMNS"] = "80"  # the help text wraps at the terminal width
+    if args.write_golden:
+        with tempfile.TemporaryDirectory() as scratch:
+            outcomes, digest_line = cli_outcomes(scratch)
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            json.dump(outcomes, fh, indent=1)
+            fh.write("\n")
+        print(digest_line)
+        return 0
     entered: set[tuple[str, int, str]] = set()
     executed: dict[tuple[str, int, str], set[int]] = {}
     tracers: dict = {}  # code -> its line tracer, or None outside the line pass
@@ -373,7 +428,6 @@ def main() -> int:
                 tracers[code] = tracer_for(code)
             return tracers[code]
 
-    os.environ["COLUMNS"] = "80"  # the help text wraps at the terminal width
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
         sys.settrace(hook)
