@@ -166,15 +166,16 @@ TAMPERED_JOIN_GAP = {"gens": [{"pre": "0", "period": "1"}],
 # an initials-chain fixture whose enumerated set has a 1,140-bit preperiod
 # (members 0-7 and 1,139, then every second point), so that building its 64
 # stages lists that preperiod past its first 1,024 bits; its coordinates are
-# segments and sets the stages settle, so the demo passes (exit 0)
-_LONG_PRE = "1" * 8 + "0" * 1131 + "1"
+# segments and sets the stages settle, and the one set no stage reaches is
+# the enumerated set itself, so the demo passes (exit 0)
+_LONG_ENUM = {"pre": "1" * 8 + "0" * 1131 + "1", "period": "10"}
 _C0, _C3, _C5 = ({"pre": "1" * (m + 1), "period": "0"} for m in (0, 3, 5))  # segments
 _ODDS, _NATS = {"pre": "", "period": "01"}, {"pre": "", "period": "1"}
 LONG_PREPERIOD_CHAIN = {
-    "builder": "initials", "enum": {"pre": _LONG_PRE, "period": "10"},
+    "builder": "initials", "enum": _LONG_ENUM,
     "convergence_coords": [_C0, _C5, _ODDS], "limit_point_coords": [_C3, _ODDS, _NATS],
-    "completion_coords": [_C5, _ODDS, _NATS],
-    "expected_unresolved": [{"pre": _LONG_PRE, "period": "10"}], "depth": 16, "bound": 64}
+    "completion_coords": [_C5, _ODDS, _NATS], "expected_unresolved": [_LONG_ENUM],
+    "depth": 16, "bound": 64}
 
 
 def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
