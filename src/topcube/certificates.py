@@ -9,7 +9,10 @@ topologies plus the trivial one), solves them as clopen words on the
 cylinder their unit clauses leave free, checks the two evaluation routes
 for order intervals against each other (the families above and below x as
 carry-free products, and as ANDs of projection words), and provides sampled
-limit-point and convergence probes for symbolic families.
+limit-point and convergence probes for symbolic families.  The interval
+check keeps no route words: it records the elements at which both routes
+agree on the whole cube, one set per n and pair of route functions, and a
+sublattice made only of recorded elements passes with one superset test.
 
 The chosen atoms {empty, m, everything} are themselves a pairwise-disjoint
 batch in which each topology has one proper open, so the atom certificate
@@ -50,11 +53,10 @@ empty stage list (depth below 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations, islice
 
 from .cube import (
-    ROUTE_CACHE_SIZE,
     GroundSet,
     _literal_words,
     cube_word,
@@ -293,7 +295,6 @@ def _subcube(y: int) -> int:
     return word
 
 
-@lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _order_route(n: int, x: int) -> tuple[int, int]:
     """(up, down): the cube words of the families above and below x, by arithmetic.
 
@@ -309,6 +310,16 @@ def _order_route(n: int, x: int) -> tuple[int, int]:
 # ``cube.interval_words``.
 _cond_route = interval_words
 
+# The elements at which both routes agree on the whole cube, one set per
+# (n, order route, condition route): agreement on the cube holds on every
+# member word.  The key holds the route functions, so a replaced route
+# starts from an empty set.  At most 2^(2^n) small ints, and no words.
+_AGREED: dict[tuple, set[int]] = {}
+
+
+def _agreed(n: int) -> set[int]:
+    return _AGREED.setdefault((n, _order_route, _cond_route), set())
+
 
 def _interval_mismatch(n: int, members: int, elements) -> dict | None:
     """The first disagreement between the order and condition routes.
@@ -318,13 +329,23 @@ def _interval_mismatch(n: int, members: int, elements) -> dict | None:
     set that x contains, and the members below x exactly those omitting
     every set that x omits.  The two routes share no code: one builds the
     subcube below a word by carry-free products, the other ANDs projection
-    words.  One AND per element tests both sides; which side differs is
-    worked out only where that test finds a difference.
+    words.  An element already known to agree on the whole cube is
+    skipped; otherwise both routes are built, and an element whose route
+    difference is zero on the whole cube is recorded as agreed.  One AND
+    per element tests a nonzero difference against the members; which side
+    differs is worked out only where that test finds a difference, and a
+    difference that lies only outside the members passes unrecorded.
     """
+    agreed = _agreed(n)
     for x in elements:
+        if x in agreed:
+            continue
         up_order, down_order = _order_route(n, x)
         up_cond, down_cond = _cond_route(n, x)
-        if ((up_order ^ up_cond) | (down_order ^ down_cond)) & members:
+        differ = (up_order ^ up_cond) | (down_order ^ down_cond)
+        if not differ:
+            agreed.add(x)
+        elif differ & members:
             side, diff = "up", (up_order ^ up_cond) & members
             if not diff:
                 side, diff = "down", (down_order ^ down_cond) & members
@@ -335,8 +356,12 @@ def _interval_mismatch(n: int, members: int, elements) -> dict | None:
 def _sublattice_mismatch(n: int, words) -> tuple[int, dict | None]:
     """Close nonempty family words of n points into their sublattice and
     compare both routes at every member, in increasing order: the member
-    count and the first disagreement, or None."""
-    members = sorted(_generated(words))
+    count and the first disagreement, or None.  A sublattice whose members
+    are all agreed elements passes without a member word."""
+    members = _generated(words)
+    if _agreed(n).issuperset(members):
+        return len(members), None
+    members = sorted(members)
     member_word = 0
     for w in members:
         member_word |= 1 << w
@@ -369,7 +394,10 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3) -> Report:
     are materialized and put through the literal per-element check on their
     own member word: exhaustively for the smaller generator counts, and at
     INTERVAL_SWEEP_STRIDE through the top layer when the cube is large
-    enough to need it.  Tier two enumerates generator tuples of the cube,
+    enough to need it.  Tier one records every cube element as one where
+    both routes agree, and tier two's per-member test reads that record, so
+    tier two cannot fail once tier one has passed; it still materializes
+    every sublattice.  Tier two enumerates generator tuples of the cube,
     so the ground set is capped at INTERVAL_SWEEP_MAX_N points.  Its tuples
     are words it built itself, so it checks them without a report each,
     and reports a failing tuple as ``interval_identity_all`` does.

@@ -1,6 +1,7 @@
 """Subbasic certificates, interval identities, and sampled convergence probes."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -29,7 +30,7 @@ from topcube import (
     sequence_convergence_check,
 )
 from topcube import certificates
-from topcube.lattice import _settle
+from topcube.lattice import _settle, close_words
 from topcube.demos import initials_chain, growing_core_chain, nested_initial_chain
 
 U2 = GroundSet(2)
@@ -484,6 +485,67 @@ def test_interval_identity_reads_route_differences_on_members_only(monkeypatch):
     assert report.witness == {
         "element": 0, "side": "down", "difference_words": [0], "scope": "whole cube",
     }
+
+
+def test_a_route_replaced_after_a_pass_is_not_read_through_the_agreed_elements(monkeypatch):
+    assert interval_identity_all(U2, [9, 11, 13, 15]).passed
+    assert {9, 11, 13, 15} <= certificates._agreed(2)
+    real = certificates._order_route
+    monkeypatch.setattr(certificates, "_order_route",
+                        lambda n, x: (real(n, x)[0] & ~(1 << x), real(n, x)[1]))
+    report = interval_identity_all(U2, [9, 11, 13, 15])
+    assert report.verdict == "fail"
+    assert report.witness == {"element": 9, "side": "up", "difference_words": [9]}
+
+
+def _literal_interval_identity(n, gens, order, cond):
+    # both routes at each member in increasing order, the difference ANDed
+    # with the member word: (verdict, params, notes, witness)
+    words = sorted(set(gens))
+    members = sorted(close_words(words))
+    member_word = sum(1 << w for w in members)
+    params = {"n": n, "gens": words, "sublattice": len(members)}
+    for x in members:
+        (up_order, down_order), (up_cond, down_cond) = order(n, x), cond(n, x)
+        for side, difference in (("up", up_order ^ up_cond), ("down", down_order ^ down_cond)):
+            if difference & member_word:
+                hit = [w for w in members if (difference >> w) & 1][:8]
+                return "fail", params, [], {"element": x, "side": side, "difference_words": hit}
+    return "pass", params, [f"{len(members)} elements, both sides agree"], None
+
+
+def _route_dropping_bits(real):
+    # differs from ``real`` at some elements only: up loses word 3x mod 2^(2^n)
+    # at x = 0 mod 3, down loses word 0 at x = 1 mod 5, the rest agree
+    def route(n, x):
+        up, down = real(n, x)
+        if x % 3 == 0:
+            up &= ~(1 << (3 * x % (1 << (1 << n))))
+        if x % 5 == 1:
+            down &= ~1
+        return up, down
+    return route
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_interval_identity_matches_a_literal_reference(monkeypatch, broken):
+    # the agreed elements start empty and fill as the tuples run, so later
+    # tuples take the superset test; every report equals the reference
+    monkeypatch.setattr(certificates, "_AGREED", {})
+    if broken:
+        monkeypatch.setattr(certificates, "_cond_route",
+                            _route_dropping_bits(certificates._cond_route))
+    rng = random.Random(30)
+    cases = [(U2, combo) for r in (1, 2, 3) for combo in combinations(range(16), r)]
+    cases += [(U3, [rng.randrange(256) for _ in range(rng.randint(1, 4))]) for _ in range(300)]
+    verdicts = set()
+    for universe, gens in cases:
+        report = interval_identity_all(universe, gens)
+        expected = _literal_interval_identity(universe.n, gens, certificates._order_route,
+                                              certificates._cond_route)
+        assert (report.verdict, report.params, report.notes, report.witness) == expected, gens
+        verdicts.add(report.verdict)
+    assert verdicts == ({"pass", "fail"} if broken else {"pass"})
 
 
 def test_interval_identity_rejects_a_family_of_another_ground_set():
