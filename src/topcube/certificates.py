@@ -306,7 +306,7 @@ def _order_route(n: int, x: int) -> tuple[int, int]:
 
 # (up, down): the same two words, by the subbasic conditions.  Up is
 # "contains every set in x", the AND of HAS[a] over a in x; down is "omits
-# every set outside x", the AND of LACKS[a] over the rest, memoised in
+# every set outside x", the AND of LACKS[a] over the rest, from
 # ``cube.interval_words``.
 _cond_route = interval_words
 
@@ -446,9 +446,10 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     A candidate c counts as distinct from x when some set in the pool
     separates them: x contains it and c does not, or the other way round.
     The pool is the coordinates, then x's ``probe_sets(depth + 1)``, then
-    c's, each set asked once in that order.  Its first two parts do not
-    depend on the candidate, so they are built once per check, and x's
-    membership of each pooled set is decided once.
+    c's, each set asked once in that order; so x and the candidates are
+    kinds that carry ``probe_sets``, Explicit or ChainInitials.  Its first
+    two parts do not depend on the candidate, so they are built once per
+    check, and x's membership of each pooled set is decided once.
     """
     coords = list(coords)
     if len(coords) > MAX_PATTERN_COORDS:
@@ -531,7 +532,8 @@ def limit_vs_union_check(limit: FamExpr, union: FamExpr, coords) -> Report:
     """Where a declared limit and the plain union of stages disagree.
 
     The pool is the given coordinates plus both expressions' structural
-    probes.  Agreement everywhere is a pass; any disagreement is reported
+    probes, ``probe_sets``, so both are Explicit or ChainInitials.
+    Agreement everywhere is a pass; any disagreement is reported
     coordinate by coordinate, which is how a limit picking up a set that no
     finite stage reaches gets surfaced.  Its work count is the pool's size,
     ``coords`` (the vacuous-pass rule of ``report.Stopwatch``).
@@ -567,8 +569,9 @@ def ordinal_homeo_check(stage, top: FamExpr, coords=(), depth: int = 16) -> Repo
     ones.  The stages are walked before any verdict, so a coordinate dropped
     anywhere within the depth raises, as does a depth below 1.  Its work
     count is the pool's size, ``coords`` (the vacuous-pass rule of
-    ``report.Stopwatch``).  Whether the top is the plain union of its
-    stages is ``limit_vs_union_check``'s question.
+    ``report.Stopwatch``).  The pool adds the top's ``probe_sets(depth)``,
+    so the top is an Explicit or a ChainInitials.  Whether the top is the
+    plain union of its stages is ``limit_vs_union_check``'s question.
     """
     coords = list(dict.fromkeys(list(coords) + top.probe_sets(depth)))
     timer = Stopwatch("ordinal-ladder", {"coords": len(coords), "depth": depth}, work="coords")

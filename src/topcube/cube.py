@@ -33,13 +33,12 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import compress
 from typing import Iterable
 
 MAX_POINTS = 5          # individual values stay small
 MAX_SWEEP_POINTS = 4    # a clopen word has 2^(2^n) bits: 65,536 at n=4
-ROUTE_CACHE_SIZE = 1024  # interval_words pairs memoised: all 256 at n=3, 16 MB at n=4
 _BIG_ENDIAN = sys.byteorder == "big"  # set_bits reads its limbs little-endian
 
 
@@ -203,16 +202,15 @@ def add_point(word: int, n: int, x: int) -> int:
     return out
 
 
-@lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def interval_words(n: int, x: int) -> tuple[int, int]:
     """The families above and below family word x on n points, as clopen
     words (n <= 4 only).
 
     A family is above x when it contains every set in x: the AND over a in x
     of HAS[a].  It is below x when it omits every set outside x: the AND over
-    a not in x of LACKS[a].  Memoised on (n, x) for
-    ``lattice.relations_set``; the interval-identity check reads each pair
-    until it has recorded x as an element where both routes agree.
+    a not in x of LACKS[a].  Not memoised: the interval-identity check asks
+    for each x once per process, since it records x as an element where
+    both routes agree.
     """
     up = down = cube_word(GroundSet(n))
     has, lacks = _literal_words(1 << n)

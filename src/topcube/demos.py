@@ -125,13 +125,17 @@ def demo_chain_union(fix: dict) -> Report:
     that witness on every stage being clean.  Fewer than two coordinates
     give no probe pair, and the demo is inconclusive.
     """
-    stage, union = _CHAIN_BUILDERS[fix["builder"]](fix)
+    builder = fix["builder"]
+    if type(builder) is not str or builder not in _CHAIN_BUILDERS:
+        raise ValueError(f"fixture 'builder' must be one of {', '.join(_CHAIN_BUILDERS)}, "
+                         f"got {builder!r}")
+    stage, union = _CHAIN_BUILDERS[builder](fix)
     coords = _upsets(fix["coords"])
     pairs = list(combinations(coords, 2))
     depth = _stages(fix, "depth", 6)
     expected = UPSet.from_json(fix["expected_witness"])
     timer = Stopwatch(
-        "chain-union-demo", {"builder": fix["builder"], "depth": depth, "coords": len(coords)}
+        "chain-union-demo", {"builder": builder, "depth": depth, "coords": len(coords)}
     )
 
     dirty = [m for m in range(depth) if fam_is_topology_sym(stage(m), pairs).verdict == FAIL]

@@ -38,6 +38,14 @@ statement of the window and of its MAX_WINDOW_BITS cap, which aligns two
 UPSets too: generators whose joint window is wider are refused with
 ValueError at construction, and so is a candidate whose window with the
 generators is wider, at the query.
+
+Every kind carries ``contains`` and ``to_json`` (which ``repr`` reads).  The
+probes carry only where a demo's check asks for them: ``union_below``, which
+``fam_is_topology_sym`` asks of the powerset-chain stages and their union,
+on Explicit, DownPow, NearDown and UnionFam; ``probe_sets``, which the
+limit-point, ladder and limit-vs-union checks ask of the initials-chain
+stages, union and top, on Explicit and ChainInitials.  Any other kind
+given to those checks raises AttributeError.
 """
 
 from __future__ import annotations
@@ -100,19 +108,6 @@ class _Meets:
                 hit = True
         return start, period, x, union, hit
 
-    def union_below(self, w: UPSet) -> UPSet:
-        start, period, _, union, _ = self.below(w)
-        return UPSet._split(start, period, union)
-
-
-def _nudges(s: UPSet) -> list[UPSet]:
-    """Sets just off s: the first outside point alone and adjoined to s."""
-    outside = ~s
-    if outside.is_empty:
-        return []
-    first = UPSet.singleton(outside.first_members(1)[0])
-    return [first, s | first]
-
 
 def _check_gens(gens, *, nonempty: bool) -> tuple[UPSet, ...]:
     gens = tuple(gens)
@@ -126,26 +121,7 @@ def _check_gens(gens, *, nonempty: bool) -> tuple[UPSet, ...]:
 
 
 class FamExpr:
-    """Base class; subclasses implement the membership semantics."""
-
-    def contains(self, a: UPSet) -> bool:
-        raise NotImplementedError
-
-    def union_below(self, w: UPSet) -> UPSet:
-        """The union of all members that are subsets of w.
-
-        Always a finite union of UPSets, hence itself an UPSet.  Any family
-        closed under arbitrary unions must contain it, which is what the
-        topology probe exploits.
-        """
-        raise NotImplementedError
-
-    def probe_sets(self, cap: int = 8):
-        """Structurally suggested coordinates, used to tell expressions apart."""
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    """Base class; each kind defines ``contains`` and ``to_json``."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json()})"
@@ -189,9 +165,6 @@ class DownPow(FamExpr):
     def union_below(self, w: UPSet) -> UPSet:
         return self.bound & w
 
-    def probe_sets(self, cap: int = 8):
-        return [_EMPTY, self.bound, _NATS, *_nudges(self.bound)]
-
     def to_json(self) -> dict:
         return {"kind": "DownPow", "bound": self.bound.to_json()}
 
@@ -211,9 +184,6 @@ class NearDown(FamExpr):
         # every singleton drawn from w is a member, so the union is w itself
         return w
 
-    def probe_sets(self, cap: int = 8):
-        return [_EMPTY, self.core, _NATS, *_nudges(self.core)]
-
     def to_json(self) -> dict:
         return {"kind": "NearDown", "core": self.core.to_json()}
 
@@ -229,12 +199,6 @@ class TopGen(FamExpr):
         _, _, x, union, _ = self._meets.below(a)
         return union == x
 
-    def union_below(self, w: UPSet) -> UPSet:
-        return self._meets.union_below(w)
-
-    def probe_sets(self, cap: int = 8):
-        return [_EMPTY, _NATS, *self.subbase]
-
     def to_json(self) -> dict:
         return {"kind": "TopGen", "subbase": [g.to_json() for g in self.subbase]}
 
@@ -249,12 +213,6 @@ class LatGen(FamExpr):
     def contains(self, a: UPSet) -> bool:
         _, _, x, union, hit = self._meets.below(a)
         return hit and union == x
-
-    def union_below(self, w: UPSet) -> UPSet:
-        return self._meets.union_below(w)
-
-    def probe_sets(self, cap: int = 8):
-        return list(self.gens)
 
     def to_json(self) -> dict:
         return {"kind": "LatGen", "gens": [g.to_json() for g in self.gens]}
@@ -278,12 +236,6 @@ class LatGenSing(FamExpr):
         start, _, x, union, _ = self._meets.below(a)
         return (x ^ union) >> start == 0  # union is inside x
 
-    def union_below(self, w: UPSet) -> UPSet:
-        return w
-
-    def probe_sets(self, cap: int = 8):
-        return list(self.gens)
-
     def to_json(self) -> dict:
         return {"kind": "LatGenSing", "gens": [g.to_json() for g in self.gens]}
 
@@ -299,9 +251,6 @@ class UnionFam(FamExpr):
     def union_below(self, w: UPSet) -> UPSet:
         return self.a.union_below(w) | self.b.union_below(w)
 
-    def probe_sets(self, cap: int = 8):
-        return [*self.a.probe_sets(cap), *self.b.probe_sets(cap)]
-
     def to_json(self) -> dict:
         return {"kind": "UnionFam", "a": self.a.to_json(), "b": self.b.to_json()}
 
@@ -312,9 +261,9 @@ class ChainInitials(FamExpr):
     C_m is the set of the first m+1 members of `enum` in increasing order,
     that is `enum` cut just above its (m+1)-th member.  `initial_segment`
     memoises the segments it hands out, each built from the one before by
-    setting one more bit.  `contains` and `union_below` compare words
-    against `enum` directly and store nothing, so asking about a long
-    segment costs one word, not a memo entry per shorter segment.
+    setting one more bit.  `contains` compares words against `enum`
+    directly and stores nothing, so asking about a long segment costs one
+    word, not a memo entry per shorter segment.
     """
 
     def __init__(self, enum: UPSet, extras=()):
@@ -346,16 +295,6 @@ class ChainInitials(FamExpr):
         # a finite nonempty set is a segment iff it is enum cut at its maximum
         return a.is_finite and not a.is_empty and a._pre == self.enum._word(a._pre_len)
 
-    def union_below(self, w: UPSet) -> UPSet:
-        out = _union(x for x in self.extras if x <= w)
-        # the segments below w are those ending before the first member of
-        # enum that w misses, so their union is enum cut at that member
-        _, _, x, y = self.enum._aligned(w)
-        missed = x ^ (x & y)
-        if not missed:
-            return out | self.enum
-        return out | UPSet._finite(x & ((missed & -missed) - 1))
-
     def probe_sets(self, cap: int = 8):
         return [self.enum, *self.extras,
                 *(self.initial_segment(m) for m in range(cap))]
@@ -379,8 +318,10 @@ def fam_is_topology_sym(e: FamExpr, probes) -> Report:
     finite unions that miss an infinite one: the union of members below the
     missing set reconstructs it exactly.  Each distinct set's membership is
     decided once per call, and each distinct component's union below it
-    once.  A pass means no refutation was found, not a proof; its work count
-    is ``probe_pairs`` (the vacuous-pass rule of ``report.Stopwatch``).
+    once.  The union below asks e for ``union_below``, so e is an Explicit,
+    DownPow, NearDown or a UnionFam of them.  A pass means no refutation was
+    found, not a proof; its work count is ``probe_pairs`` (the vacuous-pass
+    rule of ``report.Stopwatch``).
     """
     probes = list(probes)
     timer = Stopwatch("topology-probe", {"expr": e.to_json(), "probe_pairs": len(probes)},

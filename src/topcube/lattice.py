@@ -95,7 +95,7 @@ def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
     The families above w are those containing every set in w, the families
     below w those omitting every set outside it, and the comparable ones
     are the AND over w of those two words ORed.  Whole-cube words, so the
-    ground set is capped at sweep size; each pair comes from the memo of
+    ground set is capped at sweep size; each pair comes from
     ``cube.interval_words``.
     """
     fams = list(collection)

@@ -7,14 +7,12 @@ import pytest
 
 from topcube import (
     Certificate,
-    DownPow,
+    ChainInitials,
     Explicit,
     Family,
     GroundSet,
-    NearDown,
     SubbasicCond,
     Topology,
-    UnionFam,
     UPSet,
     atom_closure_certificate,
     atom_closure_expression,
@@ -31,7 +29,7 @@ from topcube import (
 )
 from topcube import certificates
 from topcube.lattice import _settle, close_words
-from topcube.demos import initials_chain, growing_core_chain, nested_initial_chain
+from topcube.demos import initials_chain, nested_initial_chain
 
 U2 = GroundSet(2)
 U3 = GroundSet(3)
@@ -571,13 +569,6 @@ def test_isolated_from_constant_pool():
     assert report.verdict == "fail"
 
 
-def test_growing_core_union_is_limit():
-    stage, union = growing_core_chain({"core": EVENS.to_json()})
-    pool = [stage(m) for m in range(8)]
-    one = UPSet.singleton(1)
-    assert is_limit_point_sampled(union, pool, [EVENS, ODDS, one], depth=8).passed
-
-
 def test_missed_neighbourhood_is_inconclusive():
     x = Explicit([EMPTY])
     report = is_limit_point_sampled(x, [Explicit([NATS])], [EMPTY], depth=4)
@@ -602,10 +593,11 @@ def fam_distinct(e1, e2, extra=(), cap=8):
 
 
 def test_fam_distinct():
-    w = fam_distinct(DownPow(EVENS), NearDown(EVENS))
+    _, union, top = initials_chain({"enum": EVENS.to_json()})
+    w = fam_distinct(union, top)
     assert w is not None
-    assert DownPow(EVENS).contains(w) != NearDown(EVENS).contains(w)
-    assert fam_distinct(DownPow(EVENS), DownPow(EVENS)) is None
+    assert union.contains(w) != top.contains(w)
+    assert fam_distinct(union, ChainInitials(EVENS, [EMPTY, NATS])) is None
     assert fam_distinct(Explicit([EVENS]), Explicit([ODDS])) is not None
 
 
@@ -638,8 +630,6 @@ def _old_limit_point(x, candidates, coords, depth):
 def _limit_point_cases():
     stage, union, top = initials_chain({"enum": EVENS.to_json()})
     c3 = UPSet.from_ints([0, 2, 4, 6])
-    core_stage, core_union = growing_core_chain({"core": EVENS.to_json()})
-    nested_stage, nested_union = nested_initial_chain({})
     one = UPSet.singleton(1)
     pair = Explicit([EMPTY, NATS])
     return [
@@ -647,9 +637,9 @@ def _limit_point_cases():
         (top, [stage(m) for m in range(4)], [c3, ODDS, NATS], 4),
         (union, [stage(m) for m in range(8)] + [top], [c3, EVENS], 8),
         (top, [top, union], [EVENS, c3], 6),
-        (core_union, [core_stage(m) for m in range(8)], [EVENS, ODDS, one], 8),
-        (core_union, [core_union, core_stage(0)], [EVENS, one], 3),
-        (nested_union, [nested_stage(m) for m in range(6)], [one, NATS, EMPTY], 5),
+        (union, [stage(m) for m in range(8)], [EVENS, ODDS, one], 8),
+        (union, [union, stage(0)], [c3, one], 3),
+        (top, [stage(m) for m in range(6)], [one, NATS, EMPTY], 5),
         (pair, [pair, pair, pair], [EMPTY, NATS], 4),
         (pair, [Explicit([NATS]), Explicit([EMPTY])], [EMPTY, NATS], 4),
         (Explicit([EMPTY]), [Explicit([NATS])], [EMPTY], 4),
@@ -885,23 +875,10 @@ def _initials(top_kind):
     return stage, tops[top_kind], [*segments, ODDS, EVENS]
 
 
-def _growing_core(top_kind):
-    # stage m is the powerset of the evens with 1, 3, ..., 2m - 1, and the space
-    stage, union = growing_core_chain({"core": EVENS.to_json()})
-    tops = {"union": union,
-            "unreached": UnionFam(NearDown(EVENS), Explicit([NATS, ODDS])),
-            "explicit": UnionFam(DownPow(EVENS), Explicit([NATS, ODDS]))}
-    grown = [EVENS | UPSet.from_ints(range(1, 2 * m, 2)) for m in range(1, 4)]
-    return stage, tops[top_kind], [*grown, UPSet.singleton(1), ODDS]
-
-
 @pytest.mark.parametrize("chain, top_kind, locked, unreached, verdict", [
     (_initials, "union", 0, 0, "pass"),
     (_initials, "top", 0, 1, "inconclusive"),
     (_initials, "explicit", 4, 1, "fail"),
-    (_growing_core, "union", 0, 0, "pass"),
-    (_growing_core, "unreached", 0, 1, "inconclusive"),
-    (_growing_core, "explicit", 4, 1, "fail"),
 ])
 def test_the_omega_checks_read_one_walk(chain, top_kind, locked, unreached, verdict):
     """The three omega-chain checks, fed the same chain, top, coordinates

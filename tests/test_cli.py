@@ -166,6 +166,17 @@ def test_bad_demo_scalar_exits_two(tmp_path, capsys, demo, key, value):
     assert f"fixture {key!r} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("builder", [[], {}, 5, "x"])
+def test_unknown_chain_builder_exits_two(tmp_path, capsys, builder):
+    fix = load_fixture("powerset-chain")
+    fix["builder"] = builder
+    path = _write(tmp_path, "fixture.json", fix)
+    assert main(["demo", "powerset-chain", "--fixture", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: fixture 'builder' must be one of growing-core, nested-initial, "
+                   f"got {builder!r}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -430,7 +441,25 @@ _cases = st.one_of(
         st.fixed_dictionaries({"gens": _sets_json, "candidate": _set_json,
                                "sample_points": st.lists(st.integers(0, 8), max_size=3)}),
     ),
-    st.tuples(st.just(["demo", "limit-vs-union"]), st.just("--coords"), _sets_json),
+    st.tuples(
+        st.just(["demo", "powerset-chain"]), st.just("--fixture"),
+        st.fixed_dictionaries({"builder": st.sampled_from(["growing-core", "nested-initial"])
+                               | _json, "core": _set_json, "coords": _sets_json,
+                               "expected_witness": _set_json, "depth": _scalars}),
+    ),
+    st.tuples(
+        st.sampled_from([["demo", "initials-chain"], ["demo", "limit-vs-union"]]),
+        st.just("--fixture"),
+        st.fixed_dictionaries({"enum": _set_json, "convergence_coords": _sets_json,
+                               "limit_point_coords": _sets_json,
+                               "completion_coords": _sets_json,
+                               "expected_unresolved": _sets_json,
+                               "depth": _scalars, "bound": _scalars}),
+    ),
+    st.tuples(
+        st.sampled_from([["demo", name] for name in sorted(cli._COORDS_KEYS)]),
+        st.just("--coords"), _sets_json,
+    ),
 )
 
 

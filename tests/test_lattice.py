@@ -20,7 +20,7 @@ from topcube import (
     lat_generate,
     relations_set,
 )
-from topcube import lattice
+from topcube import certificates, cube, lattice
 from topcube.cli import main
 from topcube.cube import cube_word, interval_words, set_bits
 from topcube.demos import growing_core_chain, initials_chain
@@ -307,14 +307,24 @@ def test_closed_form_matches_the_per_family_oracle():
         ), words
 
 
-def test_completion_reads_no_word_of_the_cube():
-    # A relations word over the chain reads every member's interval pair:
-    # 192 memo misses for the verb alone at four points.
-    before = cube_word.cache_info(), interval_words.cache_info()
+def test_completion_reads_no_word_of_the_cube(monkeypatch):
+    # A relations word over the chain reads every member's interval pair
+    # from cube.interval_words, one call per member.
+    calls = []
+
+    def counting(n, x):
+        calls.append((n, x))
+        return interval_words(n, x)
+
+    for module, name in ((cube, "interval_words"), (lattice, "interval_words"),
+                         (certificates, "interval_words"), (certificates, "_cond_route")):
+        monkeypatch.setattr(module, name, counting)
+    before = cube_word.cache_info()
     for universe, words in _four_point_chains():
         chain_completion_finite(universe, words)
     assert main(["verify", "chain-completion", "--n", "4", "--quiet"]) == 0
-    assert (cube_word.cache_info(), interval_words.cache_info()) == before
+    assert cube_word.cache_info() == before
+    assert calls == []
 
 
 def test_completion_builds_no_family_per_comparable_family(monkeypatch):

@@ -81,7 +81,6 @@ REFUSALS = "refusals (raise)"
 VERDICTS = "verdict branches (a fail or inconclusive report)"
 REST = "the rest"
 
-_PROTOCOL = "FamExpr protocol, which the symbolic checks ask of any expression"
 _ORACLE = "oracles.py: the independent frozenset reference of a cross-check"
 _REPR = "repr of a value"
 _GUARD = "write guard of an immutable value"
@@ -89,34 +88,18 @@ _TRACED = ("named in bench/tracing.py TARGETS, which tests/test_bench_hooks.py p
            "goes when the bench retargets it (ROADMAP item 9)")
 
 # (module.qualified name, reason) of every function kept although the
-# traffic may never enter it.  The symbolic checks (fam_is_topology_sym,
-# is_limit_point_sampled, limit_vs_union_check, ordinal_homeo_check) take
-# any expression, so every kind keeps the whole protocol; a partial one
-# would raise NotImplementedError on some kinds.
+# traffic may never enter it.  A FamExpr kind carries a probe only where a
+# verb's check asks for it (union_below on the powerset-chain kinds,
+# probe_sets on the initials-chain kinds), so no probe stays here; to_json
+# stays on every kind because repr reads it.
 STAY = (
     ("certificates.SubbasicCond.__repr__", _REPR),
     ("cube.Family.__setattr__", _GUARD),
     ("cube.Family._member_points", _REPR),
     ("cube.Family.__repr__", _REPR),
-    ("famexpr._Meets.union_below", _PROTOCOL),
-    ("famexpr._nudges", _PROTOCOL),
-    ("famexpr.FamExpr.contains", _PROTOCOL),
-    ("famexpr.FamExpr.union_below", _PROTOCOL),
-    ("famexpr.FamExpr.probe_sets", _PROTOCOL),
-    ("famexpr.FamExpr.to_json", _PROTOCOL),
-    ("famexpr.DownPow.probe_sets", _PROTOCOL),
-    ("famexpr.NearDown.probe_sets", _PROTOCOL),
-    ("famexpr.TopGen.union_below", _PROTOCOL),
-    ("famexpr.TopGen.probe_sets", _PROTOCOL),
-    ("famexpr.TopGen.to_json", _PROTOCOL),
-    ("famexpr.LatGen.union_below", _PROTOCOL),
-    ("famexpr.LatGen.probe_sets", _PROTOCOL),
-    ("famexpr.LatGen.to_json", _PROTOCOL),
-    ("famexpr.LatGenSing.union_below", _PROTOCOL),
-    ("famexpr.LatGenSing.probe_sets", _PROTOCOL),
-    ("famexpr.LatGenSing.to_json", _PROTOCOL),
-    ("famexpr.UnionFam.probe_sets", _PROTOCOL),
-    ("famexpr.ChainInitials.union_below", _PROTOCOL),
+    ("famexpr.TopGen.to_json", _REPR),
+    ("famexpr.LatGen.to_json", _REPR),
+    ("famexpr.LatGenSing.to_json", _REPR),
     ("lattice.lat_generate", _TRACED),
     ("lattice.relations_set", _TRACED),
     ("oracles.generated_topology", _ORACLE),
