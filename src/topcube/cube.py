@@ -208,9 +208,9 @@ def interval_words(n: int, x: int) -> tuple[int, int]:
 
     A family is above x when it contains every set in x: the AND over a in x
     of HAS[a].  It is below x when it omits every set outside x: the AND over
-    a not in x of LACKS[a].  Not memoised: the interval-identity check asks
-    for each x once per process, since it records x as an element where
-    both routes agree.
+    a not in x of LACKS[a].  Not memoised: the interval-identity check
+    records each x at which both routes agree, so it asks for x's words
+    once per process.
     """
     up = down = cube_word(GroundSet(n))
     has, lacks = _literal_words(1 << n)

@@ -39,13 +39,13 @@ UPSets too: generators whose joint window is wider are refused with
 ValueError at construction, and so is a candidate whose window with the
 generators is wider, at the query.
 
-Every kind carries ``contains`` and ``to_json`` (which ``repr`` reads).  The
-probes carry only where a demo's check asks for them: ``union_below``, which
-``fam_is_topology_sym`` asks of the powerset-chain stages and their union,
-on Explicit, DownPow, NearDown and UnionFam; ``probe_sets``, which the
-limit-point, ladder and limit-vs-union checks ask of the initials-chain
-stages, union and top, on Explicit and ChainInitials.  Any other kind
-given to those checks raises AttributeError.
+Every kind carries ``contains`` and ``to_json`` (which ``repr`` reads).  A
+kind carries a probe only where a demo's check asks for it.
+``union_below``, which ``fam_is_topology_sym`` asks of the powerset-chain
+stages and their union, is on Explicit, DownPow, NearDown and UnionFam.
+``probe_sets``, which the limit-point, ladder and limit-vs-union checks ask
+of the initials-chain stages, union and top, is on Explicit and
+ChainInitials.  Any other kind given to those checks raises AttributeError.
 """
 
 from __future__ import annotations
