@@ -22,22 +22,23 @@ intersections and unions is a union of "meets", where a meet is the
 intersection of a nonempty subcollection of generators.  A candidate is
 therefore a member iff it equals the union of the meets lying below it
 (LatGen additionally requires at least one such meet; LatGenSing allows a
-finite remainder, covered by singletons).  Generator lists are capped so the
-meet pool stays enumerable.
+finite remainder, covered by singletons).  Generator lists are capped at
+GENERATOR_CAP, and the meet pool at MAX_POOL_BITS bits in all, so the pool
+stays enumerable.
 
 The generated variants decide membership on one window.  Their meets are
 plain integers on the generators' window (the longest preperiod plus the lcm
 of the period lengths), ANDed once at construction by ``cube.meet_closure``,
 the routine that also builds the meets of ``lattice.close_words`` on four or
-more words.  A query re-windows them to the candidate's window with the
-generators (the longer preperiod plus the lcm of both periods): each meet keeps its
-preperiod bits and has its period block repeated by ``upsets._repeat``, the
-one routine that repeats blocks.  It then ORs the meets below the candidate
-and compares one word.  Both windows come from ``upsets._window``, the one
-statement of the window and of its MAX_WINDOW_BITS cap, which aligns two
-UPSets too: generators whose joint window is wider are refused with
-ValueError at construction, and so is a candidate whose window with the
-generators is wider, at the query.
+more words.  A query re-windows them, one at a time, to the candidate's
+window with the generators (the longer preperiod plus the lcm of both
+periods): each meet keeps its preperiod bits and has its period block
+repeated by ``upsets._repeat``, the one routine that repeats blocks.  It
+then ORs the meets below the candidate and compares one word.  Both windows
+come from ``upsets._window``, the one statement of the window and of its
+MAX_WINDOW_BITS cap, which aligns two UPSets too: generators whose joint
+window is wider are refused with ValueError at construction, and so is a
+candidate whose window with the generators is wider, at the query.
 
 Every kind carries ``contains`` and ``to_json`` (which ``repr`` reads).  A
 kind carries a probe only where a demo's check asks for it.
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from .cube import meet_closure
 from .report import FAIL, PASS, Report, Stopwatch
-from .upsets import UPSet, _repeat, _require_point, _window
+from .upsets import MAX_POOL_BITS, UPSet, _repeat, _require_point, _window
 
 GENERATOR_CAP = 16
 
@@ -71,27 +72,29 @@ class _Meets:
     """The meets of a generator list as integers on the generators' window.
 
     Every generator is periodic from `start` with a period dividing `period`,
-    so each meet is one integer of start + period bits.  With `bounds` the
-    words 0 and all-ones stand in for the empty set and the naturals.  They
-    join after the generators are closed: 0 absorbs every AND and all-ones
-    leaves it unchanged, so the closure never ANDs a generator with them.
+    so each meet is one integer of start + period bits.  The pool grows one
+    generator at a time and at most doubles with each, so it is refused as
+    soon as its bits pass MAX_POOL_BITS, before it can hold twice as many.
     """
 
-    def __init__(self, gens: tuple[UPSet, ...], *, bounds: bool = False):
+    def __init__(self, gens: tuple[UPSet, ...]):
         start, period, width = 0, 1, 1  # the window of no generator
         for g in gens:
             start, period, width = _window(start, period, g._pre_len, g._per_len)
         self.start, self.period = start, period
-        words = meet_closure(set(), [g._word(width) for g in gens])
-        if bounds:
-            words |= {0, (1 << width) - 1}
+        words: set[int] = set()
+        for k, g in enumerate(gens, 1):
+            if len(meet_closure(words, [g._word(width)])) * width > MAX_POOL_BITS:
+                raise ValueError(f"the meets of {k} generators are {len(words)} words of "
+                                 f"{width} bits, beyond MAX_POOL_BITS = {MAX_POOL_BITS}")
         self.words = tuple(words)
 
-    def below(self, a: UPSet) -> tuple[int, int, int, int, bool]:
-        """(start, period, word of a, union of the meets below a, whether any is).
+    def below(self, a: UPSet) -> tuple[int, int, int, bool]:
+        """(start, word of a, union of the meets below a, whether any is).
 
         All on one window where a and every meet are periodic: the longer
-        preperiod, then the lcm of the two periods.
+        preperiod, then the lcm of the two periods.  Each meet is re-windowed
+        as it is tested, so a query holds one re-windowed meet at a time.
         """
         start, period, width = _window(self.start, self.period, a._pre_len, a._per_len)
         words = self.words
@@ -99,14 +102,14 @@ class _Meets:
             # each meet: its preperiod bits, then its period block repeated
             ms, mp = self.start, self.period
             pre_mask = (1 << ms) - 1
-            words = [m & pre_mask | _repeat(m >> ms, mp, width - ms) << ms for m in words]
+            words = (m & pre_mask | _repeat(m >> ms, mp, width - ms) << ms for m in words)
         x = a._word(width)
         union, hit = 0, False
         for m in words:
             if m & x == m:
                 union |= m
                 hit = True
-        return start, period, x, union, hit
+        return start, x, union, hit
 
 
 def _check_gens(gens, *, nonempty: bool) -> tuple[UPSet, ...]:
@@ -189,15 +192,20 @@ class NearDown(FamExpr):
 
 
 class TopGen(FamExpr):
-    """The topology generated by a finite subbase (empty set and space adjoined)."""
+    """The topology generated by a finite subbase.
+
+    A member is a union of meets of the subbase.  The empty set is the
+    empty union, so the meets need no word 0; the naturals are adjoined by
+    ``contains`` itself, since the union of the meets may not cover them.
+    """
 
     def __init__(self, subbase):
         self.subbase = _check_gens(subbase, nonempty=True)
-        self._meets = _Meets(self.subbase, bounds=True)
+        self._meets = _Meets(self.subbase)
 
     def contains(self, a: UPSet) -> bool:
-        _, _, x, union, _ = self._meets.below(a)
-        return union == x
+        _, x, union, _ = self._meets.below(a)
+        return union == x or a == _NATS
 
     def to_json(self) -> dict:
         return {"kind": "TopGen", "subbase": [g.to_json() for g in self.subbase]}
@@ -211,7 +219,7 @@ class LatGen(FamExpr):
         self._meets = _Meets(self.gens)
 
     def contains(self, a: UPSet) -> bool:
-        _, _, x, union, hit = self._meets.below(a)
+        _, x, union, hit = self._meets.below(a)
         return hit and union == x
 
     def to_json(self) -> dict:
@@ -233,7 +241,7 @@ class LatGenSing(FamExpr):
     def contains(self, a: UPSet) -> bool:
         if a.is_empty:
             return False
-        start, _, x, union, _ = self._meets.below(a)
+        start, x, union, _ = self._meets.below(a)
         return (x ^ union) >> start == 0  # union is inside x
 
     def to_json(self) -> dict:

@@ -9,8 +9,8 @@ sets.  The axioms are checked bit-sliced by one routine, ``_axioms_word``:
 given one column per subset (bit j set when family j contains the subset)
 it decides a whole batch of families at once, one family per bit.  Counting
 and listing run it over the projection words, so Top(X) is one clopen word
-of the cube (``topology_word``); ``is_topology_word`` stays the per-family
-validator behind ``Topology``.
+of the cube (``topology_word``), and ``is_topology_word``, behind
+``Topology``, runs it on one family, its bits as one-bit columns.
 
 Adding a point to the ground set maps family word w to the word of the
 subsets whose trace on the old points lies in w: ``cube.add_point``, the
@@ -36,18 +36,8 @@ from .report import FAIL, PASS, Report, Stopwatch
 
 
 def is_topology_word(n: int, word: int) -> bool:
-    full = (1 << n) - 1
-    if not (word >> 0) & 1 or not (word >> full) & 1:
-        return False
-    masks = [m for m in range(1 << n) if (word >> m) & 1]
-    k = len(masks)
-    for i in range(k):
-        a = masks[i]
-        for j in range(i + 1, k):
-            b = masks[j]
-            if not (word >> (a & b)) & 1 or not (word >> (a | b)) & 1:
-                return False
-    return True
+    # one family: its bits as one-bit columns, for the one axioms routine
+    return _axioms_word([word >> a & 1 for a in range(1 << n)], 1, n) == 1
 
 
 def is_topology(fam: Family) -> bool:

@@ -50,6 +50,11 @@ from .cube import set_bits
 # the windows of the packaged fixtures and tests, and small enough that no
 # input can make one operation run for minutes.
 MAX_WINDOW_BITS = 1 << 20
+# The most bits the meets of one generated family may hold together: 2^26
+# bits (8 MiB), far above the pools of the packaged fixtures and tests.  The
+# pool at most doubles with each generator, so a refused one holds less
+# than twice as many.
+MAX_POOL_BITS = 1 << 26
 
 _BITS = frozenset("01")
 _CHUNK_BYTES = 128  # _lazy_bits' first chunk
@@ -256,17 +261,6 @@ class UPSet:
             return bool((self._pre >> i) & 1)
         return bool((self._per >> ((i - self._pre_len) % self._per_len)) & 1)
 
-    def members(self, below: int) -> list[int]:
-        """All members strictly below `below`.
-
-        A bound within the preperiod only cuts its word; a wider one builds
-        a `below`-bit word, so it must be at most MAX_WINDOW_BITS.
-        """
-        if below > max(MAX_WINDOW_BITS, self._pre_len):
-            raise ValueError(f"members below {below} need a {below}-bit word, "
-                             f"beyond MAX_WINDOW_BITS = {MAX_WINDOW_BITS}")
-        return set_bits(self._word(max(below, 0)))
-
     def iter_members(self) -> Iterator[int]:
         yield from _lazy_bits(self._pre, self._pre_len)
         start, offsets = self._pre_len, []
@@ -356,12 +350,12 @@ class UPSet:
     def describe(self, limit: int = 8) -> str:
         """Human-readable listing, e.g. '{1, 3, 5, ...}'.
 
-        A finite set lists every member, all below its preperiod's end.
+        A finite set lists every member: the set bits of its preperiod word.
         An infinite one lists its first `limit` members below the end of its
         fourth period, read lazily from ``iter_members``.
         """
         if self.is_finite:
-            return "{" + ", ".join(map(str, self.members(self._pre_len))) + "}"
+            return "{" + ", ".join(map(str, set_bits(self._pre))) + "}"
         bound = self._pre_len + self._per_len * 4
         shown = islice(takewhile(bound.__gt__, self.iter_members()), limit)
         return "{" + ", ".join(map(str, shown)) + ", ...}"

@@ -2,11 +2,13 @@
 
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -379,6 +381,22 @@ def test_join_gap_refuses_points_outside_the_candidate(tmp_path, capsys):
     assert "[1, 3] must be one or more members" in capsys.readouterr().err
 
 
+def test_join_gap_refuses_a_meet_pool_past_its_cap(tmp_path, capsys):
+    # 16 generators on one 4,096-bit window have up to 2^16 - 1 meets: the
+    # pool is refused while it grows, with one line
+    rng = random.Random(16)
+    fix = {"gens": [{"pre": "", "period": format(rng.getrandbits(4096), "04096b")}
+                    for _ in range(16)],
+           "candidate": {"pre": "", "period": "10"}, "sample_points": [0, 2]}
+    path = _write(tmp_path, "pool.json", fix)
+    start = time.perf_counter()
+    assert main(["demo", "join-gap", "--fixture", path, "--quiet"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the meets of ") and err.count("\n") == 1
+    assert err.endswith(" bits, beyond MAX_POOL_BITS = 67108864\n")
+
+
 def test_join_gap_refuses_a_finite_candidate(tmp_path, capsys):
     # {0, 2} is a finite union of members, so it is a member: this used to
     # exit 1 as a refutation of a check that cannot apply
@@ -427,6 +445,23 @@ _json = st.recursive(
 _set_json = st.fixed_dictionaries({"pre": _bits | _scalars, "period": _bits | _scalars}) | _json
 _sets_json = st.lists(_set_json, max_size=3) | _json
 _small_n = st.integers(1, 3) | _scalars.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
+# each packaged fixture with a verb that reads it
+_PACKAGED = sorted([("all-atoms-n3", ["verify", "atom-closure"]),
+                    ("disjoint-pair", ["verify", "disjoint-closure"]),
+                    ("nested-powersets", ["demo", "powerset-chain"])]
+                   + [(fixture, ["demo", name]) for name, (fixture, _) in DEMOS.items()])
+
+
+def _one_key_replaced(packaged):
+    # the fixture with exactly one top-level key replaced, so every other key
+    # is valid and the checks behind the parser are reached
+    name, argv = packaged
+    fix = cli.load_fixture(name)
+    value = _json | _set_json | _sets_json | st.integers(-2, 130)
+    return st.tuples(st.just(argv), st.just("--fixture"),
+                     st.builds(lambda key, v: {**fix, key: v}, st.sampled_from(sorted(fix)), value))
+
+
 _cases = st.one_of(
     st.tuples(
         st.just(["verify", "atom-closure"]), st.just("--fixture"),
@@ -460,6 +495,7 @@ _cases = st.one_of(
         st.sampled_from([["demo", name] for name in sorted(cli._COORDS_KEYS)]),
         st.just("--coords"), _sets_json,
     ),
+    st.sampled_from(_PACKAGED).flatmap(_one_key_replaced),
 )
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -36,7 +37,7 @@ from topcube.cube import set_bits
 from topcube.demos import growing_core_chain, nested_initial_chain
 from topcube import upsets
 from topcube.famexpr import FamExpr, _Meets
-from topcube.upsets import MAX_WINDOW_BITS
+from topcube.upsets import MAX_POOL_BITS, MAX_WINDOW_BITS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -217,7 +218,7 @@ def test_chain_initials_queries_on_long_segments_store_no_segments():
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
         from topcube import ChainInitials, UPSet
-        from topcube.upsets import MAX_WINDOW_BITS
+        from topcube.upsets import MAX_POOL_BITS, MAX_WINDOW_BITS
         e = ChainInitials(UPSet("", "10"))
         seg = UPSet.from_ints(range(0, MAX_WINDOW_BITS, 2))
         print(seg._pre.bit_count(), e.contains(seg), e.contains(seg - UPSet.singleton(0)),
@@ -348,6 +349,19 @@ def test_candidate_beyond_the_window_cap_is_refused_at_the_query(kind):
         e.contains(_period(7))
 
 
+@pytest.mark.parametrize("kind", [TopGen, LatGen, LatGenSing])
+def test_a_meet_pool_past_its_cap_is_refused_while_it_grows(kind):
+    # 16 random 4,096-bit periods: almost every meet is new, so the pool
+    # doubles with each generator until its bits pass the cap
+    rng = random.Random(16)
+    gens = [UPSet("", format(rng.getrandbits(4096), "04096b")) for _ in range(16)]
+    with pytest.raises(ValueError, match="beyond MAX_POOL_BITS") as err:
+        kind(gens)
+    words, width = map(int, re.search(r"are (\d+) words of (\d+) bits", str(err.value)).groups())
+    assert MAX_POOL_BITS < words * width < 2 * MAX_POOL_BITS
+    assert len(kind(gens[:8])._meets.words) == 255
+
+
 def test_every_window_past_the_cap_is_refused_with_one_message():
     # coprime periods of 1031 and 1033 bits share a 1,065,023-bit window,
     # whether two sets are aligned, generators are windowed together, or a
@@ -402,8 +416,8 @@ def test_meets_rewindow_like_the_word_of_each_meet():
                   UPSet("", _primitive(rng, 32)) | gens[2], NATS]
     rewindowed = 0
     for a in candidates:
-        start, period, x, union, hit = meets.below(a)
-        width = start + period
+        start, x, union, hit = meets.below(a)
+        width = start + math.lcm(meets.period, a._per_len)
         rewindowed += width != meets.start + meets.period
         assert x == a._word(width)
         below = [m._word(width) for m in as_sets if m <= a]
@@ -418,7 +432,7 @@ def test_bounds_join_the_meets_after_the_closure():
         gens = tuple(dict.fromkeys(UPSet(word(rng.randint(0, 4)), word(rng.randint(1, 12)))
                                    for _ in range(count)))
         gens += (NATS,) if count == 3 else ()
-        meets = _Meets(gens, bounds=True)
+        meets = _Meets(gens)
         width = meets.start + meets.period
         # every meet of a nonempty subcollection, by brute force
         subset_meets = set()
@@ -428,8 +442,7 @@ def test_bounds_join_the_meets_after_the_closure():
                 for g in combo:
                     m &= g._word(width)
                 subset_meets.add(m)
-        assert set(_Meets(gens).words) == subset_meets
-        assert set(meets.words) == subset_meets | {0, (1 << width) - 1}
+        assert set(meets.words) == subset_meets
 
 
 def test_near_down_matches_the_finite_difference():

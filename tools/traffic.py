@@ -2,15 +2,16 @@
 
 The traffic is what the project promises to keep working:
 
-- 88 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
+- 89 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
   ``verify`` check at ``--n 1..4``, with and without ``--seed 7``; both
   fixtured checks; every demo; ``demo initials-chain --coords FILE``, FILE
   holding the packaged fixture's completion coordinates; ``demo
   initials-chain --fixture FILE`` on a set whose preperiod is 1,140 bits
-  long (exit 0); and four that do not pass: ``demo initials-chain`` and
+  long (exit 0); and five that do not pass: ``demo initials-chain`` and
   ``demo powerset-chain`` given an empty coordinate list, ``demo
-  initials-chain --bound 2`` (each exit 3), and ``demo join-gap`` on a
-  tampered fixture given by path (exit 1);
+  initials-chain --bound 2`` (each exit 3), ``demo join-gap`` on a
+  tampered fixture given by path (exit 1), and ``demo join-gap`` on 16
+  generators whose meet pool passes ``MAX_POOL_BITS`` (exit 2);
 - 11 CLI argv that argparse ends: the root's and each verb's ``--help``,
   and seven command lines it refuses;
 - one round of each workload in ``bench/workloads.py`` (seed 1);
@@ -65,6 +66,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -161,12 +163,23 @@ LONG_PREPERIOD_CHAIN = {
     "depth": 16, "bound": 64}
 
 
+# a join-gap fixture of 16 generators, each a seeded random 4,096-bit
+# period: their meets are almost all distinct, so the pool doubles with each
+# generator and passes MAX_POOL_BITS before the last, and the demo exits 2
+_POOL_RNG = random.Random(16)
+POOL_JOIN_GAP = {
+    "gens": [{"pre": "", "period": format(_POOL_RNG.getrandbits(4096), "04096b")}
+             for _ in range(16)],
+    "candidate": {"pre": "", "period": "10"}, "sample_points": [0, 2]}
+
+
 def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
     """The CLI argv of the traffic, without ``--json``; the files they name
     are those ``cli_outcomes`` writes into `scratch`."""
-    coords, empty, tampered, long_pre = (
+    coords, empty, tampered, long_pre, pool = (
         os.path.join(scratch, name)
-        for name in ("coords.json", "empty.json", "tampered.json", "long-preperiod.json"))
+        for name in ("coords.json", "empty.json", "tampered.json", "long-preperiod.json",
+                     "pool.json"))
     argv = [["count", "--n", str(n)] for n in range(1, 5)]
     for name in checks:
         for n in range(1, 5):
@@ -177,11 +190,12 @@ def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
     argv += [["demo", name] for name in sorted(demos)]
     argv.append(["demo", "initials-chain", "--coords", coords])
     argv.append(["demo", "initials-chain", "--fixture", long_pre])
-    # inconclusive (exit 3) three ways, then a refutation (exit 1)
+    # inconclusive (exit 3) three ways, a refutation (exit 1), a refusal (exit 2)
     argv += [["demo", "initials-chain", "--coords", empty],
              ["demo", "powerset-chain", "--coords", empty],
              ["demo", "initials-chain", "--bound", "2"],
-             ["demo", "join-gap", "--fixture", tampered]]
+             ["demo", "join-gap", "--fixture", tampered],
+             ["demo", "join-gap", "--fixture", pool]]
     return argv
 
 
@@ -224,7 +238,7 @@ def cli_outcomes(scratch: str) -> tuple[list[dict], str]:
 
     files = {"coords.json": cli.load_fixture("initials-chain")["completion_coords"],
              "empty.json": [], "tampered.json": TAMPERED_JOIN_GAP,
-             "long-preperiod.json": LONG_PREPERIOD_CHAIN}
+             "long-preperiod.json": LONG_PREPERIOD_CHAIN, "pool.json": POOL_JOIN_GAP}
     for name, value in files.items():
         with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
             json.dump(value, fh)
