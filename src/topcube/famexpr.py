@@ -73,8 +73,9 @@ class _Meets:
 
     Every generator is periodic from `start` with a period dividing `period`,
     so each meet is one integer of start + period bits.  The pool grows one
-    generator at a time and at most doubles with each, so it is refused as
-    soon as its bits pass MAX_POOL_BITS, before it can hold twice as many.
+    generator at a time, each at most doubling it and adding one word, and
+    is refused as soon as its bits pass MAX_POOL_BITS, so it never holds
+    more than twice that and one word.
     """
 
     def __init__(self, gens: tuple[UPSet, ...]):

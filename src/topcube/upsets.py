@@ -51,9 +51,9 @@ from .cube import set_bits
 # input can make one operation run for minutes.
 MAX_WINDOW_BITS = 1 << 20
 # The most bits the meets of one generated family may hold together: 2^26
-# bits (8 MiB), far above the pools of the packaged fixtures and tests.  The
-# pool at most doubles with each generator, so a refused one holds less
-# than twice as many.
+# bits (8 MiB), far above the pools of the packaged fixtures and tests.  Each
+# generator at most doubles the pool and adds one word, so a refused pool
+# holds at most twice this and one word.
 MAX_POOL_BITS = 1 << 26
 
 _BITS = frozenset("01")
