@@ -49,15 +49,18 @@ def _upsets(items) -> list[UPSet]:
     return [UPSet.from_json(x) for x in items]
 
 
-def _stages(fix: dict, key: str, default: int) -> int:
-    """A stage count from the fixture: an int from 1 to MAX_STAGES."""
-    value = fix.get(key, default)
+def _stages(value, source: str) -> int:
+    """A stage count, an int from 1 to MAX_STAGES: the value of a fixture
+    key named by `source`, or of the flag ``--bound``, which argparse has
+    made an int."""
+    if source.startswith("--"):
+        what, least = source, "at least 1"
+    else:
+        what, least = f"fixture {source!r}", "an integer of at least one stage"
     if type(value) is not int or value < 1:
-        raise ValueError(f"fixture {key!r} must be an integer of at least one stage, "
-                         f"got {value!r}")
+        raise ValueError(f"{what} must be {least}, got {value!r}")
     if value > MAX_STAGES:
-        raise ValueError(f"fixture {key!r} must be at most MAX_STAGES = {MAX_STAGES}, "
-                         f"got {value}")
+        raise ValueError(f"{what} must be at most MAX_STAGES = {MAX_STAGES}, got {value}")
     return value
 
 
@@ -91,7 +94,7 @@ def initials_chain(fix: dict):
 def growing_core_chain(fix: dict):
     """Stages are full powersets of a core set plus finitely many extras."""
     core = UPSet.from_json(fix["core"])
-    extras = [i for i in range(2 * _stages(fix, "depth", 6) + 64) if i not in core]
+    extras = [i for i in range(2 * _stages(fix.get("depth", 6), "depth") + 64) if i not in core]
 
     def stage(m: int) -> UnionFam:
         bound = core | UPSet.from_ints(extras[:m])
@@ -132,7 +135,7 @@ def demo_chain_union(fix: dict) -> Report:
     stage, union = _CHAIN_BUILDERS[builder](fix)
     coords = _upsets(fix["coords"])
     pairs = list(combinations(coords, 2))
-    depth = _stages(fix, "depth", 6)
+    depth = _stages(fix.get("depth", 6), "depth")
     expected = UPSet.from_json(fix["expected_witness"])
     timer = Stopwatch(
         "chain-union-demo", {"builder": builder, "depth": depth, "coords": len(coords)}
@@ -172,8 +175,8 @@ def demo_initials_chain(fix: dict) -> Report:
     settle the other coordinates leaves more than the predicted ones open.
     """
     stage, union, top = initials_chain(fix)
-    depth = _stages(fix, "depth", 16)
-    bound = _stages(fix, "bound", 64)
+    depth = _stages(fix.get("depth", 16), "depth")
+    bound = _stages(fix.get("bound", 64), "bound")
     conv_coords = _upsets(fix["convergence_coords"])
     lp_coords = _upsets(fix["limit_point_coords"])
     comp_coords = _upsets(fix["completion_coords"])

@@ -22,9 +22,12 @@ intersections and unions is a union of "meets", where a meet is the
 intersection of a nonempty subcollection of generators.  A candidate is
 therefore a member iff it equals the union of the meets lying below it
 (LatGen additionally requires at least one such meet; LatGenSing allows a
-finite remainder, covered by singletons).  Generator lists are capped at
-GENERATOR_CAP, and the meet pool at MAX_POOL_BITS bits in all, so the pool
-stays enumerable.
+finite remainder, covered by singletons).  The three kinds share one base,
+``_Generated``, which states that normal form once: it checks the
+generators, keeps their meets and writes the JSON, and each kind states
+only its own ``contains``.  Generator lists are capped at GENERATOR_CAP,
+and the meet pool at MAX_POOL_BITS bits in all, so the pool stays
+enumerable.
 
 The generated variants decide membership on one window.  Their meets are
 plain integers on the generators' window (the longest preperiod plus the lcm
@@ -68,64 +71,8 @@ def _union(sets) -> UPSet:
     return out
 
 
-class _Meets:
-    """The meets of a generator list as integers on the generators' window.
-
-    Every generator is periodic from `start` with a period dividing `period`,
-    so each meet is one integer of start + period bits.  The pool grows one
-    generator at a time, each at most doubling it and adding one word, and
-    is refused as soon as its bits pass MAX_POOL_BITS, so it never holds
-    more than twice that and one word.
-    """
-
-    def __init__(self, gens: tuple[UPSet, ...]):
-        start, period, width = 0, 1, 1  # the window of no generator
-        for g in gens:
-            start, period, width = _window(start, period, g._pre_len, g._per_len)
-        self.start, self.period = start, period
-        words: set[int] = set()
-        for k, g in enumerate(gens, 1):
-            if len(meet_closure(words, [g._word(width)])) * width > MAX_POOL_BITS:
-                raise ValueError(f"the meets of {k} generators are {len(words)} words of "
-                                 f"{width} bits, beyond MAX_POOL_BITS = {MAX_POOL_BITS}")
-        self.words = tuple(words)
-
-    def below(self, a: UPSet) -> tuple[int, int, int, bool]:
-        """(start, word of a, union of the meets below a, whether any is).
-
-        All on one window where a and every meet are periodic: the longer
-        preperiod, then the lcm of the two periods.  Each meet is re-windowed
-        as it is tested, so a query holds one re-windowed meet at a time.
-        """
-        start, period, width = _window(self.start, self.period, a._pre_len, a._per_len)
-        words = self.words
-        if (start, period) != (self.start, self.period):
-            # each meet: its preperiod bits, then its period block repeated
-            ms, mp = self.start, self.period
-            pre_mask = (1 << ms) - 1
-            words = (m & pre_mask | _repeat(m >> ms, mp, width - ms) << ms for m in words)
-        x = a._word(width)
-        union, hit = 0, False
-        for m in words:
-            if m & x == m:
-                union |= m
-                hit = True
-        return start, x, union, hit
-
-
-def _check_gens(gens, *, nonempty: bool) -> tuple[UPSet, ...]:
-    gens = tuple(gens)
-    if nonempty and not gens:
-        raise ValueError("generator list must be nonempty")
-    if len(gens) > GENERATOR_CAP:
-        raise ValueError(f"generator list capped at {GENERATOR_CAP}")
-    if len(set(gens)) != len(gens):
-        raise ValueError("generator list must be duplicate-free")
-    return gens
-
-
 class FamExpr:
-    """Base class; each kind defines ``contains`` and ``to_json``."""
+    """Base class; each kind has ``contains`` and ``to_json``."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json()})"
@@ -192,7 +139,69 @@ class NearDown(FamExpr):
         return {"kind": "NearDown", "core": self.core.to_json()}
 
 
-class TopGen(FamExpr):
+class _Generated(FamExpr):
+    """A family generated by a generator list: a member is a union of meets.
+
+    The generators are checked, then their meets are kept as integers on
+    the generators' window: every generator is periodic from `start` with a
+    period dividing `period`, so each meet is one integer of start + period
+    bits.  The pool grows one generator at a time, each at most doubling it
+    and adding one word, and is refused as soon as its bits pass
+    MAX_POOL_BITS, so it never holds more than twice that and one word.
+    Each kind states only its ``contains``, its JSON key and whether an
+    empty generator list is allowed.
+    """
+
+    _KEY = "gens"
+    _ALLOWS_EMPTY = False
+
+    def __init__(self, gens):
+        gens = tuple(gens)
+        if not gens and not self._ALLOWS_EMPTY:
+            raise ValueError("generator list must be nonempty")
+        if len(gens) > GENERATOR_CAP:
+            raise ValueError(f"generator list capped at {GENERATOR_CAP}")
+        if len(set(gens)) != len(gens):
+            raise ValueError("generator list must be duplicate-free")
+        self.gens = gens
+        start, period, width = 0, 1, 1  # the window of no generator
+        for g in gens:
+            start, period, width = _window(start, period, g._pre_len, g._per_len)
+        self.start, self.period = start, period
+        words: set[int] = set()
+        for k, g in enumerate(gens, 1):
+            if len(meet_closure(words, [g._word(width)])) * width > MAX_POOL_BITS:
+                raise ValueError(f"the meets of {k} generators are {len(words)} words of "
+                                 f"{width} bits, beyond MAX_POOL_BITS = {MAX_POOL_BITS}")
+        self.words = tuple(words)
+
+    def _below(self, a: UPSet) -> tuple[int, int, int, bool]:
+        """(start, word of a, union of the meets below a, whether any is).
+
+        All on one window where a and every meet are periodic: the longer
+        preperiod, then the lcm of the two periods.  Each meet is re-windowed
+        as it is tested, so a query holds one re-windowed meet at a time.
+        """
+        start, period, width = _window(self.start, self.period, a._pre_len, a._per_len)
+        words = self.words
+        if (start, period) != (self.start, self.period):
+            # each meet: its preperiod bits, then its period block repeated
+            ms, mp = self.start, self.period
+            pre_mask = (1 << ms) - 1
+            words = (m & pre_mask | _repeat(m >> ms, mp, width - ms) << ms for m in words)
+        x = a._word(width)
+        union, hit = 0, False
+        for m in words:
+            if m & x == m:
+                union |= m
+                hit = True
+        return start, x, union, hit
+
+    def to_json(self) -> dict:
+        return {"kind": type(self).__name__, self._KEY: [g.to_json() for g in self.gens]}
+
+
+class TopGen(_Generated):
     """The topology generated by a finite subbase.
 
     A member is a union of meets of the subbase.  The empty set is the
@@ -200,34 +209,22 @@ class TopGen(FamExpr):
     ``contains`` itself, since the union of the meets may not cover them.
     """
 
-    def __init__(self, subbase):
-        self.subbase = _check_gens(subbase, nonempty=True)
-        self._meets = _Meets(self.subbase)
+    _KEY = "subbase"
 
     def contains(self, a: UPSet) -> bool:
-        _, x, union, _ = self._meets.below(a)
+        _, x, union, _ = self._below(a)
         return union == x or a == _NATS
 
-    def to_json(self) -> dict:
-        return {"kind": "TopGen", "subbase": [g.to_json() for g in self.subbase]}
 
-
-class LatGen(FamExpr):
+class LatGen(_Generated):
     """Closure of the generators under binary intersections and unions."""
 
-    def __init__(self, gens):
-        self.gens = _check_gens(gens, nonempty=True)
-        self._meets = _Meets(self.gens)
-
     def contains(self, a: UPSet) -> bool:
-        _, x, union, hit = self._meets.below(a)
+        _, x, union, hit = self._below(a)
         return hit and union == x
 
-    def to_json(self) -> dict:
-        return {"kind": "LatGen", "gens": [g.to_json() for g in self.gens]}
 
-
-class LatGenSing(FamExpr):
+class LatGenSing(_Generated):
     """LatGen of the generators together with every singleton.
 
     With the singletons available, a nonempty set is a member exactly when
@@ -235,18 +232,13 @@ class LatGenSing(FamExpr):
     set is not a member: members are unions of nonempty building blocks.
     """
 
-    def __init__(self, gens):
-        self.gens = _check_gens(gens, nonempty=False)
-        self._meets = _Meets(self.gens)
+    _ALLOWS_EMPTY = True
 
     def contains(self, a: UPSet) -> bool:
         if a.is_empty:
             return False
-        start, x, union, _ = self._meets.below(a)
+        start, x, union, _ = self._below(a)
         return (x ^ union) >> start == 0  # union is inside x
-
-    def to_json(self) -> dict:
-        return {"kind": "LatGenSing", "gens": [g.to_json() for g in self.gens]}
 
 
 class UnionFam(FamExpr):

@@ -292,9 +292,13 @@ def test_initials_demo_with_a_short_bound_is_inconclusive(tmp_path):
 
 
 def test_stage_bound_is_capped(capsys):
+    # the flag is named, not the fixture key it overrides
     assert main(["demo", "initials-chain", "--bound", str(MAX_STAGES), "--quiet"]) == 0
     assert main(["demo", "initials-chain", "--bound", str(MAX_STAGES + 1), "--quiet"]) == 2
-    assert f"MAX_STAGES = {MAX_STAGES}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: --bound must be at most MAX_STAGES = "
+                                       f"{MAX_STAGES}, got {MAX_STAGES + 1}\n")
+    assert main(["demo", "initials-chain", "--bound", "0", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: --bound must be at least 1, got 0\n"
 
 
 def test_chain_completion_bound_is_clamped_to_the_longest_chain(tmp_path):

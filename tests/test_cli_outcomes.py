@@ -7,6 +7,9 @@ path.  Each argv's exit code, stdout, stderr and ``--json`` text must equal
 its golden entry; a mismatch names the argv and the field.  A change that
 alters an outcome on purpose rewrites the golden with
 ``python tools/traffic.py --write-golden`` and lists each changed argv.
+
+The tool's ``STAY_LINES`` names lines by their text in their function, so
+each text must name exactly one line there.
 """
 
 import importlib.util
@@ -33,3 +36,17 @@ def test_cli_outcomes_match_the_golden(tmp_path, monkeypatch):
     changed = [(" ".join(want["argv"]), field) for want, have in zip(golden, got)
                for field in traffic.FIELDS if have[field] != want[field]]
     assert not changed
+
+
+def test_each_stay_line_names_one_line_of_its_function():
+    traffic = _load_traffic()
+    owned = [(path, line, qual) for path, owners in traffic.function_lines().items()
+             for line, qual in owners.items()]
+    texts = {}
+    for path, _, _ in owned:
+        if path not in texts:
+            texts[path] = Path(path).read_text(encoding="utf-8").splitlines()
+    for qual, text, _ in traffic.STAY_LINES:
+        hits = [line for path, line, owner in owned
+                if owner == qual and texts[path][line - 1].strip() == text]
+        assert len(hits) == 1, (qual, text, hits)

@@ -36,7 +36,7 @@ from topcube.cli import load_fixture
 from topcube.cube import set_bits
 from topcube.demos import growing_core_chain, nested_initial_chain
 from topcube import upsets
-from topcube.famexpr import FamExpr, _Meets
+from topcube.famexpr import FamExpr
 from topcube.upsets import MAX_POOL_BITS, MAX_WINDOW_BITS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -136,17 +136,30 @@ def test_chain_initials():
         ChainInitials(up(1, 2))
 
 
+def _leaves(cls) -> set:
+    """The concrete kinds below `cls`: the generated kinds share a base."""
+    below = cls.__subclasses__()
+    return {leaf for k in below for leaf in _leaves(k)} if below else {cls}
+
+
 def test_every_kind_has_a_repr_led_by_its_name():
     # repr reads to_json, so each kind keeps its to_json even where no verb
     # writes the kind into a report
     exprs = [Explicit([EVENS]), DownPow(EVENS), NearDown(EVENS), TopGen([EVENS]),
              LatGen([EVENS]), LatGenSing([EVENS]), UnionFam(DownPow(EVENS), Explicit([NATS])),
              ChainInitials(EVENS, [NATS])]
-    assert {type(e) for e in exprs} == set(FamExpr.__subclasses__())
+    assert {type(e) for e in exprs} == _leaves(FamExpr)
     for e in exprs:
         name = type(e).__name__
         assert repr(e) == f"{name}({e.to_json()})"
         assert e.to_json()["kind"] == name
+
+
+def test_generated_kinds_write_their_generators_under_their_own_key():
+    assert TopGen([EVENS, ODDS]).to_json() == {
+        "kind": "TopGen", "subbase": [EVENS.to_json(), ODDS.to_json()]}
+    assert LatGen([EVENS]).to_json() == {"kind": "LatGen", "gens": [EVENS.to_json()]}
+    assert LatGenSing([]).to_json() == {"kind": "LatGenSing", "gens": []}
 
 
 def test_initial_segment_refuses_points_past_the_window_cap():
@@ -359,7 +372,7 @@ def test_a_meet_pool_past_its_cap_is_refused_while_it_grows(kind):
         kind(gens)
     words, width = map(int, re.search(r"are (\d+) words of (\d+) bits", str(err.value)).groups())
     assert MAX_POOL_BITS < words * width < 2 * MAX_POOL_BITS
-    assert len(kind(gens[:8])._meets.words) == 255
+    assert len(kind(gens[:8]).words) == 255
 
 
 def test_every_window_past_the_cap_is_refused_with_one_message():
@@ -408,7 +421,7 @@ def test_meets_rewindow_like_the_word_of_each_meet():
     rng = random.Random(9)
     gens = (UPSet("01", _primitive(rng, 9)), UPSet("1", _primitive(rng, 16)),
             UPSet("", _primitive(rng, 25)))
-    meets = _Meets(gens)
+    meets = LatGen(gens)
     assert (meets.start, meets.period) == (2, 3600)
     as_sets = [UPSet._split(meets.start, meets.period, m) for m in meets.words]
     candidates = [gens[0] | gens[1], gens[2] | up(0, 5, 4000), gens[0] & gens[2] | up(3, 9),
@@ -416,7 +429,7 @@ def test_meets_rewindow_like_the_word_of_each_meet():
                   UPSet("", _primitive(rng, 32)) | gens[2], NATS]
     rewindowed = 0
     for a in candidates:
-        start, x, union, hit = meets.below(a)
+        start, x, union, hit = meets._below(a)
         width = start + math.lcm(meets.period, a._per_len)
         rewindowed += width != meets.start + meets.period
         assert x == a._word(width)
@@ -432,7 +445,7 @@ def test_bounds_join_the_meets_after_the_closure():
         gens = tuple(dict.fromkeys(UPSet(word(rng.randint(0, 4)), word(rng.randint(1, 12)))
                                    for _ in range(count)))
         gens += (NATS,) if count == 3 else ()
-        meets = _Meets(gens)
+        meets = LatGen(gens)
         width = meets.start + meets.period
         # every meet of a nonempty subcollection, by brute force
         subset_meets = set()

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from topcube import (
+    Family,
     GroundSet,
+    Topology,
     all_ultratopologies,
     subbase_correspondence_check,
     trace_bijection_check,
@@ -15,6 +17,7 @@ from topcube import (
     ultratopologies_at,
     ultratopology,
 )
+from topcube import ultra
 from topcube.cube import add_point, magic_mask, remove_point, set_bits
 from topcube.oracles import powerset, principal_ultrafilter, reconstruct, trace
 
@@ -217,3 +220,35 @@ def test_cover_check():
     assert "2 topologies split into 2 blocks of 1" in r2.notes[0]
     with pytest.raises(ValueError):
         ultra_cover_check(GroundSet(1))
+
+
+# Each single broken route below still ends in fail: the count and the
+# block-versus-selection test together leave no partition fault unseen.
+
+
+def test_cover_check_fails_when_a_member_becomes_the_discrete_topology(monkeypatch):
+    real = ultra.all_ultratopologies
+    discrete = Topology(Family(U3, (1 << U3.num_subsets) - 1))
+    monkeypatch.setattr(ultra, "all_ultratopologies",
+                        lambda u: real(u) - {ultratopology(u, 2, 1)} | {discrete})
+    report = ultra_cover_check(U3)
+    assert report.verdict == "fail"
+    assert report.witness == {"x": 2, "mismatch": "block vs non-open-singleton selection"}
+
+
+def test_cover_check_fails_when_a_topology_ignores_its_point(monkeypatch):
+    real = ultra.ultratopology
+    monkeypatch.setattr(ultra, "ultratopology",
+                        lambda u, x, y: real(u, x, 1 if x == 0 else y))
+    report = ultra_cover_check(U3)
+    assert report.verdict == "fail"
+    assert report.witness == {"count": 5, "expected": 6}
+
+
+def test_cover_check_fails_when_a_block_drops_a_member(monkeypatch):
+    real = ultra.ultratopologies_at
+    monkeypatch.setattr(ultra, "ultratopologies_at",
+                        lambda u, x: real(u, x) - {ultratopology(u, 1, 0)})
+    report = ultra_cover_check(U3)
+    assert report.verdict == "fail"
+    assert report.witness == {"count": 5, "expected": 6}

@@ -2,7 +2,7 @@
 
 The traffic is what the project promises to keep working:
 
-- 89 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
+- 92 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
   ``verify`` check at ``--n 1..4``, with and without ``--seed 7``; both
   fixtured checks; every demo; ``demo initials-chain --coords FILE``, FILE
   holding the packaged fixture's completion coordinates; ``demo
@@ -11,10 +11,16 @@ The traffic is what the project promises to keep working:
   ``demo powerset-chain`` given an empty coordinate list, ``demo
   initials-chain --bound 2`` (each exit 3), ``demo join-gap`` on a
   tampered fixture given by path (exit 1), and ``demo join-gap`` on 16
-  generators whose meet pool passes ``MAX_POOL_BITS`` (exit 2);
+  generators whose meet pool passes ``MAX_POOL_BITS`` (exit 2); and three
+  more that do not pass, on fixtures given by path: ``verify
+  disjoint-closure`` on two topologies sharing a proper open (exit 2), and
+  ``demo initials-chain`` on the packaged fixture with an enumerated set
+  whose segment 15 lies past ``MAX_WINDOW_BITS`` (exit 2) or with that set
+  as its one limit-point coordinate (exit 3);
 - 11 CLI argv that argparse ends: the root's and each verb's ``--help``,
   and seven command lines it refuses;
-- one round of each workload in ``bench/workloads.py`` (seed 1);
+- one round of each workload in ``bench/workloads.py`` (seed 1), after
+  ``certificates._AGREED`` is cleared, as in the bench's fresh process;
 - every test function of ``tests/test_acceptance.py``.
 
 All of it runs in this process under one ``sys.settrace`` hook that notes
@@ -34,7 +40,11 @@ shows.  Last comes the line pass: every line of a code object that no line
 event reached, outside ``oracles.py`` and the stay-listed functions, as
 ``file:line text`` in three groups (``line_groups``): refusals (``raise``),
 verdict branches (statements that build a fail or inconclusive report), and
-the rest.  Before the lists, the tool prints
+the rest.  The rest is decided line by line: each line named in
+``STAY_LINES``, a table of qualified function, line text and reason, is
+kept on purpose and printed under its reason; every other line of the rest
+is printed as undecided, and then every ``STAY_LINES`` entry whose line
+runs or is gone, as stale.  Before the lists, the tool prints
 the code lines of each module and their total: the lines that hold code,
 without docstrings, comments or blank lines (``code_lines``).  Before
 those, it prints one digest of every CLI call's outcome: its exit code,
@@ -99,9 +109,7 @@ STAY = (
     ("cube.Family.__setattr__", _GUARD),
     ("cube.Family._member_points", _REPR),
     ("cube.Family.__repr__", _REPR),
-    ("famexpr.TopGen.to_json", _REPR),
-    ("famexpr.LatGen.to_json", _REPR),
-    ("famexpr.LatGenSing.to_json", _REPR),
+    ("famexpr._Generated.to_json", _REPR),
     ("lattice.lat_generate", _TRACED),
     ("lattice.relations_set", _TRACED),
     ("oracles.generated_topology", _ORACLE),
@@ -116,6 +124,55 @@ STAY = (
     ("topology.Topology.__repr__", _REPR),
     ("upsets.UPSet.__setattr__", _GUARD),
     ("upsets.UPSet.__repr__", _REPR),
+)
+
+_CNF = "a general CNF of the public Certificate, which no verb's certificate is"
+_FAIL_PATH = ("a fail-path helper: it runs only when a route is broken, and no broken "
+              "route runs in the traffic (ROADMAP item 13)")
+_TIER2 = "tier 2 of interval identity, which cannot fail once tier 1 passed (ROADMAP item 4)"
+_PLATFORM = "a protocol or platform line: NotImplemented, a negative index, byteswap"
+_CONSOLE = "the console entry point, which reads sys.argv when main is given no argv"
+_API = "reached only through the API: no verb, workload or criterion asks for it"
+
+# (module.qualified function, stripped line text, reason) of every line of
+# the line pass's rest kept although the traffic may never run it; a
+# comprehension's lines go with the function around it.  tests/
+# test_cli_outcomes.py checks that each text occurs exactly once in its
+# function.
+STAY_LINES = (
+    ("certificates.Certificate.solve", "return []", _CNF),
+    ("certificates.Certificate.solve", "elif (members >> c.mask) & 1 == c.present:", _CNF),
+    ("certificates.Certificate.solve", "break", _CNF),
+    ("certificates._interval_mismatch", "elif differ & members:", _FAIL_PATH),
+    ("certificates._interval_mismatch",
+     'side, diff = "up", (up_order ^ up_cond) & members', _FAIL_PATH),
+    ("certificates._interval_mismatch", "if not diff:", _FAIL_PATH),
+    ("certificates._interval_mismatch",
+     'side, diff = "down", (down_order ^ down_cond) & members', _FAIL_PATH),
+    ("certificates._interval_mismatch",
+     'return {"element": x, "side": side, "difference_words": set_bits(diff)[:8]}',
+     _FAIL_PATH),
+    ("topology._first_inclusion_mismatch", "diff = r ^ s", _FAIL_PATH),
+    ("topology._first_inclusion_mismatch", "return i, (diff & -diff).bit_length() - 1",
+     _FAIL_PATH),
+    ("topology.embedding_check", "seen = {}", _FAIL_PATH),
+    ("topology.embedding_check", "for w, image in zip(words, images):", _FAIL_PATH),
+    ("topology.embedding_check", "first = seen.setdefault(image, w)", _FAIL_PATH),
+    ("topology.embedding_check", "if first != w:", _FAIL_PATH),
+    ("certificates.interval_identity_sweep", "return interval_identity_all(universe, combo)",
+     _TIER2),
+    ("cube.Family.__eq__", "return NotImplemented", _PLATFORM),
+    ("upsets.UPSet.__eq__", "return NotImplemented", _PLATFORM),
+    ("upsets.UPSet.__contains__", "return False", _PLATFORM),
+    ("cube.set_bits", "limbs.byteswap()", _PLATFORM),
+    ("cli._parse", "argv = sys.argv[1:]", _CONSOLE),
+    ("certificates.is_limit_point_sampled.separated",
+     "return any(w not in top_pool and x_has(w) != c.contains(w) for w in probes)", _API),
+    ("certificates.limit_vs_union_check",
+     'return timer.report(PASS, notes=["limit and union agree on the whole probe pool"])',
+     _API),
+    ("famexpr._union", "out = out | s", _API),
+    ("famexpr.LatGenSing.contains", "return False", _API),
 )
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -173,13 +230,23 @@ POOL_JOIN_GAP = {
     "candidate": {"pre": "", "period": "10"}, "sample_points": [0, 2]}
 
 
+# a disjoint-closure fixture whose two topologies share the proper open {0},
+# which the certificate refuses (exit 2)
+SHARED_OPEN = {"n": 3, "topologies": [[0, 1, 7], [0, 1, 3, 7]]}
+
+# an enumerated set with one member every 70,000 points: its segment 15
+# needs point 1,050,000, past MAX_WINDOW_BITS, so the initials-chain demo
+# on the packaged fixture with this set exits 2
+_SPARSE_ENUM = {"pre": "", "period": "1" + "0" * 69_999}
+
+
 def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
     """The CLI argv of the traffic, without ``--json``; the files they name
     are those ``cli_outcomes`` writes into `scratch`."""
-    coords, empty, tampered, long_pre, pool = (
+    coords, empty, tampered, long_pre, pool, shared, sparse, limit_miss = (
         os.path.join(scratch, name)
         for name in ("coords.json", "empty.json", "tampered.json", "long-preperiod.json",
-                     "pool.json"))
+                     "pool.json", "shared-open.json", "sparse-enum.json", "limit-miss.json"))
     argv = [["count", "--n", str(n)] for n in range(1, 5)]
     for name in checks:
         for n in range(1, 5):
@@ -196,6 +263,10 @@ def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
              ["demo", "initials-chain", "--bound", "2"],
              ["demo", "join-gap", "--fixture", tampered],
              ["demo", "join-gap", "--fixture", pool]]
+    # two refusals (exit 2) and an inconclusive limit point (exit 3)
+    argv += [["verify", "disjoint-closure", "--fixture", shared],
+             ["demo", "initials-chain", "--fixture", sparse],
+             ["demo", "initials-chain", "--fixture", limit_miss]]
     return argv
 
 
@@ -236,9 +307,14 @@ def cli_outcomes(scratch: str) -> tuple[list[dict], str]:
     help text wraps at the terminal width, so the caller sets ``COLUMNS``."""
     from topcube import cli
 
-    files = {"coords.json": cli.load_fixture("initials-chain")["completion_coords"],
+    chain = cli.load_fixture("initials-chain")
+    files = {"coords.json": chain["completion_coords"],
              "empty.json": [], "tampered.json": TAMPERED_JOIN_GAP,
-             "long-preperiod.json": LONG_PREPERIOD_CHAIN, "pool.json": POOL_JOIN_GAP}
+             "long-preperiod.json": LONG_PREPERIOD_CHAIN, "pool.json": POOL_JOIN_GAP,
+             "shared-open.json": SHARED_OPEN, "sparse-enum.json": dict(chain, enum=_SPARSE_ENUM),
+             # no stage holds the enumerated set, so the limit-point
+             # neighbourhood of that one coordinate misses every stage
+             "limit-miss.json": dict(chain, limit_point_coords=[chain["enum"]])}
     for name, value in files.items():
         with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
             json.dump(value, fh)
@@ -260,7 +336,10 @@ def run_traffic(scratch: str) -> tuple[list[str], str]:
     _, digest_line = cli_outcomes(scratch)
 
     import workloads
+    from topcube import certificates
 
+    # each workload starts in a fresh process, with no element agreed yet
+    certificates._AGREED.clear()
     for name in workloads.NAMES:
         workload = workloads.build(name, 1, os.path.join(scratch, "job.json"))
         for job in workload.jobs:
@@ -360,27 +439,47 @@ def line_groups(source: str) -> dict[int, str]:
     return groups
 
 
-def never_executed(executed: dict, stay: dict) -> dict[str, list[tuple[str, int, str]]]:
-    """(file, line, text) of every line of the package's code objects that
-    no line event reached, by group, outside oracles.py and the stay-listed
-    functions.  A code object's first line is left out: it is its ``def``
-    (or decorator), which no line event of its own reaches."""
-    lines: dict[str, set[int]] = {}
+def _function_of(qual: str) -> str:
+    """The function whose lines a code object's are: a comprehension's go
+    with the function around it."""
+    parts = qual.split(".")
+    while parts[-1].startswith("<") and parts[-1] != "<lambda>":
+        parts.pop()
+    return ".".join(parts)
+
+
+def function_lines() -> dict[str, dict[int, str]]:
+    """For each module of the package, the module.qualified name of the
+    innermost function that every line of its code objects belongs to.  A
+    code object's first line is left out: it is its ``def`` (or
+    decorator), which no line event of its own reaches."""
+    out: dict[str, dict[int, str]] = {}
+    for path, qual, code in code_objects():  # outer code objects first
+        owner = out.setdefault(path, {})
+        for _, _, line in code.co_lines():
+            if line is not None and line != code.co_firstlineno:
+                owner[line] = _function_of(qual)
+    return out
+
+
+def never_executed(executed: dict, stay: dict) -> dict[str, list[tuple[str, int, str, str]]]:
+    """(file, line, function, text) of every line of the package's code
+    objects that no line event reached, by group, outside oracles.py and
+    the stay-listed functions."""
     ran: dict[str, set[int]] = {}
-    for path, qual, code in code_objects():
+    for path, _, code in code_objects():
         ran.setdefault(path, set()).update(executed.get(_key(code), ()))
-        if path == ORACLES or any(qual == s or qual.startswith(s + ".") for s in stay):
+    out: dict[str, list[tuple[str, int, str, str]]] = {REFUSALS: [], VERDICTS: [], REST: []}
+    for path, owners in sorted(function_lines().items()):
+        if path == ORACLES:
             continue
-        lines.setdefault(path, set()).update(
-            line for _, _, line in code.co_lines()
-            if line is not None and line != code.co_firstlineno)
-    out: dict[str, list[tuple[str, int, str]]] = {REFUSALS: [], VERDICTS: [], REST: []}
-    for path in sorted(lines):
         with open(path, encoding="utf-8") as fh:
             text = fh.read().splitlines()
         groups = line_groups("\n".join(text))
-        for line in sorted(lines[path] - ran[path]):
-            out[groups.get(line, REST)].append((path, line, text[line - 1].strip()))
+        for line in sorted(owners.keys() - ran[path]):
+            qual = owners[line]
+            if not any(qual == s or qual.startswith(s + ".") for s in stay):
+                out[groups.get(line, REST)].append((path, line, qual, text[line - 1].strip()))
     return out
 
 
@@ -471,10 +570,28 @@ def main(argv=None) -> int:
     unexecuted = never_executed(executed, stay)
     print(f"{sum(map(len, unexecuted.values()))} code lines never executed, "
           "outside oracles.py and the stay-listed functions:")
-    for group, found in unexecuted.items():
-        print(f"  {len(found)} {group}:")
-        for path, line, text in found:
+    for group in (REFUSALS, VERDICTS):
+        print(f"  {len(unexecuted[group])} {group}:")
+        for path, line, _, text in unexecuted[group]:
             print(f"    {os.path.relpath(path, src)}:{line} {text}")
+    rest = unexecuted[REST]
+    print(f"  {len(rest)} {REST}:")
+    reasons = {(qual, text): reason for qual, text, reason in STAY_LINES}
+    kept = [entry for entry in rest if entry[2:] in reasons]
+    undecided = [entry for entry in rest if entry[2:] not in reasons]
+    stale = reasons.keys() - {entry[2:] for entry in kept}
+    print(f"    {len(kept)} of them in STAY_LINES:")
+    for reason in dict.fromkeys(reasons.values()):
+        print(f"      {reason}:")
+        for path, line, qual, text in kept:
+            if reasons[qual, text] == reason:
+                print(f"        {os.path.relpath(path, src)}:{line} {text}")
+    print(f"    {len(undecided)} undecided:")
+    for path, line, _, text in undecided:
+        print(f"      {os.path.relpath(path, src)}:{line} {text}")
+    print(f"    {len(stale)} STAY_LINES entries whose line runs or is gone (the entry can go):")
+    for qual, text in sorted(stale):
+        print(f"      {qual}: {text}")
     return 1 if problems else 0
 
 
