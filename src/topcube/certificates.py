@@ -65,7 +65,7 @@ from .cube import (
     set_bits,
 )
 from .famexpr import FamExpr
-from .lattice import _generated, _settle
+from .lattice import _settle, close_words
 from .report import FAIL, INCONCLUSIVE, PASS, Report, Stopwatch
 
 MAX_PATTERN_COORDS = 10
@@ -358,7 +358,7 @@ def _sublattice_mismatch(n: int, words) -> tuple[int, dict | None]:
     compare both routes at every member, in increasing order: the member
     count and the first disagreement, or None.  A sublattice whose members
     are all agreed elements passes without a member word."""
-    members = _generated(words)
+    members = close_words(words)
     if _agreed(n).issuperset(members):
         return len(members), None
     members = sorted(members)
@@ -429,10 +429,6 @@ def interval_identity_sweep(universe: GroundSet, max_gens: int = 3) -> Report:
     )
 
 
-def _pattern_agrees(e: FamExpr, reference: dict, subset) -> bool:
-    return all(e.contains(w) == reference[w] for w in subset)
-
-
 def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Report:
     """Does every basic neighbourhood of x meet the candidate pool elsewhere?
 
@@ -468,11 +464,8 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
         return reference[w]
 
     def separated(c: FamExpr) -> bool:
-        probes = c.probe_sets(depth + 1)
-        for w in top_pool:
-            if x_has(w) != c.contains(w):
-                return True
-        return any(w not in top_pool and x_has(w) != c.contains(w) for w in probes)
+        pool = dict.fromkeys([*top_pool, *c.probe_sets(depth + 1)])
+        return any(x_has(w) != c.contains(w) for w in pool)
 
     distinct = [separated(c) for c in candidates]
 
@@ -480,7 +473,7 @@ def is_limit_point_sampled(x: FamExpr, candidates, coords, depth: int = 8) -> Re
     for r in range(len(coords) + 1):
         for subset in combinations(coords, r):
             inside = [i for i, c in enumerate(candidates)
-                      if _pattern_agrees(c, reference, subset)]
+                      if all(c.contains(w) == reference[w] for w in subset)]
             if not inside:
                 open_question = True
                 continue

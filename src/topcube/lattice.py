@@ -59,10 +59,12 @@ def close_words(words) -> frozenset[int]:
     incrementally: adding one word g to a set M closed under an operation
     o keeps it closed once the words g o m (m in M) join it, so the meets
     are built one generator at a time (``cube.meet_closure``), then their
-    joins the same way.
+    joins the same way.  An empty input is refused: it generates nothing.
     """
     distinct = set(words)
-    if 0 < len(distinct) <= 3:
+    if not distinct:
+        raise ValueError("need at least one generating family")
+    if len(distinct) <= 3:
         a, b, c = (*distinct, *distinct, *distinct)[:3]
         ab, ac, bc = a & b, a & c, b & c
         return frozenset((a, b, c, ab, ac, bc, ab & c, a | b, a | c, b | c, a | b | c,
@@ -79,14 +81,7 @@ def close_words(words) -> frozenset[int]:
 def lat_generate(universe: GroundSet, gens) -> frozenset[int]:
     """The words of the smallest meet/join-closed collection containing the
     generators."""
-    return _generated([family_word(universe, g) for g in gens])
-
-
-def _generated(words: list[int]) -> frozenset[int]:
-    """``lat_generate`` on words already checked to be families of one ground set."""
-    if not words:
-        raise ValueError("need at least one generating family")
-    return close_words(words)
+    return close_words([family_word(universe, g) for g in gens])
 
 
 def relations_set(universe: GroundSet, collection) -> frozenset[Family]:
@@ -245,25 +240,18 @@ def chain_completion_check(universe: GroundSet, seed: int = 0, max_len: int = 4)
     timer = Stopwatch("chain-completion", {"n": universe.n, "max_len": max_len})
     if universe.n <= 2:
         size = 1 << universe.num_subsets
-        tried = 0
-        for r in range(1, min(max_len, universe.num_subsets + 1) + 1):
-            for combo in combinations(range(size), r):
-                if not _is_chain(combo):
-                    continue
-                tried += 1
-                problem = _completion_violation(universe, list(combo))
-                if problem:
-                    return timer.report(FAIL, {"chain": list(combo), **problem})
-        note = f"exhaustive: {tried} chains of length at most {max_len}"
+        chains = [list(combo) for r in range(1, min(max_len, universe.num_subsets + 1) + 1)
+                  for combo in combinations(range(size), r) if _is_chain(combo)]
+        note = f"exhaustive: {len(chains)} chains of length at most {max_len}"
     else:
         timer.params.update(seed=seed, samples=CHAIN_SAMPLES)
         rng = random.Random(seed)
-        for _ in range(CHAIN_SAMPLES):
-            words = _random_chain_words(universe, rng, max_len)
-            problem = _completion_violation(universe, words)
-            if problem:
-                return timer.report(FAIL, {"chain": words, **problem})
+        chains = [_random_chain_words(universe, rng, max_len) for _ in range(CHAIN_SAMPLES)]
         note = f"{CHAIN_SAMPLES} seeded chains of length at most {max_len}"
+    for words in chains:
+        problem = _completion_violation(universe, words)
+        if problem:
+            return timer.report(FAIL, {"chain": words, **problem})
     return timer.report(PASS, notes=[note])
 
 

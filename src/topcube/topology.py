@@ -19,10 +19,11 @@ top point p is ``w | (w << 2^p)``.  ``embedding_check`` audits that map on
 integers alone, the set bits of ``topology_word``, and builds no
 ``Topology``.  It transposes the images into columns once (``_columns``),
 validates every image with one ``_axioms_word`` call, one image per bit,
-and checks injectivity with a set.  It then compares strict
-inclusion with one row per topology holding the topologies above it: the
-AND of the columns of the topology's subsets, read from byte tables, one
-table of column ANDs per block of 8 subsets.
+then compares inclusion with one row per topology holding the topologies
+above it: the AND of the columns of the topology's subsets, read from byte
+tables, one table of column ANDs per block of 8 subsets.  A map that
+preserves and reflects inclusion is injective, so no other test of
+injectivity is made.
 """
 
 from __future__ import annotations
@@ -178,14 +179,16 @@ def _inclusion_rows(words: list[int], columns: list[int]) -> list[int]:
 
 
 def _first_inclusion_mismatch(sources, images, image_columns):
-    """The first (i, j), in permutations order, where strict inclusion of
+    """The first (i, j), in permutations order, where inclusion of
     sources[i] in sources[j] differs from that of images[i] in images[j].
 
     ``image_columns`` is ``_columns(images, ...)``; the sources are families
-    over half as many subsets.  Both lists must hold distinct words: then
-    x_i is strictly inside x_j exactly when i != j and bit j of row i is
-    set, and every row has bit i, so the two sides agree on every pair
-    exactly when their rows are equal.  None when they agree everywhere.
+    over half as many subsets.  The rows hold inclusion, so every row has
+    bit i and the two sides agree on every pair exactly when their rows are
+    equal.  Only the sources must be distinct words: then two equal images
+    set bits (i, j) and (j, i), of which the sources set at most one, so a
+    collision is a mismatch too.  None when they agree everywhere, and then
+    strict inclusion agrees as well.
     """
     small = _inclusion_rows(sources, _columns(sources, len(image_columns) // 2))
     large = _inclusion_rows(images, image_columns)
@@ -199,11 +202,11 @@ def _first_inclusion_mismatch(sources, images, image_columns):
 def embedding_check(universe: GroundSet) -> Report:
     """Push every topology one ground-set size up and audit the image.
 
-    The map must be injective and must preserve and reflect strict
-    inclusion; both follow from restriction undoing the construction, and
-    the sweep confirms it topology by topology, on the set bits of
-    ``topology_word``.  The images are validated all at once, one image per
-    bit of ``_axioms_word``; a witness lists the open masks of its sources.
+    The map must preserve and reflect inclusion, which makes it injective;
+    this follows from restriction undoing the construction, and the sweep
+    confirms it topology by topology, on the set bits of ``topology_word``.
+    The images are validated all at once, one image per bit of
+    ``_axioms_word``; a witness lists the open masks of its sources.
     """
     n = universe.n
     timer = Stopwatch("embedding", {"n": n, "target": n + 1})
@@ -215,12 +218,6 @@ def embedding_check(universe: GroundSet) -> Report:
     if broken:
         k = (broken & -broken).bit_length() - 1
         return timer.report(FAIL, {"not-a-topology": set_bits(words[k])})
-    if len(set(images)) != len(images):
-        seen = {}
-        for w, image in zip(words, images):
-            first = seen.setdefault(image, w)
-            if first != w:
-                return timer.report(FAIL, {"collision": [set_bits(first), set_bits(w)]})
     mismatch = _first_inclusion_mismatch(words, images, columns)
     if mismatch is not None:
         i, j = mismatch

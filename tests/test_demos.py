@@ -85,6 +85,21 @@ def test_join_gap_rejects_candidate_that_is_a_member():
     assert "candidate_is_member" in report.witness
 
 
+def test_lists_past_max_fixture_sets_are_refused():
+    # the cap itself is accepted; one entry more is refused, naming the cap
+    cap = demos.MAX_FIXTURE_SETS
+    fix = load_fixture("join-gap")
+    assert demo_join_gap(dict(fix, sample_points=list(range(0, 2 * cap, 2)))).passed
+    with pytest.raises(ValueError, match=f"MAX_FIXTURE_SETS = {cap}, got {cap + 1}"):
+        demo_join_gap(dict(fix, sample_points=list(range(0, 2 * cap + 2, 2))))
+    singletons = [{"pre": "0" * k + "1", "period": "0"} for k in range(cap + 1)]
+    with pytest.raises(ValueError, match=f"MAX_FIXTURE_SETS = {cap}, got {cap + 1}"):
+        demo_chain_union(dict(load_fixture("powerset-chain"), coords=singletons))
+    # finite coordinates alone never show the union's escape: a refutation, not a refusal
+    report = demo_chain_union(dict(load_fixture("powerset-chain"), coords=singletons[:cap]))
+    assert report.witness == {"union_passed_probe": True}
+
+
 def test_chain_union_rejects_wrong_witness():
     fix = load_fixture("powerset-chain")
     fix["expected_witness"] = {"pre": "", "period": "10"}
@@ -124,6 +139,17 @@ def test_limit_vs_union_demo_names_both_sides():
     report = demo_limit_vs_union(load_fixture("initials-chain"))
     assert report.passed
     assert EVENS.describe() in report.notes[0]
+
+
+def test_stages_take_their_segments_from_the_union():
+    # one memo: stage m lists the union's segments 0..m themselves, between
+    # the empty set and the naturals
+    stage, union, top = initials_chain({"enum": EVENS.to_json()})
+    for m in range(5):
+        segments = stage(m).members[1:-1]
+        assert len(segments) == m + 1
+        assert all(s is union.initial_segment(j) for j, s in enumerate(segments))
+    assert top is not union and top.enum == union.enum
 
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])

@@ -16,6 +16,7 @@ from topcube import (
     chain_completion_check,
     chain_completion_finite,
     chain_completion_omega,
+    interval_identity_all,
     join_completeness_witness,
     lat_generate,
     relations_set,
@@ -363,6 +364,32 @@ def test_completion_check_refuses_a_length_below_one(n, max_len):
     # exhaustive at n <= 2, sampled at n = 3: either would examine no chain
     with pytest.raises(ValueError, match=f"max_len >= 1, got {max_len}"):
         chain_completion_check(GroundSet(n), max_len=max_len)
+
+
+@pytest.mark.parametrize("n, chain", [(2, [1]), (3, [197, 213, 255])])
+def test_completion_check_names_the_chain_a_broken_closed_form_pads(monkeypatch, n, chain):
+    # a closed form that adjoins the empty family: exhaustive at n = 2 and
+    # sampled at n = 3, one loop names the first chain it pads
+    closed_form = lattice._chain_joins_meets
+
+    def with_empty(universe, cs):
+        joins, meets = closed_form(universe, cs)
+        return joins, [0, *meets]
+
+    monkeypatch.setattr(lattice, "_chain_joins_meets", with_empty)
+    report = chain_completion_check(GroundSet(n))
+    assert report.verdict == "fail"
+    assert report.witness == {"chain": chain, "extra": [0], "missing": []}
+
+
+@pytest.mark.parametrize("generated", [
+    lambda: close_words(()),
+    lambda: lat_generate(U3, []),
+    lambda: interval_identity_all(U3, []),
+])
+def test_an_empty_generator_list_is_refused(generated):
+    with pytest.raises(ValueError, match="need at least one generating family"):
+        generated()
 
 
 @pytest.mark.parametrize("n", [2, 3])

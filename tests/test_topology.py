@@ -241,7 +241,7 @@ def test_embedding_check_at_four_points():
 
 def _naive_first_mismatch(sources, images):
     for (i, x, ix), (j, y, iy) in permutations(zip(range(len(sources)), sources, images), 2):
-        if (x != y and x & y == x) != (ix != iy and ix & iy == ix):
+        if (x & y == x) != (ix & iy == ix):
             return i, j
     return None
 
@@ -264,13 +264,30 @@ def test_inclusion_audit_matches_the_pairwise_loop():
             if trial % 3:
                 # plant a broken image: one bit cleared or added
                 images[rng.randrange(len(images))] ^= 1 << rng.randrange(1 << (n + 1))
-                if len(set(images)) != len(images):
-                    continue
             columns = topology._columns(images, 1 << (n + 1))
             expected = _naive_first_mismatch(sources, images)
-            assert topology._first_inclusion_mismatch(sources, images, columns) == expected
+            found = topology._first_inclusion_mismatch(sources, images, columns)
+            assert found == expected
+            if len(set(images)) != len(images):
+                assert found is not None  # a collision is a mismatch
             verdicts.add(expected is None)
         assert verdicts == {True, False}, n
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inclusion_audit_refutes_every_planted_collision(n):
+    # distinct sources, correct images, then one image set equal to another:
+    # the images include each other both ways, the sources at most one way
+    rng = random.Random(n)
+    tops = [t.family.word for t in all_topologies(GroundSet(n))]
+    for _ in range(500):
+        sources = rng.sample(tops if rng.random() < 0.5 else range(1 << (1 << n)),
+                             rng.randint(2, min(len(tops), 12)))
+        images = [add_point(w, n, n) for w in sources]
+        i, j = rng.sample(range(len(images)), 2)
+        images[j] = images[i]
+        columns = topology._columns(images, 1 << (n + 1))
+        assert topology._first_inclusion_mismatch(sources, images, columns) is not None
 
 
 def test_embedding_reports_an_image_that_is_no_topology(monkeypatch, capsys):
@@ -289,10 +306,13 @@ def test_embedding_reports_an_image_that_is_no_topology(monkeypatch, capsys):
 
 def test_embedding_collision_names_both_sources(monkeypatch):
     monkeypatch.setattr(topology, "add_point", lambda _word, n, _x: (1 << (1 << (n + 1))) - 1)
+    # every image equal: the inclusion audit refutes the collision, and its
+    # witness is two distinct topologies of U2
     report = embedding_check(U2)
     assert report.verdict == "fail"
     sources = [set_bits(t.family.word) for t in all_topologies(U2)]
-    assert report.witness == {"collision": sources[:2]}
+    assert report.witness == {"source": [0, 1, 3], "other": [0, 3]}
+    assert report.witness["source"] in sources and report.witness["other"] in sources
 
 
 def test_embedding_names_the_first_of_two_broken_images(monkeypatch, capsys):

@@ -167,6 +167,19 @@ def test_trace_checks_pass():
         assert trace_bijection_check(universe).passed
 
 
+def test_trace_bijection_names_the_ultrafilter_a_collision_leaves_unhit(monkeypatch):
+    # at x = 0 the trace of mu_1 is sent to mu_2's: both land on one small
+    # ultrafilter, and the one mu_1 should hit is named
+    def collide(word, n, x):
+        if (n, x, word) == (3, 0, magic_mask(1, 3)):
+            word = magic_mask(2, 3)
+        return remove_point(word, n, x)
+
+    monkeypatch.setattr(ultra, "remove_point", collide)
+    report = trace_bijection_check(U3)
+    assert (report.verdict, report.witness) == ("fail", {"x": 0, "not-hit": [0]})
+
+
 # ---------------------------------------------------------- ultratopologies
 
 

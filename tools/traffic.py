@@ -2,7 +2,7 @@
 
 The traffic is what the project promises to keep working:
 
-- 92 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
+- 94 CLI argv, each with ``--json FILE``: ``count --n 1..4``; every
   ``verify`` check at ``--n 1..4``, with and without ``--seed 7``; both
   fixtured checks; every demo; ``demo initials-chain --coords FILE``, FILE
   holding the packaged fixture's completion coordinates; ``demo
@@ -16,7 +16,9 @@ The traffic is what the project promises to keep working:
   disjoint-closure`` on two topologies sharing a proper open (exit 2), and
   ``demo initials-chain`` on the packaged fixture with an enumerated set
   whose segment 15 lies past ``MAX_WINDOW_BITS`` (exit 2) or with that set
-  as its one limit-point coordinate (exit 3);
+  as its one limit-point coordinate (exit 3); and two refusals past
+  ``MAX_FIXTURE_SETS`` (exit 2), ``demo powerset-chain --coords FILE`` with
+  65 sets and ``demo join-gap`` on a fixture with 65 ``sample_points``;
 - 11 CLI argv that argparse ends: the root's and each verb's ``--help``,
   and seven command lines it refuses;
 - one round of each workload in ``bench/workloads.py`` (seed 1), after
@@ -155,10 +157,6 @@ STAY_LINES = (
     ("topology._first_inclusion_mismatch", "diff = r ^ s", _FAIL_PATH),
     ("topology._first_inclusion_mismatch", "return i, (diff & -diff).bit_length() - 1",
      _FAIL_PATH),
-    ("topology.embedding_check", "seen = {}", _FAIL_PATH),
-    ("topology.embedding_check", "for w, image in zip(words, images):", _FAIL_PATH),
-    ("topology.embedding_check", "first = seen.setdefault(image, w)", _FAIL_PATH),
-    ("topology.embedding_check", "if first != w:", _FAIL_PATH),
     ("certificates.interval_identity_sweep", "return interval_identity_all(universe, combo)",
      _TIER2),
     ("cube.Family.__eq__", "return NotImplemented", _PLATFORM),
@@ -166,8 +164,6 @@ STAY_LINES = (
     ("upsets.UPSet.__contains__", "return False", _PLATFORM),
     ("cube.set_bits", "limbs.byteswap()", _PLATFORM),
     ("cli._parse", "argv = sys.argv[1:]", _CONSOLE),
-    ("certificates.is_limit_point_sampled.separated",
-     "return any(w not in top_pool and x_has(w) != c.contains(w) for w in probes)", _API),
     ("certificates.limit_vs_union_check",
      'return timer.report(PASS, notes=["limit and union agree on the whole probe pool"])',
      _API),
@@ -234,6 +230,11 @@ POOL_JOIN_GAP = {
 # which the certificate refuses (exit 2)
 SHARED_OPEN = {"n": 3, "topologies": [[0, 1, 7], [0, 1, 3, 7]]}
 
+# one entry past MAX_FIXTURE_SETS: 65 distinct singletons as coordinates, and
+# the packaged join-gap fixture with 65 even sample points (exit 2 each)
+_SINGLETONS = [{"pre": "0" * k + "1", "period": "0"} for k in range(65)]
+_SAMPLE_POINTS = list(range(0, 130, 2))
+
 # an enumerated set with one member every 70,000 points: its segment 15
 # needs point 1,050,000, past MAX_WINDOW_BITS, so the initials-chain demo
 # on the packaged fixture with this set exits 2
@@ -243,10 +244,11 @@ _SPARSE_ENUM = {"pre": "", "period": "1" + "0" * 69_999}
 def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
     """The CLI argv of the traffic, without ``--json``; the files they name
     are those ``cli_outcomes`` writes into `scratch`."""
-    coords, empty, tampered, long_pre, pool, shared, sparse, limit_miss = (
+    coords, empty, tampered, long_pre, pool, shared, sparse, limit_miss, many, points = (
         os.path.join(scratch, name)
         for name in ("coords.json", "empty.json", "tampered.json", "long-preperiod.json",
-                     "pool.json", "shared-open.json", "sparse-enum.json", "limit-miss.json"))
+                     "pool.json", "shared-open.json", "sparse-enum.json", "limit-miss.json",
+                     "many-coords.json", "many-points.json"))
     argv = [["count", "--n", str(n)] for n in range(1, 5)]
     for name in checks:
         for n in range(1, 5):
@@ -267,6 +269,9 @@ def cli_argv(checks, demos, scratch: str) -> list[list[str]]:
     argv += [["verify", "disjoint-closure", "--fixture", shared],
              ["demo", "initials-chain", "--fixture", sparse],
              ["demo", "initials-chain", "--fixture", limit_miss]]
+    # two lists one entry past MAX_FIXTURE_SETS (exit 2 each)
+    argv += [["demo", "powerset-chain", "--coords", many],
+             ["demo", "join-gap", "--fixture", points]]
     return argv
 
 
@@ -314,7 +319,10 @@ def cli_outcomes(scratch: str) -> tuple[list[dict], str]:
              "shared-open.json": SHARED_OPEN, "sparse-enum.json": dict(chain, enum=_SPARSE_ENUM),
              # no stage holds the enumerated set, so the limit-point
              # neighbourhood of that one coordinate misses every stage
-             "limit-miss.json": dict(chain, limit_point_coords=[chain["enum"]])}
+             "limit-miss.json": dict(chain, limit_point_coords=[chain["enum"]]),
+             "many-coords.json": _SINGLETONS,
+             "many-points.json": dict(cli.load_fixture("join-gap"),
+                                      sample_points=_SAMPLE_POINTS)}
     for name, value in files.items():
         with open(os.path.join(scratch, name), "w", encoding="utf-8") as fh:
             json.dump(value, fh)
